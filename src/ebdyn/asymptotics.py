@@ -61,11 +61,8 @@ CONES = ("P", "CP", "coCP", "PPT", "EB")
 
 def witness_pair(phi: superop.Superoperator):
     """Smallest eigenvalues of the Choi matrix and its partial transpose."""
-    c = superop.to_choi(phi)
-    return (
-        matcore.min_herm_eig(c.matrix),
-        matcore.min_herm_eig(c.partial_transpose().matrix),
-    )
+    _, min_c, min_pt = classify.choi_floors(phi)
+    return min_c, min_pt
 
 
 def cone_witness(phi: superop.Superoperator, cone: str) -> float:
@@ -77,13 +74,12 @@ def cone_witness(phi: superop.Superoperator, cone: str) -> float:
     membership.
     """
     if cone == "CP":
-        c = superop.to_choi(phi)
-        return matcore.min_herm_eig(c.matrix)
+        return matcore.min_herm_eig(superop.to_choi(phi).matrix)
     if cone == "coCP":
-        c = superop.to_choi(phi)
-        return matcore.min_herm_eig(c.partial_transpose().matrix)
+        return matcore.min_herm_eig(superop.to_choi(phi).partial_transpose().matrix)
     if cone in ("PPT", "EB"):
-        return min(witness_pair(phi))
+        _, min_c, min_pt = classify.choi_floors(phi)
+        return min(min_c, min_pt)
     if cone == "P":
         return classify.positivity_witness(phi, restarts=4, iters=50)
     raise ValueError(f"unknown cone {cone!r}")
@@ -107,14 +103,19 @@ class Search:
         return 1e-10 * self.t_max
 
 
-def _spectral_gap(family) -> float | None:
+def _reference_generators(family):
+    """Nonvanishing generator matrices at t = 0, then t = 1, with their scale."""
     for t_ref in (0.0, 1.0):
         m = family.generator_matrix(t_ref)
         scale = float(np.abs(m).max())
-        if scale < 1e-12:
-            continue
-        w = np.linalg.eigvals(m)
-        re = np.abs(w.real)
+        if scale >= 1e-12:
+            yield m, scale
+
+
+def _spectral_gap(family) -> float | None:
+    # falls through to t = 1 when the generator at t = 0 has no decaying mode
+    for m, scale in _reference_generators(family):
+        re = np.abs(np.linalg.eigvals(m).real)
         nonzero = re[re > 1e-9 * scale]
         if nonzero.size:
             return float(nonzero.min())
@@ -171,29 +172,36 @@ def asymptotic_map(family, handle=None, horizon=None):
             coeffs = cf.asymptotic_coefficients
             if coeffs is None:
                 coeffs = _coefficient_limits(cf, family, horizon)
-            s = np.zeros_like(cf.components[0])
-            for ck, q in zip(coeffs, cf.components):
-                s += ck * q
-            return superop.Superoperator(s, family.d)
+            return superop.spectral_sum(coeffs, cf.components, family.d)
     return _numeric_limit(family, handle, horizon)
+
+
+def _two_horizon_limits(a, b, zero_tol, slack, settle_tol, what):
+    """Limits of scalar trajectories from their values a at t1 and b at 2 t1.
+
+    A trajectory that is below ``zero_tol`` at 2 t1 and has not grown by more
+    than ``slack`` decays to 0; one that moved by at most ``settle_tol`` has
+    settled at b; any other has no limit (:class:`NoLimitError`, whose
+    message names the trajectory as ``what``).
+    """
+    limits = np.empty_like(b)
+    for k in range(b.size):
+        if abs(b[k]) < zero_tol and abs(b[k]) <= abs(a[k]) + slack:
+            limits[k] = 0.0
+        elif abs(b[k] - a[k]) <= settle_tol:
+            limits[k] = b[k]
+        else:
+            raise NoLimitError(
+                f"{what} {k} has no limit ({a[k]:.3e} -> {b[k]:.3e})"
+            )
+    return limits
 
 
 def _coefficient_limits(cf, family, horizon):
     t1 = horizon if horizon is not None else default_search(family).t_max
     a = np.asarray(cf.coefficients(t1))
     b = np.asarray(cf.coefficients(2.0 * t1))
-    limits = np.empty_like(b)
-    for k in range(b.size):
-        if abs(b[k]) < 1e-9 and abs(b[k]) <= abs(a[k]) + 1e-12:
-            limits[k] = 0.0
-        elif abs(b[k] - a[k]) <= 1e-7:
-            limits[k] = b[k]
-        else:
-            raise NoLimitError(
-                f"{family.kind}: trajectory {k} has no limit "
-                f"({a[k]:.3e} -> {b[k]:.3e})"
-            )
-    return limits
+    return _two_horizon_limits(a, b, 1e-9, 1e-12, 1e-7, f"{family.kind}: trajectory")
 
 
 def _numeric_limit(family, handle, horizon):
@@ -202,17 +210,10 @@ def _numeric_limit(family, handle, horizon):
     t1 = horizon if horizon is not None else default_search(family).t_max
     spec1 = superop.map_spectrum(handle.solve(t1))
     spec2 = superop.map_spectrum(handle.solve(2.0 * t1))
-    lam1, lam2 = spec1.eigenvalues, spec2.eigenvalues
-    limits = np.empty_like(lam2)
-    for k in range(lam2.size):
-        if abs(lam2[k]) < 1e-8 and abs(lam2[k]) <= abs(lam1[k]) + 1e-10:
-            limits[k] = 0.0
-        elif abs(lam2[k] - lam1[k]) <= 1e-6:
-            limits[k] = lam2[k]
-        else:
-            raise NoLimitError(
-                f"{family.kind}: eigenvalue trajectory {k} has no numeric limit"
-            )
+    limits = _two_horizon_limits(
+        spec1.eigenvalues, spec2.eigenvalues, 1e-8, 1e-10, 1e-6,
+        f"{family.kind}: eigenvalue trajectory",
+    )
     s = np.zeros((family.d ** 2, family.d ** 2), dtype=complex)
     for lam, x, y in zip(limits, spec2.right, spec2.left):
         if lam != 0.0:
@@ -356,11 +357,7 @@ class AsymptoticVerdict:
 
 
 def _kernel_analysis(family):
-    for t_ref in (0.0, 1.0):
-        m = family.generator_matrix(t_ref)
-        scale = float(np.abs(m).max())
-        if scale < 1e-12:
-            continue
+    for m, scale in _reference_generators(family):
         w, v = np.linalg.eig(m)
         idx = np.where(np.abs(w) <= 1e-9 * max(1.0, scale))[0]
         return w, v, idx, scale
@@ -368,12 +365,9 @@ def _kernel_analysis(family):
 
 
 def _common_kernel_state(family, v, idx):
-    x = matcore.unvec(v[:, idx[0]], family.d)
-    tr = np.trace(x)
-    if abs(tr) < 1e-8:
+    omega = matcore.unit_trace_hermitian(v[:, idx[0]], family.d, 1e-8)
+    if omega is None:
         return None
-    omega = x / tr
-    omega = (omega + omega.conj().T) / 2.0
     if not family.constant:
         vec_w = matcore.vec(omega)
         for t in (0.5, 1.7, 3.3):
@@ -481,37 +475,26 @@ def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
             "undetermined", "none", kernel_dim=kernel_dim,
             numeric_evidence=evidence,
         )
-    if isinstance(limit, PeriodicMap):
-        phases = limit.sample()
-        certified = all(classify.eb_certify_interior(phi) for phi in phases)
-        w_inf = min(min(witness_pair(phi)) for phi in phases)
-        evidence["limit_cycle_witness"] = w_inf
-        if certified:
-            return AsymptoticVerdict(
-                "eventually_EB", "limit_cycle_interior",
-                kernel_dim=kernel_dim, numeric_evidence=evidence,
-            )
-        if w_inf < -tolerances.REFUTE_FACTOR * tol:
-            return AsymptoticVerdict(
-                "not_asymptotically_EB", "limit_cycle_witness",
-                kernel_dim=kernel_dim, numeric_evidence=evidence,
-            )
+    periodic = isinstance(limit, PeriodicMap)
+    basis = "limit_cycle" if periodic else "asymptotic"
+    floors = [classify.choi_floors(phi)
+              for phi in (limit.sample() if periodic else [limit])]
+    w_inf = min(min(min_c, min_pt) for _, min_c, min_pt in floors)
+    evidence[f"{basis}_witness"] = w_inf
+    if all(classify._interior_from_floors(*f).certified for f in floors):
         return AsymptoticVerdict(
-            "undetermined", "none", kernel_dim=kernel_dim,
-            numeric_evidence=evidence,
-        )
-    cert = classify.interior_certificate(limit)
-    w_inf = min(witness_pair(limit))
-    evidence["asymptotic_witness"] = w_inf
-    if cert.certified:
-        return AsymptoticVerdict(
-            "eventually_EB", "asymptotic_interior",
+            "eventually_EB", f"{basis}_interior",
             kernel_dim=kernel_dim, numeric_evidence=evidence,
         )
     if w_inf < -tolerances.REFUTE_FACTOR * tol:
         return AsymptoticVerdict(
-            "not_asymptotically_EB", "asymptotic_witness",
+            "not_asymptotically_EB", f"{basis}_witness",
             kernel_dim=kernel_dim, numeric_evidence=evidence,
+        )
+    if periodic:
+        return AsymptoticVerdict(
+            "undetermined", "none", kernel_dim=kernel_dim,
+            numeric_evidence=evidence,
         )
     # boundary limit: look at which side the trajectory approaches from
     w_t = min(witness_pair(handle.solve(horizon)))

@@ -31,6 +31,7 @@ __all__ = [
     "EB_UNKNOWN",
     "ClassificationReport",
     "InteriorCertificate",
+    "choi_floors",
     "classify_map",
     "eb_certify_interior",
     "interior_certificate",
@@ -75,6 +76,20 @@ class InteriorCertificate:
     radius: float | None
 
 
+def choi_floors(phi: superop.Superoperator):
+    """Choi matrix and its two eigenvalue floors, built and solved once.
+
+    Returns ``(choi, min_eig_choi, min_eig_choi_pt)``: the Choi matrix of
+    ``phi`` and the smallest eigenvalues of it and of its partial transpose.
+    """
+    choi = superop.to_choi(phi)
+    return (
+        choi,
+        matcore.min_herm_eig(choi.matrix),
+        matcore.min_herm_eig(choi.partial_transpose().matrix),
+    )
+
+
 def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
     """Classify a map against the CP / coCP / PPT / EB cones.
 
@@ -83,9 +98,7 @@ def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
     """
     if tol is None:
         tol = tolerances.PSD_TOL
-    choi = superop.to_choi(phi)
-    min_c = matcore.min_herm_eig(choi.matrix)
-    min_pt = matcore.min_herm_eig(choi.partial_transpose().matrix)
+    choi, min_c, min_pt = choi_floors(phi)
     is_cp = min_c >= -tol
     is_cocp = min_pt >= -tol
     is_ppt = is_cp and is_cocp
@@ -94,7 +107,7 @@ def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
     elif not is_ppt:
         eb_status = EB_REFUTED
     else:
-        cert = interior_certificate(phi, tol=tol)
+        cert = _interior_from_floors(choi, min_c, min_pt, tol=tol)
         eb_status = EB_CERTIFIED if cert.certified else EB_UNKNOWN
     return ClassificationReport(
         d=phi.d,
@@ -110,12 +123,14 @@ def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
 
 def interior_certificate(phi: superop.Superoperator, tol=None) -> InteriorCertificate:
     """Try to certify that ``phi`` lies in the interior of the EB cone."""
+    return _interior_from_floors(*choi_floors(phi), tol=tol)
+
+
+def _interior_from_floors(choi, min_c, min_pt, tol=None) -> InteriorCertificate:
+    """:func:`interior_certificate` from the output of :func:`choi_floors`."""
     if tol is None:
         tol = tolerances.PSD_TOL
-    d = phi.d
-    choi = superop.to_choi(phi)
-    min_c = matcore.min_herm_eig(choi.matrix)
-    min_pt = matcore.min_herm_eig(choi.partial_transpose().matrix)
+    d = choi.d
     ppt_floor = min(min_c, min_pt)
 
     if d == 2 and ppt_floor > tol:

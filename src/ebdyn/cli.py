@@ -56,7 +56,7 @@ _THREAD_VARS = (
 
 _ANALYSIS_KEYS = {
     "tmax", "tol", "grid_n", "bisect_tol", "cones", "times", "points",
-    "s_grid", "t", "kmax", "seed",
+    "s_grid", "t", "kmax",
 }
 
 # per-kind section schemas: fixed keys and numbered key prefixes (jump1, ...)
@@ -194,8 +194,6 @@ def _read_analysis(section):
     if "points" in section:
         opts["points"] = _parse_scalar(section["points"], "points",
                                        positive=True, integer=True)
-    if "seed" in section:
-        opts["seed"] = _parse_scalar(section["seed"], "seed", integer=True)
     if "t" in section:
         opts["t"] = _parse_scalar(section["t"], "t", positive=True)
     if "kmax" in section:
@@ -904,8 +902,6 @@ def _build_parser():
                         help="write output to FILE instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json", help="output format (default json)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subroutines")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="pin BLAS/OpenMP thread count")
     common.add_argument("--tmax", type=float, default=None,

@@ -79,7 +79,6 @@ def scan_divisibility(
     if s_grid is None:
         s_grid = default_s_grid(search)
     s_grid = tuple(float(s) for s in s_grid)
-    details = {}
 
     if use_shortcuts and family.constant:
         return _semigroup_scan(handle, cone, s_grid, search, tol)
@@ -114,7 +113,6 @@ def scan_divisibility(
         certificates=tuple(certs),
         verdict=verdict,
         shortcut_used=shortcut,
-        details=details,
     )
 
 
@@ -179,24 +177,22 @@ def _propagator_tail(handle, cone, s, search, tol):
         limit = asymptotics.asymptotic_map(family, handle=handle, horizon=search.t_max)
     except NoLimitError:
         return None, None
-    if isinstance(limit, asymptotics.PeriodicMap):
-        try:
-            lam_s_inv = np.linalg.inv(handle.solve(s).matrix)
-        except np.linalg.LinAlgError:
-            return None, None
-        w = min(
-            asymptotics.cone_witness(
-                superop.Superoperator(phi.matrix @ lam_s_inv, family.d), cone
-            )
-            for phi in limit.sample()
-        )
-        return float(w), "asymptotic_interior"
     try:
         lam_s_inv = np.linalg.inv(handle.solve(s).matrix)
     except np.linalg.LinAlgError:
         return None, None
-    v_inf = superop.Superoperator(limit.matrix @ lam_s_inv, family.d)
-    return float(asymptotics.cone_witness(v_inf, cone)), "asymptotic_interior"
+    # V_{inf,s} = Lambda_inf o Lambda_s^-1, at every phase of a limit cycle
+    if isinstance(limit, asymptotics.PeriodicMap):
+        limits = limit.sample()
+    else:
+        limits = [limit]
+    w = min(
+        asymptotics.cone_witness(
+            superop.Superoperator(phi.matrix @ lam_s_inv, family.d), cone
+        )
+        for phi in limits
+    )
+    return float(w), "asymptotic_interior"
 
 
 def _arrival_at_start(handle, cone, s, search, tol):

@@ -13,7 +13,6 @@ points instead of restarting from zero for every sample.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ class EvolutionHandle:
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {} if cache else None
-        self._lock = threading.Lock()
 
     # -- single time ------------------------------------------------------
 
@@ -59,19 +57,17 @@ class EvolutionHandle:
         if t == 0.0:
             return superop.identity(self.family.d)
         if self._cache is not None:
-            with self._lock:
-                hit = self._cache.get(t)
+            hit = self._cache.get(t)
             if hit is not None:
                 return hit
         if self.solver == "closed_form":
             result = self.family.closed_form.map_at(t)
         elif self.solver == "commuting_exp":
-            result = self._commuting_single(t)
+            result = self._commuting_many([t])[0]
         else:
             result = self._ode_many([t])[0]
         if self._cache is not None:
-            with self._lock:
-                self._cache[t] = result
+            self._cache[t] = result
         return result
 
     def solve_many(self, times: Sequence[float]) -> list:
@@ -144,10 +140,6 @@ class EvolutionHandle:
                 prev = t
             out.append(acc.copy())
         return out
-
-    def _commuting_single(self, t):
-        (a,) = self._commuting_antiderivative_steps([t])
-        return superop.Superoperator(matcore.expm(a), self.family.d)
 
     def _commuting_many(self, ts):
         order = np.argsort(ts, kind="stable")

@@ -290,11 +290,7 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
         return c
 
     def map_at(t):
-        c = coefficients(t)
-        s = np.zeros((4, 4), dtype=complex)
-        for ck, q in zip(c, comps):
-            s += ck * q
-        return superop.Superoperator(s, 2)
+        return superop.spectral_sum(coefficients(t), comps, 2)
 
     constant = all(r.constant is not None for r in rates)
     asym = None
@@ -389,21 +385,14 @@ def eternal_nm(alpha) -> GeneratorFamily:
         return np.array([c12, c12, math.exp(-2.0 * alpha * t), 1.0], dtype=complex)
 
     def map_at(t):
-        c = coefficients(t)
-        s = np.zeros((4, 4), dtype=complex)
-        for ck, q in zip(c, comps):
-            s += ck * q
-        return superop.Superoperator(s, 2)
+        return superop.spectral_sum(coefficients(t), comps, 2)
 
     def propagator_at(t, s):
         c = np.empty(4, dtype=complex)
         c[0] = c[1] = ((1.0 + math.exp(-2.0 * t)) / (1.0 + math.exp(-2.0 * s))) ** alpha
         c[2] = math.exp(-2.0 * alpha * (t - s))
         c[3] = 1.0
-        m = np.zeros((4, 4), dtype=complex)
-        for ck, q in zip(c, comps):
-            m += ck * q
-        return superop.Superoperator(m, 2)
+        return superop.spectral_sum(c, comps, 2)
 
     def tail_witness(s):
         # limit of the propagator's smallest Choi / partial-transpose
@@ -803,12 +792,7 @@ def _kernel_state(gen_matrix, d):
     idx = np.where(np.abs(w) <= 1e-9 * scale)[0]
     if len(idx) != 1:
         return None
-    x = matcore.unvec(v[:, idx[0]], d)
-    tr = np.trace(x)
-    if abs(tr) < 1e-10:
-        return None
-    x = x / tr
-    return (x + x.conj().T) / 2.0
+    return matcore.unit_trace_hermitian(v[:, idx[0]], d, 1e-10)
 
 
 # ---------------------------------------------------------------------------

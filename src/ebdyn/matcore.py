@@ -32,6 +32,7 @@ __all__ = [
     "partial_trace_first",
     "vec",
     "unvec",
+    "unit_trace_hermitian",
     "matrix_unit",
     "matrix_units",
     "PAULI_X",
@@ -177,6 +178,19 @@ def unvec(v, d=None):
     if d * d != a.size:
         raise DimensionMismatchError(f"vector of length {a.size} is not d*d")
     return a.reshape((d, d), order="F")
+
+
+def unit_trace_hermitian(v, d, tol):
+    """``unvec(v, d)`` scaled to unit trace and Hermitized.
+
+    Returns None when the trace is below ``tol`` in modulus.
+    """
+    x = unvec(v, d)
+    tr = np.trace(x)
+    if abs(tr) < tol:
+        return None
+    x = x / tr
+    return (x + x.conj().T) / 2.0
 
 
 def matrix_unit(d, i, j):

@@ -5,12 +5,13 @@ so that ``vec(phi(X)) = S @ vec(X)``.  The adjoint with respect to the
 Hilbert-Schmidt inner product <A, B> = tr(A^dag B) is then the conjugate
 transpose of ``S``.
 
-The Choi matrix is assembled block by block,
+The Choi matrix has the blocks
 
     C[i*d:(i+1)*d, j*d:(j+1)*d] = phi(E_ij),
 
-which with column stacking is a pure re-indexing of ``S``; the round trip
-``from_choi(to_choi(phi))`` is therefore exact.
+which with column stacking is a pure re-indexing of ``S``: viewed as
+``d x d x d x d`` arrays, C[i, k, j, l] = S[l, k, j, i].  That shuffle is its
+own inverse, so the round trip ``from_choi(to_choi(phi))`` is exact.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ __all__ = [
     "from_action",
     "transpose_map",
     "unitary_conjugation",
-    "apply",
     "compose",
     "adjoint",
     "to_choi",
     "from_choi",
+    "spectral_sum",
     "is_trace_preserving",
     "is_unital",
     "is_hermiticity_preserving",
@@ -122,11 +123,6 @@ def unitary_conjugation(u) -> Superoperator:
     return Superoperator(np.kron(u.conj(), u), u.shape[0])
 
 
-def apply(phi: Superoperator, x):
-    """Apply ``phi`` to the matrix ``x``."""
-    return phi.apply(x)
-
-
 def compose(phi: Superoperator, psi: Superoperator) -> Superoperator:
     """The composition phi o psi (``psi`` acts first)."""
     if phi.d != psi.d:
@@ -139,23 +135,26 @@ def adjoint(phi: Superoperator) -> Superoperator:
     return Superoperator(phi.matrix.conj().T, phi.d)
 
 
+def _choi_shuffle(m, d):
+    # C[i, k, j, l] = S[l, k, j, i] on the d x d x d x d views; an involution
+    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
 def to_choi(phi: Superoperator) -> ChoiMatrix:
-    """Choi matrix of ``phi`` by explicit block assembly."""
-    d = phi.d
-    c = np.empty((d * d, d * d), dtype=complex)
-    for i, j, e in matcore.matrix_units(d):
-        c[i * d : (i + 1) * d, j * d : (j + 1) * d] = phi.apply(e)
-    return ChoiMatrix(c, d)
+    """Choi matrix of ``phi``, a re-indexing of its matrix."""
+    return ChoiMatrix(_choi_shuffle(phi.matrix, phi.d), phi.d)
 
 
 def from_choi(choi: ChoiMatrix) -> Superoperator:
     """Inverse of :func:`to_choi`; the round trip is exact."""
-    d = choi.d
-    s = np.empty((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            block = choi.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            s[:, i + d * j] = matcore.vec(block)
+    return Superoperator(_choi_shuffle(choi.matrix, choi.d), choi.d)
+
+
+def spectral_sum(coefficients, components, d) -> Superoperator:
+    """The map sum_k c_k Q_k from scalar coefficients and component matrices."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for ck, q in zip(coefficients, components):
+        s += ck * q
     return Superoperator(s, d)
 
 

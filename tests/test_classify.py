@@ -138,6 +138,45 @@ class TestInteriorCertificate:
             assert rep.eb_status == classify.EB_CERTIFIED
 
 
+class TestSharedWitnessPath:
+    """classify_map, witness_pair and interior_certificate agree exactly."""
+
+    @staticmethod
+    def _maps(rng, d):
+        # indefinite and shifted random maps, then PPT maps near I (x) omega
+        # on both sides of the ball radius min_eig(omega) / 2
+        maps = [random_hp_map(rng, d, shift=shift) for shift in (0.0, 2.0, 6.0)]
+        for scale in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
+            omega = random_density(rng, d)
+            lam = np.linalg.eigvalsh(omega)[0]
+            h = random_hp_map(rng, d).matrix
+            h *= scale * lam / np.linalg.norm(h, 2)
+            p = classify.projector_onto_state(omega)
+            maps.append(superop.Superoperator(p.matrix + h, d))
+        return maps
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_floors_match_witness_pair(self, d):
+        rng = np.random.default_rng(30 + d)
+        for phi in self._maps(rng, d):
+            rep = classify.classify_map(phi)
+            assert (rep.min_eig_choi, rep.min_eig_choi_pt) == asymptotics.witness_pair(phi)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ppt_verdict_is_interior_certificate(self, d):
+        rng = np.random.default_rng(40 + d)
+        seen = set()
+        for _ in range(4):
+            for phi in self._maps(rng, d):
+                rep = classify.classify_map(phi)
+                if not rep.is_ppt:
+                    continue
+                certified = classify.interior_certificate(phi).certified
+                assert (rep.eb_status == classify.EB_CERTIFIED) == certified
+                seen.add(certified)
+        assert seen == {True, False}
+
+
 class TestStateProjector:
     def test_trace_validation(self):
         with pytest.raises(TraceNotOneError):

@@ -51,6 +51,7 @@ class TestConfigErrors:
             "omega = 0.5 0; 0 0.5\nflavor = mild\n"
         ),
         "unknown_analysis_key": DEPOLARIZING_QUBIT + "speed = 11\n",
+        "analysis_seed_key": DEPOLARIZING_QUBIT + "seed = 3\n",
         "missing_required_key": "[family]\nkind = depolarizing\ngamma = 1.0\n",
         "bad_matrix_entry": (
             "[family]\nkind = depolarizing\ngamma = 1.0\nomega = 0.5 x; 0 0.5\n"
