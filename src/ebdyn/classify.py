@@ -151,7 +151,7 @@ def _interior_from_floors(choi, min_c, min_pt, tol=None) -> InteriorCertificate:
         omega = omega / tr
         lam = matcore.min_herm_eig(omega)
         if lam > tol:
-            target = np.kron(np.eye(d, dtype=complex), omega)
+            target = matcore.kron(np.eye(d, dtype=complex), omega)
             distance = float(np.linalg.norm(choi.matrix - target, "fro"))
             radius = lam / 2.0
             certified = distance <= radius

@@ -6,8 +6,9 @@ integrated generator; everything else integrates the matrix equation
 d Lambda / dt = L_t Lambda with a high-order adaptive scheme.
 
 ``solve_many`` exists because sweeps dominate the workload: the commuting
-path accumulates the generator antiderivative incrementally across the grid,
-and the direct path integrates the equation once with dense evaluation
+path accumulates the generator antiderivative incrementally across the grid
+(a constant generator is diagonalized once per handle instead), and the
+direct path integrates the equation once with dense evaluation
 points instead of restarting from zero for every sample.
 """
 
@@ -46,6 +47,8 @@ class EvolutionHandle:
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {} if cache else None
+        # tau -> expm(tau L) of a constant generator, diagonalized on first use
+        self._exp_l = None
 
     # -- single time ------------------------------------------------------
 
@@ -121,9 +124,6 @@ class EvolutionHandle:
     def _commuting_antiderivative_steps(self, ts_sorted):
         """Integral of the generator from 0 to each grid time, incrementally."""
         d2 = self.family.d ** 2
-        if self.family.constant:
-            l0 = self._generator(0.0)
-            return [t * l0 for t in ts_sorted]
         out = []
         acc = np.zeros((d2, d2), dtype=complex)
         prev = 0.0
@@ -142,17 +142,22 @@ class EvolutionHandle:
         return out
 
     def _commuting_many(self, ts):
-        order = np.argsort(ts, kind="stable")
-        ts_sorted = [ts[k] for k in order]
-        mats = self._commuting_antiderivative_steps(ts_sorted)
-        results = [None] * len(ts)
-        for pos, k in enumerate(order):
-            t = ts_sorted[pos]
-            if t == 0.0:
-                results[k] = superop.identity(self.family.d)
-            else:
-                results[k] = superop.Superoperator(matcore.expm(mats[pos]), self.family.d)
-        return results
+        d = self.family.d
+        if self.family.constant:
+            if self._exp_l is None:
+                self._exp_l = matcore.exp_generator(self._generator(0.0))
+            exp_at = self._exp_l
+        else:
+            ts_sorted = sorted(ts)
+            anti = dict(zip(ts_sorted, self._commuting_antiderivative_steps(ts_sorted)))
+
+            def exp_at(t):
+                return matcore.expm(anti[t])
+
+        return [
+            superop.identity(d) if t == 0.0 else superop.Superoperator(exp_at(t), d)
+            for t in ts
+        ]
 
     def _ode_many(self, ts):
         d = self.family.d

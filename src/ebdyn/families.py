@@ -103,7 +103,7 @@ def _hamiltonian_part(h):
     """Superoperator matrix of rho -> -i [H, rho]."""
     h = matcore.as_matrix(h, square=True)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * (matcore.kron(eye, h) - matcore.kron(h.T, eye))
 
 
 def _dissipator(v):
@@ -111,7 +111,7 @@ def _dissipator(v):
     v = matcore.as_matrix(v, square=True)
     eye = np.eye(v.shape[0], dtype=complex)
     vv = v.conj().T @ v
-    return np.kron(v.conj(), v) - 0.5 * (np.kron(eye, vv) + np.kron(vv.T, eye))
+    return matcore.kron(v.conj(), v) - 0.5 * (matcore.kron(eye, vv) + matcore.kron(vv.T, eye))
 
 
 class _Rate:
@@ -274,7 +274,7 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
         antiderivatives = (None, None, None)
     rates = [_Rate(g, a) for g, a in zip(gammas, antiderivatives)]
     comps = _pauli_components()
-    diss = [np.kron(s.conj(), s) - np.eye(4, dtype=complex) for s in matcore.PAULIS[:3]]
+    diss = [matcore.kron(s.conj(), s) - np.eye(4, dtype=complex) for s in matcore.PAULIS[:3]]
 
     def gen(t):
         m = np.zeros((4, 4), dtype=complex)
@@ -726,19 +726,18 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
     if float(np.abs(matcore.as_matrix(p_of_t(period)) - p0).max()) > 1e-8:
         raise EbdynError("p_of_t is not periodic with the declared period")
 
-    def conj_matrix(pm):
-        return np.kron(pm.conj(), pm)
+    exp_x = matcore.exp_generator(x)
 
     def map_at(t):
         pm = matcore.as_matrix(p_of_t(t), square=True)
-        return superop.Superoperator(conj_matrix(pm) @ matcore.expm(t * x), d)
+        return superop.Superoperator(matcore.kron(pm.conj(), pm) @ exp_x(t), d)
 
     def propagator_at(t, s):
         pt = matcore.as_matrix(p_of_t(t), square=True)
         ps = matcore.as_matrix(p_of_t(s), square=True)
-        inv = np.kron(ps.T, ps.conj().T)
+        inv = matcore.kron(ps.T, ps.conj().T)
         return superop.Superoperator(
-            conj_matrix(pt) @ matcore.expm((t - s) * x) @ inv, d
+            matcore.kron(pt.conj(), pt) @ exp_x(t - s) @ inv, d
         )
 
     omega = core.stationary_state
@@ -761,9 +760,9 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
     def gen(t):
         pm = matcore.as_matrix(p_of_t(t), square=True)
         pd = matcore.as_matrix(dp_of_t(t), square=True)
-        pmat = conj_matrix(pm)
-        pinv = np.kron(pm.T, pm.conj().T)
-        pdot = np.kron(pd.conj(), pm) + np.kron(pm.conj(), pd)
+        pmat = matcore.kron(pm.conj(), pm)
+        pinv = matcore.kron(pm.T, pm.conj().T)
+        pdot = matcore.kron(pd.conj(), pm) + matcore.kron(pm.conj(), pd)
         return pdot @ pinv + pmat @ x @ pinv
 
     cf = ClosedFormSolution(
@@ -874,11 +873,7 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
 
     def schur_diagonal(lam):
         # Schur multiplier as a superoperator: diagonal in the unit basis
-        s = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                s[i + d * j] = lam[i, j]
-        return np.diag(s)
+        return np.diag(lam.ravel(order="F"))
 
     def coefficients(t):
         if cutoff is not None and t >= cutoff:

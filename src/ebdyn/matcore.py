@@ -26,6 +26,7 @@ __all__ = [
     "is_hermitian",
     "herm_eig",
     "min_herm_eig",
+    "exp_generator",
     "expm",
     "kron",
     "partial_transpose_second",
@@ -65,6 +66,17 @@ def is_hermitian(m, tol=None) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= tol
 
 
+def _checked_hermitian(m, tol):
+    """``m`` as a square matrix, or NotHermitianError beyond ``tol``."""
+    a = as_matrix(m, square=True)
+    if tol is None:
+        tol = tolerances.herm_tol(a)
+    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    if dev > tol:
+        raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.3e}")
+    return a
+
+
 def herm_eig(m, tol=None):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -89,12 +101,7 @@ def herm_eig(m, tol=None):
     NoConvergenceError
         If the underlying solver fails.
     """
-    a = as_matrix(m, square=True)
-    if tol is None:
-        tol = tolerances.herm_tol(a)
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.3e}")
+    a = _checked_hermitian(m, tol)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -103,17 +110,26 @@ def herm_eig(m, tol=None):
 
 
 def min_herm_eig(m, tol=None) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = herm_eig(m, tol=tol)
+    """Smallest eigenvalue of a Hermitian matrix (eigenvalues only).
+
+    Raises the same errors as :func:`herm_eig`.
+    """
+    a = _checked_hermitian(m, tol)
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigvalsh failed: {exc}") from exc
     return float(w[0])
 
 
-def expm(m):
-    """Matrix exponential.
+def exp_generator(m):
+    """The one-parameter group ``tau -> expm(tau * m)`` of a fixed matrix.
 
-    Diagonalizable input goes through its eigenbasis; when the eigenvector
-    matrix is ill-conditioned the computation falls back to
-    scaling-and-squaring.
+    ``m`` is diagonalized once, ``m = V diag(w) V^-1``, and every call costs
+    one exponential of the eigenvalues and one matrix product:
+    ``expm(tau m) = (V * exp(tau w)) @ V^-1``.  When the eigenvector matrix
+    is ill-conditioned (beyond ``EXPM_EIG_COND_LIMIT``) or cannot be
+    inverted, each call falls back to scaling-and-squaring instead.
     """
     a = as_matrix(m, square=True)
     try:
@@ -123,18 +139,41 @@ def expm(m):
         cond = np.inf
     if np.isfinite(cond) and cond < tolerances.EXPM_EIG_COND_LIMIT:
         try:
-            return (v * np.exp(w)) @ np.linalg.inv(v)
+            v_inv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
             pass
-    try:
-        return scipy.linalg.expm(a)
-    except Exception as exc:  # scipy raises assorted types here
-        raise NoConvergenceError(f"expm failed: {exc}") from exc
+        else:
+            return lambda tau: (v * np.exp(tau * w)) @ v_inv
+
+    def scaling_and_squaring(tau):
+        try:
+            return scipy.linalg.expm(tau * a)
+        except Exception as exc:  # scipy raises assorted types here
+            raise NoConvergenceError(f"expm failed: {exc}") from exc
+
+    return scaling_and_squaring
+
+
+def expm(m):
+    """Matrix exponential, ``exp_generator(m)(1.0)``.
+
+    Diagonalizable input goes through its eigenbasis; when the eigenvector
+    matrix is ill-conditioned the computation falls back to
+    scaling-and-squaring.
+    """
+    return exp_generator(m)(1.0)
 
 
 def kron(a, b):
-    """Kronecker product with shape validation."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with shape validation.
+
+    A broadcast outer product, entry for entry the same as ``np.kron`` (each
+    entry is one product, nothing is summed) at a fraction of its overhead.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_transpose_second(m, d1, d2):

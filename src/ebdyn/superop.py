@@ -120,7 +120,7 @@ def transpose_map(d) -> Superoperator:
 def unitary_conjugation(u) -> Superoperator:
     """The map X -> U X U^dag for a d x d unitary U."""
     u = matcore.as_matrix(u, square=True)
-    return Superoperator(np.kron(u.conj(), u), u.shape[0])
+    return Superoperator(matcore.kron(u.conj(), u), u.shape[0])
 
 
 def compose(phi: Superoperator, psi: Superoperator) -> Superoperator:

@@ -12,6 +12,9 @@ import pytest
 
 from ebdyn import cli
 
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SHIPPED_CONFIGS = sorted(
+    name[:-4] for name in os.listdir(os.path.join(REPO, "configs")) if name.endswith(".ini"))
 
 DEPOLARIZING_QUBIT = """\
 [family]
@@ -265,3 +268,35 @@ def test_reproduce_suite_passes(tmp_path):
     assert code == 0, failures
     assert payload["all_ok"] is True
     assert len(payload["checks"]) == 13
+
+
+def reference_mismatches(got, want, path=""):
+    """Discrete fields equal, floats within 1e-9 + 1e-9 * |want|."""
+    if isinstance(want, float) and isinstance(got, (int, float)) and not isinstance(got, bool):
+        if abs(got - want) <= 1e-9 + 1e-9 * abs(want):
+            return []
+        return [f"{path}: {got!r} vs {want!r}"]
+    if isinstance(want, dict) and isinstance(got, dict):
+        if set(want) != set(got):
+            return [f"{path}: keys {sorted(got)} vs {sorted(want)}"]
+        return [m for k in want for m in reference_mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [f"{path}: {len(got)} entries vs {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in reference_mismatches(g, w, f"{path}[{i}]")]
+    return [] if got == want else [f"{path}: {got!r} vs {want!r}"]
+
+
+@pytest.mark.parametrize("cmd", ["classify", "ppt2"])
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_shipped_config_output_matches_recorded_reference(tmp_path, capsys, name, cmd):
+    """Guard against drift of the recorded CLI outputs of the shipped configs."""
+    out = tmp_path / f"{name}.{cmd}.json"
+    config = os.path.join(REPO, "configs", f"{name}.ini")
+    assert cli.main([cmd, "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(REPO, "perfbench", "reference", f"{name}.{cmd}.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert reference_mismatches(json.loads(out.read_text()), want) == []

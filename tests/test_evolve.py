@@ -1,9 +1,12 @@
 """Solver routes and propagator identities."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ebdyn import evolve, families, matcore, superop
+from ebdyn import cli, evolve, families, matcore, superop
 from ebdyn.errors import EbdynError, SingularMapError
 
 from helpers import ginibre, random_hermitian
@@ -160,6 +163,29 @@ def test_ode_handles_time_dependent_generator():
     ode = evolve.EvolutionHandle(fam, solver="ode", rtol=1e-11, atol=1e-13)
     exact = fam.closed_form.map_at(4.0)
     np.testing.assert_allclose(ode.solve(4.0).matrix, exact.matrix, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "name", ["gkls_damped_qubit", "detailed_balance_ladder", "diagonally_covariant"])
+def test_constant_generator_handle_matches_scipy(name):
+    """One diagonalization per handle reproduces expm(t L) time by time."""
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "configs", f"{name}.ini")
+    fam, _ = cli.load_config(config)
+    gen = fam.generator_matrix(0.0)
+    handle = evolve.EvolutionHandle(fam)
+    assert handle.solver == "commuting_exp"
+    times = np.linspace(0.0, 12.0, 25)[1:]
+    batch = handle.solve_many(times)
+    for t, lam in zip(times, batch):
+        want = scipy.linalg.expm(t * gen)
+        atol = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(handle.solve(t).matrix, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(lam.matrix, want, rtol=0, atol=atol)
+    for t, s in ((3.0, 1.0), (11.5, 0.25)):
+        want = scipy.linalg.expm((t - s) * gen)
+        np.testing.assert_allclose(handle.propagator(t, s).matrix, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_floquet_ode_agreement():

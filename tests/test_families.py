@@ -1,11 +1,14 @@
 """Generator catalog: constructors, closed forms, validation."""
 
+import configparser
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ebdyn import asymptotics, classify, evolve, families, matcore, superop
+from ebdyn import asymptotics, classify, cli, evolve, families, matcore, superop
 from ebdyn.errors import (
     CovarianceViolationError,
     DimensionMismatchError,
@@ -17,6 +20,23 @@ from ebdyn.errors import (
 )
 
 from helpers import choi_min_eig, choi_pt_min_eig, ginibre, random_hermitian
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+def ini_matrix(text):
+    """A matrix written the config way: rows separated by ';'."""
+    return np.array([[complex(x) for x in row.split()] for row in text.split(";")])
+
+
+def gkls_superop(h, jumps):
+    """Column-stacking superoperator of a GKLS generator, straight from its formula."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for v in jumps:
+        vv = v.conj().T @ v
+        out = out + np.kron(v.conj(), v) - 0.5 * (np.kron(eye, vv) + np.kron(vv.T, eye))
+    return out
 
 
 class TestGkls:
@@ -412,6 +432,45 @@ class TestFloquetProduct:
         lam_t = fam.closed_form.map_at(t)
         np.testing.assert_allclose((v @ lam_s).matrix, lam_t.matrix, atol=1e-11)
         np.testing.assert_allclose(handle.propagator(t, s).matrix, v.matrix, atol=1e-7)
+
+    @staticmethod
+    def assert_propagators_match_slow_path(fam, p_of_t, x, tmax):
+        """V_{t,s} on a 20 x 20 grid (t >= s) against P_t expm((t-s)X) P_s^-1."""
+        grid = np.linspace(0.0, tmax, 20)
+        for t in grid:
+            pt = p_of_t(t)
+            for s in grid[grid <= t]:
+                ps = p_of_t(s)
+                want = (np.kron(pt.conj(), pt) @ scipy.linalg.expm((t - s) * x)
+                        @ np.kron(ps.T, ps.conj().T))
+                got = fam.closed_form.propagator_at(t, s).matrix
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("gamma, omega", [(1.0, (0.6, 0.4)), (0.8, (0.55, 0.45))])
+    def test_propagator_matches_slow_path(self, gamma, omega):
+        period = 2.0
+        core = families.depolarizing(gamma, np.diag(omega))
+        fam = families.floquet_product(self.rotating_frame(period), period, core)
+        self.assert_propagators_match_slow_path(
+            fam, self.rotating_frame(period), core.generator_matrix(0.0), 8.0)
+
+    def test_shipped_config_propagator_matches_slow_path(self):
+        path = os.path.join(CONFIG_DIR, "floquet_rotating.ini")
+        fam, analysis = cli.load_config(path)
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        sec = parser["family"]
+        period = float(sec["period"])
+        winding = ini_matrix(sec["winding"])
+
+        def p_of_t(t):
+            return scipy.linalg.expm(-2j * np.pi / period * t * winding)
+
+        jumps = [ini_matrix(sec[k]) for k in sec if k.startswith("core_lindblad")]
+        h = (ini_matrix(sec["core_hamiltonian"]) if "core_hamiltonian" in sec
+             else np.zeros_like(winding))
+        self.assert_propagators_match_slow_path(
+            fam, p_of_t, gkls_superop(h, jumps), analysis["tmax"])
 
 
 class TestPureDecoherence:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ebdyn import matcore
+from ebdyn import matcore, tolerances
 from ebdyn.errors import DimensionMismatchError, NotHermitianError
 
-from helpers import ginibre, random_hermitian
+from helpers import ginibre, random_gkls_family, random_hermitian
 
 
 def charpoly_roots(m):
@@ -90,6 +91,24 @@ class TestHermEig:
     def test_min_herm_eig(self):
         assert matcore.min_herm_eig(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)
 
+    def test_min_herm_eig_matches_full_solve(self):
+        rng = np.random.default_rng(14)
+        for d in (2, 4, 9, 16):
+            m = random_hermitian(rng, d, scale=2.0)
+            vals, _ = matcore.herm_eig(m)
+            assert abs(matcore.min_herm_eig(m) - vals[0]) <= 1e-12 * max(1.0, abs(vals).max())
+
+    def test_min_herm_eig_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError):
+            matcore.min_herm_eig(m)
+        # the same scale-aware tolerance as herm_eig
+        nearly = np.diag([1.0, 2.0]).astype(complex)
+        nearly[0, 1] = 0.5 * tolerances.herm_tol(nearly)
+        assert matcore.min_herm_eig(nearly) == pytest.approx(1.0)
+        with pytest.raises(NotHermitianError):
+            matcore.min_herm_eig(m, tol=0.5)
+
 
 class TestExpm:
     def test_zero_matrix(self):
@@ -124,6 +143,59 @@ class TestExpm:
         )
 
 
+def inline_expm(m):
+    """The eigenbasis-or-scipy exponential written out in one function."""
+    a = np.asarray(m, dtype=complex)
+    try:
+        w, v = np.linalg.eig(a)
+        cond = np.linalg.cond(v)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if np.isfinite(cond) and cond < tolerances.EXPM_EIG_COND_LIMIT:
+        try:
+            return (v * np.exp(w)) @ np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            pass
+    return scipy.linalg.expm(a)
+
+
+JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+class TestExpGenerator:
+    TAUS = (0.0, 1e-6, 0.3, 1.0, 7.0, 40.0)
+
+    def test_gkls_generators_against_scipy(self):
+        rng = np.random.default_rng(24)
+        for d in (2, 3, 4):
+            for _ in range(4):
+                gen = random_gkls_family(rng, d).generator_matrix(0.0)
+                exp_gen = matcore.exp_generator(gen)
+                for tau in self.TAUS:
+                    expected = scipy.linalg.expm(tau * gen)
+                    scale = np.abs(expected).max()
+                    np.testing.assert_allclose(exp_gen(tau), expected, rtol=0, atol=1e-12 * scale)
+
+    def test_defective_input_takes_fallback(self):
+        exp_gen = matcore.exp_generator(JORDAN)
+        for tau in self.TAUS + (-2.5,):
+            np.testing.assert_array_equal(exp_gen(tau), scipy.linalg.expm(tau * JORDAN))
+        np.testing.assert_allclose(exp_gen(3.0), [[1.0, 3.0], [0.0, 1.0]], atol=1e-14)
+
+    def test_expm_is_bitwise_the_inline_formula(self):
+        rng = np.random.default_rng(25)
+        cases = [np.zeros((3, 3)), np.diag([1.5, -0.5]), JORDAN]
+        cases += [ginibre(rng, d) for d in (2, 3, 4, 9)]
+        cases += [random_gkls_family(rng, d).generator_matrix(0.0) for d in (2, 3, 4)]
+        for m in cases:
+            np.testing.assert_array_equal(matcore.expm(m), inline_expm(m))
+
+    def test_group_law(self):
+        rng = np.random.default_rng(26)
+        exp_gen = matcore.exp_generator(random_gkls_family(rng, 3).generator_matrix(0.0))
+        np.testing.assert_allclose(exp_gen(0.4) @ exp_gen(1.1), exp_gen(1.5), atol=1e-12)
+
+
 class TestKron:
     def test_identity(self):
         np.testing.assert_array_equal(matcore.kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -141,6 +213,13 @@ class TestKron:
         a, b = ginibre(rng, 2, 3), ginibre(rng, 3, 2)
         # vectorized complex multiply rounds differently than the scalar loop
         np.testing.assert_allclose(matcore.kron(a, b), kron_loops(a, b), atol=1e-14)
+
+    def test_bitwise_equal_to_numpy_kron(self):
+        rng = np.random.default_rng(34)
+        for shape_a, shape_b in (((2, 2), (2, 2)), ((2, 3), (3, 2)), ((1, 4), (3, 1)),
+                                 ((3, 5), (2, 4)), ((4, 4), (4, 4)), ((8, 8), (8, 8))):
+            a, b = ginibre(rng, *shape_a), ginibre(rng, *shape_b)
+            np.testing.assert_array_equal(matcore.kron(a, b), np.kron(a, b))
 
     def test_mixed_product(self):
         rng = np.random.default_rng(32)
