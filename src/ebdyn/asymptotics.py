@@ -37,6 +37,7 @@ __all__ = [
     "CONES",
     "Search",
     "default_search",
+    "cone_witnesses",
     "cone_witness",
     "witness_pair",
     "ArrivalResult",
@@ -65,24 +66,41 @@ def witness_pair(phi: superop.Superoperator):
     return min_c, min_pt
 
 
-def cone_witness(phi: superop.Superoperator, cone: str) -> float:
-    """Membership witness for one cone; nonnegative means inside.
+def cone_witnesses(stack, d, cone) -> np.ndarray:
+    """Membership witnesses of a stack ``(N, d^2, d^2)`` of map matrices.
 
-    For EB with d > 2 this is the PPT witness, a necessary condition only
-    (callers flag the result as a lower bound).  The P witness is a see-saw
-    search over product vectors: sound for refutation, heuristic for
-    membership.
+    Entry k is the witness of the map with matrix ``stack[k]``; nonnegative
+    means inside.  The Choi permutation, the partial transpose and the
+    eigensolves run once over the whole stack.  For EB with d > 2 this is
+    the PPT witness, a necessary condition only (callers flag the result as
+    a lower bound).  The P witness is a see-saw search over product vectors,
+    run map by map: sound for refutation, heuristic for membership.
     """
-    if cone == "CP":
-        return matcore.min_herm_eig(superop.to_choi(phi).matrix)
-    if cone == "coCP":
-        return matcore.min_herm_eig(superop.to_choi(phi).partial_transpose().matrix)
-    if cone in ("PPT", "EB"):
-        _, min_c, min_pt = classify.choi_floors(phi)
-        return min(min_c, min_pt)
     if cone == "P":
-        return classify.positivity_witness(phi, restarts=4, iters=50)
-    raise ValueError(f"unknown cone {cone!r}")
+        return np.array([
+            classify.positivity_witness(superop.Superoperator(m, d), restarts=4, iters=50)
+            for m in stack
+        ])
+    if cone not in CONES:
+        raise ValueError(f"unknown cone {cone!r}")
+    choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
+    if cone == "CP":
+        return matcore.min_herm_eig(choi)
+    pt = matcore.partial_transpose_second(choi, d, d)
+    if cone == "coCP":
+        return matcore.min_herm_eig(pt)
+    min_c, min_pt = matcore.min_herm_eig(choi), matcore.min_herm_eig(pt)
+    return np.where(min_pt < min_c, min_pt, min_c)  # min(min_c, min_pt) per map
+
+
+def _matrices(maps):
+    """The stack ``(N, d^2, d^2)`` of the matrices of a sequence of maps."""
+    return np.stack([phi.matrix for phi in maps])
+
+
+def cone_witness(phi: superop.Superoperator, cone: str) -> float:
+    """Membership witness of one map: :func:`cone_witnesses` of a stack of one."""
+    return float(cone_witnesses(phi.matrix[None], phi.d, cone)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +298,8 @@ def _retention_certificate(family, handle, cone, search, tol):
         limit = asymptotic_map(family, handle=handle, horizon=search.t_max)
     except NoLimitError:
         return "sampled_grid"
-    if isinstance(limit, PeriodicMap):
-        w_inf = min(cone_witness(phi, cone) for phi in limit.sample())
-    else:
-        w_inf = cone_witness(limit, cone)
+    limits = limit.sample() if isinstance(limit, PeriodicMap) else [limit]
+    w_inf = min(cone_witnesses(_matrices(limits), family.d, cone))
     if w_inf > tolerances.REFUTE_FACTOR * tol:
         return "asymptotic_interior"
     if w_inf < -tolerances.REFUTE_FACTOR * tol:
@@ -312,8 +328,7 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
     if search is None:
         search = default_search(family)
     ts = np.linspace(0.0, search.t_max, search.grid_n)
-    maps = handle.solve_many(ts)
-    ws = np.array([cone_witness(phi, cone) for phi in maps])
+    ws = cone_witnesses(_matrices(handle.solve_many(ts)), family.d, cone)
 
     def witness_at(t):
         return cone_witness(handle.solve(t), cone)

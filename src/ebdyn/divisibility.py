@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics, evolve, superop, tolerances
+from . import asymptotics, evolve, tolerances
 from .errors import NoLimitError, NotReachedError, SingularMapError
 
 __all__ = [
@@ -182,16 +182,9 @@ def _propagator_tail(handle, cone, s, search, tol):
     except np.linalg.LinAlgError:
         return None, None
     # V_{inf,s} = Lambda_inf o Lambda_s^-1, at every phase of a limit cycle
-    if isinstance(limit, asymptotics.PeriodicMap):
-        limits = limit.sample()
-    else:
-        limits = [limit]
-    w = min(
-        asymptotics.cone_witness(
-            superop.Superoperator(phi.matrix @ lam_s_inv, family.d), cone
-        )
-        for phi in limits
-    )
+    limits = limit.sample() if isinstance(limit, asymptotics.PeriodicMap) else [limit]
+    tails = asymptotics._matrices(limits) @ lam_s_inv
+    w = min(asymptotics.cone_witnesses(tails, family.d, cone))
     return float(w), "asymptotic_interior"
 
 
@@ -206,7 +199,7 @@ def _arrival_at_start(handle, cone, s, search, tol):
         vs = handle.propagator_many(ts, s)
     except SingularMapError:
         return None, "singular"
-    ws = np.array([asymptotics.cone_witness(v, cone) for v in vs])
+    ws = asymptotics.cone_witnesses(asymptotics._matrices(vs), family.d, cone)
 
     def witness_at(t):
         return asymptotics.cone_witness(handle.propagator(t, s), cone)

@@ -66,14 +66,33 @@ def is_hermitian(m, tol=None) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= tol
 
 
+def _as_square(m):
+    """``m`` as a square matrix or a stack ``(N, n, n)`` of square matrices."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        return a
+    return as_matrix(a, square=True)
+
+
 def _checked_hermitian(m, tol):
-    """``m`` as a square matrix, or NotHermitianError beyond ``tol``."""
-    a = as_matrix(m, square=True)
-    if tol is None:
-        tol = tolerances.herm_tol(a)
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.3e}")
+    """``m`` as a square matrix (or stack), or NotHermitianError beyond ``tol``.
+
+    Each matrix of a stack is judged on its own, against ``tol`` or its own
+    default tolerance; the error reports the first matrix beyond it.
+    """
+    a = _as_square(m)
+    if not a.size:
+        return a
+    stack = a.reshape((-1,) + a.shape[-2:])
+    devs = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    # no default tolerance is below HERM_TOL_SCALE, so most input stops here
+    if devs.max() <= (tolerances.HERM_TOL_SCALE if tol is None else tol):
+        return a
+    tols = tolerances.herm_tol(stack) if tol is None else np.full(devs.shape, tol)
+    bad = np.flatnonzero(devs > tols)
+    if bad.size:
+        k = bad[0]
+        raise NotHermitianError(f"deviation from Hermiticity {devs[k]:.3e} exceeds {tols[k]:.3e}")
     return a
 
 
@@ -109,17 +128,19 @@ def herm_eig(m, tol=None):
     return w, u
 
 
-def min_herm_eig(m, tol=None) -> float:
+def min_herm_eig(m, tol=None):
     """Smallest eigenvalue of a Hermitian matrix (eigenvalues only).
 
-    Raises the same errors as :func:`herm_eig`.
+    A matrix ``(n, n)`` gives a float; a stack ``(N, n, n)`` gives the
+    ``(N,)`` array of the smallest eigenvalue of each matrix, from one
+    batched solve.  Raises the same errors as :func:`herm_eig`.
     """
     a = _checked_hermitian(m, tol)
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigvalsh failed: {exc}") from exc
-    return float(w[0])
+    return float(w[0]) if a.ndim == 2 else w[:, 0]
 
 
 def exp_generator(m):
@@ -180,18 +201,15 @@ def partial_transpose_second(m, d1, d2):
     """Transpose the second tensor factor of a matrix on C^d1 (x) C^d2.
 
     Satisfies ``partial_transpose_second(kron(A, B), d1, d2) == kron(A, B.T)``
-    and is an involution.
+    and is an involution.  A stack ``(N, n, n)`` is transposed matrix by
+    matrix in one permutation.
     """
-    a = as_matrix(m, square=True)
-    if a.shape[0] != d1 * d2:
+    a = _as_square(m)
+    if a.shape[-1] != d1 * d2:
         raise DimensionMismatchError(
             f"matrix of shape {a.shape} does not factor as {d1}*{d2}"
         )
-    return (
-        a.reshape(d1, d2, d1, d2)
-        .transpose(0, 3, 2, 1)
-        .reshape(d1 * d2, d1 * d2)
-    )
+    return a.reshape(-1, d1, d2, d1, d2).transpose(0, 1, 4, 3, 2).reshape(a.shape)
 
 
 def partial_trace_first(m, d1, d2):

@@ -136,8 +136,9 @@ def adjoint(phi: Superoperator) -> Superoperator:
 
 
 def _choi_shuffle(m, d):
-    # C[i, k, j, l] = S[l, k, j, i] on the d x d x d x d views; an involution
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    # C[i, k, j, l] = S[l, k, j, i] on the d x d x d x d views of each matrix
+    # of m (one matrix or a stack); an involution
+    return m.reshape(-1, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(m.shape)
 
 
 def to_choi(phi: Superoperator) -> ChoiMatrix:

@@ -40,8 +40,11 @@ ODE_RTOL = 1e-11
 ODE_ATOL = 1e-12
 
 
-def herm_tol(m) -> float:
-    """Default Hermiticity tolerance for the matrix ``m``."""
+def herm_tol(m):
+    """Default Hermiticity tolerance for the matrix ``m``.
+
+    For a stack ``(N, n, n)`` it is an ``(N,)`` array, one per matrix.
+    """
     m = np.asarray(m)
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    return HERM_TOL_SCALE * max(1.0, scale)
+    scale = np.abs(m).max(axis=(-2, -1)) if m.size else 0.0
+    return HERM_TOL_SCALE * np.maximum(1.0, scale)

@@ -288,7 +288,18 @@ def reference_mismatches(got, want, path=""):
     return [] if got == want else [f"{path}: {got!r} vs {want!r}"]
 
 
-@pytest.mark.parametrize("cmd", ["classify", "ppt2"])
+# classify and ppt2 are the benchmark's recorded outputs; arrival and
+# divisibility were recorded with BLAS on one thread before the grid
+# witnesses were stacked
+REFERENCE_DIRS = {
+    "classify": os.path.join(REPO, "perfbench", "reference"),
+    "ppt2": os.path.join(REPO, "perfbench", "reference"),
+    "arrival": os.path.join(REPO, "tests", "data", "cli_reference"),
+    "divisibility": os.path.join(REPO, "tests", "data", "cli_reference"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["classify", "ppt2", "arrival", "divisibility"])
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
 def test_shipped_config_output_matches_recorded_reference(tmp_path, capsys, name, cmd):
     """Guard against drift of the recorded CLI outputs of the shipped configs."""
@@ -296,7 +307,6 @@ def test_shipped_config_output_matches_recorded_reference(tmp_path, capsys, name
     config = os.path.join(REPO, "configs", f"{name}.ini")
     assert cli.main([cmd, "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()
-    with open(os.path.join(REPO, "perfbench", "reference", f"{name}.{cmd}.json"),
-              encoding="utf-8") as fh:
+    with open(os.path.join(REFERENCE_DIRS[cmd], f"{name}.{cmd}.json"), encoding="utf-8") as fh:
         want = json.load(fh)
     assert reference_mismatches(json.loads(out.read_text()), want) == []

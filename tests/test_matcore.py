@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ebdyn import matcore, tolerances
-from ebdyn.errors import DimensionMismatchError, NotHermitianError
+from ebdyn.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
 from helpers import ginibre, random_gkls_family, random_hermitian
 
@@ -235,6 +235,60 @@ class TestKron:
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
+class TestStackedMinHermEig:
+    def stack(self, seed=16, n=10, d=4):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_hermitian(rng, d, scale=10.0 ** k) for k in np.linspace(-2, 3, n)])
+
+    def test_stack_equals_per_matrix_bitwise(self):
+        stack = self.stack()
+        ws = matcore.min_herm_eig(stack)
+        assert ws.shape == (len(stack),)
+        np.testing.assert_array_equal(ws, [matcore.min_herm_eig(m) for m in stack])
+        assert matcore.min_herm_eig(stack[:0]).shape == (0,)
+
+    def test_first_non_hermitian_matrix_is_reported(self):
+        stack = self.stack()
+        stack[3, 0, 1] += 1e-3
+        stack[7, 1, 2] += 0.5
+        for tol in (None, 1e-6):
+            with pytest.raises(NotHermitianError) as single:
+                matcore.min_herm_eig(stack[3], tol=tol)
+            with pytest.raises(NotHermitianError) as batched:
+                matcore.min_herm_eig(stack, tol=tol)
+            assert str(batched.value) == str(single.value)
+            # the per-map loop stops at the same matrix with the same message
+            with pytest.raises(NotHermitianError) as loop:
+                [matcore.min_herm_eig(m, tol=tol) for m in stack]
+            assert str(loop.value) == str(batched.value)
+
+    def test_each_matrix_uses_its_own_tolerance(self):
+        big = np.diag([1e6, 2e6]).astype(complex)
+        big[0, 1] = 1e-5  # within 1e-10 * 2e6
+        small = np.diag([1.0, 2.0]).astype(complex)
+        small[0, 1] = 1e-9  # beyond 1e-10, though within the big matrix's tolerance
+        assert matcore.min_herm_eig(np.stack([big, big]))[0] == matcore.min_herm_eig(big)
+        with pytest.raises(NotHermitianError) as single:
+            matcore.min_herm_eig(small)
+        with pytest.raises(NotHermitianError) as batched:
+            matcore.min_herm_eig(np.stack([big, small]))
+        assert str(batched.value) == str(single.value)
+
+    def test_solver_failure_maps_to_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergenceError):
+            matcore.min_herm_eig(self.stack())
+        with pytest.raises(NoConvergenceError):
+            matcore.min_herm_eig(self.stack()[0])
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            matcore.min_herm_eig(np.zeros((3, 2, 4)))
+
+
 class TestPartialTranspose:
     def test_product_rule(self):
         rng = np.random.default_rng(41)
@@ -267,6 +321,16 @@ class TestPartialTranspose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             matcore.partial_transpose_second(np.eye(5), 2, 2)
+        with pytest.raises(DimensionMismatchError):
+            matcore.partial_transpose_second(np.zeros((3, 5, 5)), 2, 2)
+
+    def test_stack_is_transposed_matrix_by_matrix(self):
+        rng = np.random.default_rng(43)
+        stack = np.stack([ginibre(rng, 6) for _ in range(5)])
+        out = matcore.partial_transpose_second(stack, 2, 3)
+        for m, pt in zip(stack, out):
+            np.testing.assert_array_equal(pt, matcore.partial_transpose_second(m, 2, 3))
+        np.testing.assert_array_equal(matcore.partial_transpose_second(out, 2, 3), stack)
 
 
 class TestVecUnvec:
