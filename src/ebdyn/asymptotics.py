@@ -158,13 +158,26 @@ def default_search(family, t_max=None, grid_n=2000, bisect_tol=None) -> Search:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicMap:
-    """A time-periodic asymptotic attractor, sampled by phase."""
+    """A time-periodic asymptotic attractor, sampled by phase.
+
+    Its phases are unitary conjugates of one another (the condition on
+    ``ClosedFormSolution.limit_cycle``), so they share every cone witness.
+    """
 
     period: float
     at: Callable[[float], superop.Superoperator] = field(repr=False)
 
     def sample(self, n=32):
         return [self.at(self.period * k / n) for k in range(n)]
+
+
+def _one_phase(limit):
+    """The asymptotic map itself, or phase 0 of a limit cycle.
+
+    Every phase of a :class:`PeriodicMap` has the witnesses and the interior
+    certificate of phase 0, so one phase stands for the whole cycle.
+    """
+    return limit.at(0.0) if isinstance(limit, PeriodicMap) else limit
 
 
 def asymptotic_map(family, handle=None, horizon=None):
@@ -298,8 +311,7 @@ def _retention_certificate(family, handle, cone, search, tol):
         limit = asymptotic_map(family, handle=handle, horizon=search.t_max)
     except NoLimitError:
         return "sampled_grid"
-    limits = limit.sample() if isinstance(limit, PeriodicMap) else [limit]
-    w_inf = min(cone_witnesses(_matrices(limits), family.d, cone))
+    w_inf = cone_witness(_one_phase(limit), cone)
     if w_inf > tolerances.REFUTE_FACTOR * tol:
         return "asymptotic_interior"
     if w_inf < -tolerances.REFUTE_FACTOR * tol:
@@ -492,11 +504,10 @@ def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
         )
     periodic = isinstance(limit, PeriodicMap)
     basis = "limit_cycle" if periodic else "asymptotic"
-    floors = [classify.choi_floors(phi)
-              for phi in (limit.sample() if periodic else [limit])]
-    w_inf = min(min(min_c, min_pt) for _, min_c, min_pt in floors)
+    floors = classify.choi_floors(_one_phase(limit))
+    w_inf = min(floors[1:])
     evidence[f"{basis}_witness"] = w_inf
-    if all(classify._interior_from_floors(*f).certified for f in floors):
+    if classify._interior_from_floors(*floors).certified:
         return AsymptoticVerdict(
             "eventually_EB", f"{basis}_interior",
             kernel_dim=kernel_dim, numeric_evidence=evidence,

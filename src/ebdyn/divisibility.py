@@ -1,9 +1,12 @@
 """Eventual divisibility: do the propagators enter a cone and stay there?
 
 For each start time s on a grid, the scan looks for Delta(s) > s such that
-V_{t,s} lies in the target cone for every t >= Delta(s).  Two structural
+V_{t,s} lies in the target cone for every t >= Delta(s).  Three structural
 shortcuts avoid the generic sweep: a semigroup has V_{t,s} = Lambda_{t-s},
-so Delta(s) = s + tau with tau the arrival time of Lambda itself; and for a
+so Delta(s) = s + tau with tau the arrival time of Lambda itself; a family
+with a local-unitary core (a Floquet product P_t o e^{tX} with unitary P_t)
+has V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT and EB
+witnesses are those of e^{(t-s)X}, so its core is scanned once; and for a
 CP-divisible family one instant inside the cone keeps all later propagators
 inside, because composing with completely positive maps preserves every cone
 in the hierarchy.
@@ -83,16 +86,15 @@ def scan_divisibility(
     if use_shortcuts and family.constant:
         return _semigroup_scan(handle, cone, s_grid, search, tol)
 
-    deltas = []
-    certs = []
-    refuted = False
-    for s in s_grid:
-        delta, cert = _arrival_at_start(handle, cone, s, search, tol)
-        deltas.append(delta)
-        certs.append(cert)
-        if delta == math.inf:
-            refuted = True
-    if refuted:
+    core = family.params.get("core") if use_shortcuts and cone != "P" else None
+    if core is not None:
+        deltas, certs, details = _core_scan(handle, core, cone, s_grid, search, tol)
+    else:
+        arrivals = [_arrival_at_start(handle, cone, s, search, tol) for s in s_grid]
+        deltas = [delta for delta, _ in arrivals]
+        certs = [cert for _, cert in arrivals]
+        details = {}
+    if math.inf in deltas:
         verdict = "refuted"
     elif all(
         d is not None and math.isfinite(d) and c in _STRONG_CERTS
@@ -113,7 +115,42 @@ def scan_divisibility(
         certificates=tuple(certs),
         verdict=verdict,
         shortcut_used=shortcut,
+        details=details,
     )
+
+
+def _core_scan(handle, core, cone, s_grid, search, tol):
+    """Deltas and certificates of a family P_t o e^{tX} from its core e^{tX}.
+
+    P_t is a unitary conjugation, so V_{t,s} and e^{(t-s)X} differ by local
+    unitaries and share every CP, coCP, PPT and EB witness: one grid and
+    bisection of the core at start time 0 give Delta(s) = s + Delta_core.
+    The tail V_{inf,s} is a limit-cycle phase composed with the trace
+    preserving Lambda_s^-1, which leaves that rank-one phase unchanged, and
+    the phases are unitary conjugates of one another, so phase 0 gives the
+    tail witness for every s.  The certificates follow the generic rules of
+    :func:`_arrival_at_start`.
+    """
+    family = handle.family
+    cycle = family.closed_form.limit_cycle
+    tail = None if cycle is None else asymptotics.cone_witness(cycle(0.0), cone)
+    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
+        core_delta, cert = math.inf, "refuted_tail"
+    else:
+        try:
+            core_delta = _grid_delta(evolve.EvolutionHandle(core), cone, 0.0, search, tol)
+        except NotReachedError:
+            core_delta, cert = None, "not_reached"
+        else:
+            cert = _certificate(family, tail, "asymptotic_interior", tol)
+    details = {
+        "reduction": "local_unitary_core",
+        "core_delta": core_delta,
+        "core_certificate": cert,
+        "tail_witness": tail,
+    }
+    deltas = [None if core_delta is None else s + core_delta for s in s_grid]
+    return deltas, [cert for _ in s_grid], details
 
 
 def _semigroup_scan(handle, cone, s_grid, search, tol):
@@ -181,43 +218,53 @@ def _propagator_tail(handle, cone, s, search, tol):
         lam_s_inv = np.linalg.inv(handle.solve(s).matrix)
     except np.linalg.LinAlgError:
         return None, None
-    # V_{inf,s} = Lambda_inf o Lambda_s^-1, at every phase of a limit cycle
-    limits = limit.sample() if isinstance(limit, asymptotics.PeriodicMap) else [limit]
-    tails = asymptotics._matrices(limits) @ lam_s_inv
-    w = min(asymptotics.cone_witnesses(tails, family.d, cone))
+    # V_{inf,s} = Lambda_inf o Lambda_s^-1 (one phase of a limit cycle)
+    tail = asymptotics._one_phase(limit).matrix @ lam_s_inv
+    w = asymptotics.cone_witnesses(tail[None], family.d, cone)[0]
     return float(w), "asymptotic_interior"
 
 
-def _arrival_at_start(handle, cone, s, search, tol):
-    """Delta(s) and its certificate for one start time."""
-    family = handle.family
-    tail, tail_kind = _propagator_tail(handle, cone, s, search, tol)
-    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
-        return math.inf, "refuted_tail"
+def _grid_delta(handle, cone, s, search, tol):
+    """Delta(s) from the propagator grid and the bisection of its last crossing.
+
+    Raises :class:`NotReachedError` when the grid ends outside the cone and
+    :class:`SingularMapError` when Lambda_s cannot be inverted.
+    """
     ts = np.linspace(s, s + search.t_max, search.grid_n)
-    try:
-        vs = handle.propagator_many(ts, s)
-    except SingularMapError:
-        return None, "singular"
-    ws = asymptotics.cone_witnesses(asymptotics._matrices(vs), family.d, cone)
+    ws = asymptotics.cone_witnesses(
+        handle._propagator_grid(ts.tolist(), s), handle.family.d, cone
+    )
 
     def witness_at(t):
         return asymptotics.cone_witness(handle.propagator(t, s), cone)
 
+    delta, _bracket = asymptotics._scan_for_arrival(
+        ts, ws, witness_at, tol, search.resolved_bisect_tol(), cone
+    )
+    return max(float(delta), s)  # the scan reports 0.0 when never negative
+
+
+def _certificate(family, tail, tail_kind, tol):
+    """Retention certificate of an arrival found on the grid."""
+    if family.cp_divisible:
+        return "cp_divisible_one_instant"
+    if tail is not None and tail > tolerances.REFUTE_FACTOR * tol:
+        return tail_kind
+    return "sampled_grid"
+
+
+def _arrival_at_start(handle, cone, s, search, tol):
+    """Delta(s) and its certificate for one start time."""
+    tail, tail_kind = _propagator_tail(handle, cone, s, search, tol)
+    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
+        return math.inf, "refuted_tail"
     try:
-        delta, _bracket = asymptotics._scan_for_arrival(
-            ts, ws, witness_at, tol, search.resolved_bisect_tol(), cone
-        )
+        delta = _grid_delta(handle, cone, s, search, tol)
+    except SingularMapError:
+        return None, "singular"
     except NotReachedError:
         return None, "not_reached"
-    delta = max(float(delta), s)  # the scan reports 0.0 when never negative
-    if family.cp_divisible:
-        cert = "cp_divisible_one_instant"
-    elif tail is not None and tail > tolerances.REFUTE_FACTOR * tol:
-        cert = tail_kind
-    else:
-        cert = "sampled_grid"
-    return delta, cert
+    return delta, _certificate(handle.family, tail, tail_kind, tol)
 
 
 @dataclass(frozen=True)

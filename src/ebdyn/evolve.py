@@ -7,9 +7,11 @@ d Lambda / dt = L_t Lambda with a high-order adaptive scheme.
 
 ``solve_many`` exists because sweeps dominate the workload: the commuting
 path accumulates the generator antiderivative incrementally across the grid
-(a constant generator is diagonalized once per handle instead), and the
-direct path integrates the equation once with dense evaluation
-points instead of restarting from zero for every sample.
+(a constant generator is diagonalized once per handle, and a whole grid is
+one batched exponential), and the direct path integrates the equation once
+with dense evaluation points instead of restarting from zero for every
+sample.  Grids are built as stacks ``(N, d^2, d^2)``; a propagator grid at
+one start time s applies Lambda_s^-1 to the whole stack with one solve.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class EvolutionHandle:
         if self.solver == "closed_form":
             result = self.family.closed_form.map_at(t)
         elif self.solver == "commuting_exp":
-            result = self._commuting_many([t])[0]
+            result = superop.Superoperator(self._commuting_many([t])[0], self.family.d)
         else:
-            result = self._ode_many([t])[0]
+            result = superop.Superoperator(self._ode_many([t])[0], self.family.d)
         if self._cache is not None:
             self._cache[t] = result
         return result
@@ -80,9 +82,7 @@ class EvolutionHandle:
             raise EbdynError("times must be nonnegative")
         if self.solver == "closed_form":
             return [self.solve(t) for t in ts]
-        if self.solver == "commuting_exp":
-            return self._commuting_many(ts)
-        return self._ode_many(ts)
+        return [superop.Superoperator(m, self.family.d) for m in self._solve_grid(ts)]
 
     # -- propagators -------------------------------------------------------
 
@@ -98,7 +98,9 @@ class EvolutionHandle:
             return cf.propagator_at(t, s)
         if self.family.constant:
             return self.solve(t - s)
-        return self._invert_onto([self.solve(t)], s)[0]
+        return superop.Superoperator(
+            self._invert_onto(self.solve(t).matrix[None], s)[0], self.family.d
+        )
 
     def propagator_many(self, times: Sequence[float], s) -> list:
         """Propagators V_{t,s} for all t in ``times`` at fixed s."""
@@ -106,17 +108,28 @@ class EvolutionHandle:
         ts = [float(t) for t in times]
         if s < 0.0 or any(t < s for t in ts):
             raise EbdynError("need 0 <= s <= t")
-        cf = self.family.closed_form
-        if cf is not None and cf.propagator_at is not None:
-            return [
-                superop.identity(self.family.d) if t == s else cf.propagator_at(t, s)
-                for t in ts
-            ]
-        if self.family.constant:
-            return self.solve_many([t - s for t in ts])
-        return self._invert_onto(self.solve_many(ts), s)
+        return [superop.Superoperator(m, self.family.d) for m in self._propagator_grid(ts, s)]
 
     # -- internals ----------------------------------------------------------
+
+    def _solve_grid(self, ts):
+        """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``."""
+        if self.solver == "closed_form":
+            return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
+        if self.solver == "commuting_exp":
+            return self._commuting_many(ts)
+        return self._ode_many(ts)
+
+    def _propagator_grid(self, ts, s):
+        """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``."""
+        cf = self.family.closed_form
+        if cf is not None and cf.propagator_at is not None:
+            d2 = self.family.d ** 2
+            eye = np.eye(d2, dtype=complex)
+            return _stack([eye if t == s else cf.propagator_at(t, s).matrix for t in ts], d2)
+        if self.family.constant:
+            return self._solve_grid([t - s for t in ts])
+        return self._invert_onto(self._solve_grid(ts), s)
 
     def _generator(self, t):
         return self.family.generator_matrix(t)
@@ -142,34 +155,29 @@ class EvolutionHandle:
         return out
 
     def _commuting_many(self, ts):
-        d = self.family.d
+        d2 = self.family.d ** 2
         if self.family.constant:
             if self._exp_l is None:
                 self._exp_l = matcore.exp_generator(self._generator(0.0))
-            exp_at = self._exp_l
+            out = self._exp_l(np.array(ts, dtype=float))
         else:
             ts_sorted = sorted(ts)
             anti = dict(zip(ts_sorted, self._commuting_antiderivative_steps(ts_sorted)))
-
-            def exp_at(t):
-                return matcore.expm(anti[t])
-
-        return [
-            superop.identity(d) if t == 0.0 else superop.Superoperator(exp_at(t), d)
-            for t in ts
-        ]
+            out = _stack([matcore.expm(anti[t]) for t in ts], d2)
+        out[np.array(ts) == 0.0] = np.eye(d2)  # t = 0 is the exact identity
+        return out
 
     def _ode_many(self, ts):
-        d = self.family.d
-        d2 = d * d
+        d2 = self.family.d ** 2
+        eye = np.eye(d2, dtype=complex)
         uniq = sorted({t for t in ts if t > 0.0})
         if not uniq:
-            return [superop.identity(d) for _ in ts]
+            return np.tile(eye, (len(ts), 1, 1))
 
         def rhs(t, y):
             return (self._generator(t) @ y.reshape(d2, d2)).ravel()
 
-        y0 = np.eye(d2, dtype=complex).ravel()
+        y0 = eye.ravel()
         sol = scipy.integrate.solve_ivp(
             rhs,
             (0.0, uniq[-1]),
@@ -181,27 +189,27 @@ class EvolutionHandle:
         )
         if not sol.success:
             raise IntegrationFailureError(f"solve_ivp failed: {sol.message}")
-        table = {
-            t: superop.Superoperator(sol.y[:, k].reshape(d2, d2), d)
-            for k, t in enumerate(uniq)
-        }
-        return [
-            superop.identity(d) if t == 0.0 else table[t] for t in ts
-        ]
+        table = {t: sol.y[:, k].reshape(d2, d2) for k, t in enumerate(uniq)}
+        return _stack([eye if t == 0.0 else table[t] for t in ts], d2)
 
-    def _invert_onto(self, lambdas_t, s):
+    def _invert_onto(self, lam_ts, s):
+        """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t."""
         lam_s = self.solve(s).matrix
         cond = float(np.linalg.cond(lam_s))
         if not np.isfinite(cond) or cond > tolerances.SINGULAR_COND_LIMIT:
             raise SingularMapError(
                 f"Lambda_s at s={s:g} is numerically singular (cond {cond:.3e})"
             )
-        out = []
-        for lam_t in lambdas_t:
-            # V Lambda_s = Lambda_t  =>  V^T = solve(Lambda_s^T, Lambda_t^T)
-            v = np.linalg.solve(lam_s.T, lam_t.matrix.T).T
-            out.append(superop.Superoperator(v, self.family.d))
-        return out
+        # V Lambda_s = Lambda_t  =>  V^T = solve(Lambda_s^T, Lambda_t^T); the
+        # columns of every Lambda_t^T side by side share one factorization
+        n_t, n, _ = lam_ts.shape
+        v_t = np.linalg.solve(lam_s.T, lam_ts.transpose(2, 0, 1).reshape(n, n_t * n))
+        return v_t.reshape(n, n_t, n).transpose(1, 2, 0)
+
+
+def _stack(mats, d2):
+    """A list of d2 x d2 matrices as one stack ``(N, d2, d2)``, also when empty."""
+    return np.array(mats, dtype=complex).reshape(len(mats), d2, d2)
 
 
 def solve(handle_or_family, t) -> superop.Superoperator:

@@ -60,6 +60,9 @@ class ClosedFormSolution:
     trajectories and ``asymptotic_coefficients`` their limits (None when a
     limit must be found numerically).  ``diverges`` marks families whose
     trajectories are unbounded, so no asymptotic map exists.
+    ``limit_cycle(t)`` is the phase t of a periodic attractor; its phases
+    must be unitary conjugates of one another, so that one phase carries the
+    cone witnesses of every phase.
     """
 
     map_at: Callable[[float], superop.Superoperator]
@@ -708,6 +711,11 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
     When the core has a unique full-rank stationary state w, the evolved map
     approaches the periodic limit cycle Z_t = P_{w(t)} with w(t) = p_t w
     p_t^dag, available as ``closed_form.limit_cycle``.
+
+    The core is kept as ``params["core"]``: the propagators
+    V_{t,s} = P_t o e^{(t-s)X} o P_s^-1 differ from the core semigroup only by
+    unitary conjugations on the input and the output, so they share its
+    CP, coCP, PPT and EB witnesses.
     """
     if not core.constant:
         raise EbdynError("core family must be constant")
@@ -780,7 +788,7 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
         closed_form=cf,
         stationary_state=None,
         cp_divisible=core.cp_divisible,
-        params={"period": period, "core_kind": core.kind},
+        params={"period": period, "core": core},
     )
 
 

@@ -151,6 +151,10 @@ def exp_generator(m):
     ``expm(tau m) = (V * exp(tau w)) @ V^-1``.  When the eigenvector matrix
     is ill-conditioned (beyond ``EXPM_EIG_COND_LIMIT``) or cannot be
     inverted, each call falls back to scaling-and-squaring instead.
+
+    A scalar ``tau`` gives one matrix; an array of times gives the stack of
+    their exponentials, from one batched product (the fallback loops over
+    the times).  Each matrix of the stack equals the scalar call bitwise.
     """
     a = as_matrix(m, square=True)
     try:
@@ -164,9 +168,13 @@ def exp_generator(m):
         except np.linalg.LinAlgError:
             pass
         else:
-            return lambda tau: (v * np.exp(tau * w)) @ v_inv
+            return lambda tau: (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ v_inv
 
     def scaling_and_squaring(tau):
+        if np.ndim(tau):
+            taus = np.asarray(tau, dtype=float)
+            out = [scaling_and_squaring(t) for t in taus.ravel()]
+            return np.array(out, dtype=complex).reshape(taus.shape + a.shape)
         try:
             return scipy.linalg.expm(tau * a)
         except Exception as exc:  # scipy raises assorted types here

@@ -1,11 +1,16 @@
 """Eventual divisibility scans and the cone-hierarchy consistency check."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ebdyn import asymptotics, divisibility, evolve, families, matcore
+from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore
+
+from helpers import random_gkls_family, random_unitary
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 class TestSemigroupShortcut:
@@ -111,6 +116,89 @@ class TestFloquet:
         }
         chain = divisibility.check_implication_chain(reports)
         assert chain.consistent, chain.messages
+
+
+def random_floquet(seed, d):
+    """Random GKLS core in a frame with a random integer-spectrum winding."""
+    rng = np.random.default_rng(seed)
+    core = random_gkls_family(rng, d)
+    winding = rng.integers(-2, 3, size=d).astype(float)
+    u = random_unitary(rng, d)
+    period = rng.uniform(1.0, 3.0)
+    w0 = 2.0 * math.pi / period
+
+    def p_of_t(t):
+        return (u * np.exp(-1j * w0 * t * winding)) @ u.conj().T
+
+    return families.floquet_product(p_of_t, period, core), core
+
+
+def rotating_dephasing():
+    """Floquet family whose core has a two-dimensional kernel: no limit cycle."""
+    core = families.gkls(np.zeros((2, 2)), [(matcore.PAULI_Z, 0.5)])
+    fam = families.floquet_product(lambda t: np.diag([np.exp(-1j * np.pi * t), 1.0]), 2.0, core)
+    return fam, core
+
+
+class TestFloquetCoreShortcut:
+    """The local-unitary core scan against the full per-start-time path."""
+
+    @staticmethod
+    def assert_paths_agree(fam, cone, s_grid, search):
+        fast = divisibility.scan_divisibility(fam, cone, s_grid=s_grid, search=search)
+        slow = divisibility.scan_divisibility(
+            fam, cone, s_grid=s_grid, search=search, use_shortcuts=False
+        )
+        assert fast.details["reduction"] == "local_unitary_core"
+        assert fast.details["core_certificate"] == fast.certificates[0]
+        assert slow.details == {}
+        assert fast.verdict == slow.verdict
+        assert fast.certificates == slow.certificates
+        # today's rule, which the full path cannot report with shortcuts off
+        certified_cp = fam.cp_divisible and slow.verdict == "certified"
+        assert fast.shortcut_used == ("cp_divisible_one_instant" if certified_cp else "none")
+        for a, b in zip(fast.delta, slow.delta):
+            if b is None or b == math.inf:
+                assert a == b
+            else:
+                assert abs(a - b) <= 1e-12
+        return fast
+
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    def test_shipped_config(self, cone):
+        fam, analysis = cli.load_config(os.path.join(CONFIG_DIR, "floquet_rotating.ini"))
+        search = asymptotics.default_search(fam, t_max=analysis["tmax"])
+        rep = self.assert_paths_agree(fam, cone, divisibility.default_s_grid(search), search)
+        assert rep.verdict == "certified"
+        assert rep.details["tail_witness"] > 0.0
+        core_delta = rep.details["core_delta"]
+        assert all(d == s + core_delta for s, d in zip(rep.s_grid, rep.delta))
+
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    def test_depolarizing_core(self, cone):
+        self.assert_paths_agree(TestFloquet.family(), cone, (0.0, 0.7, 1.9), None)
+
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    @pytest.mark.parametrize("seed, d", [(1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (6, 3)])
+    def test_random_cores_and_windings(self, seed, d, cone):
+        fam, core = random_floquet(seed, d)
+        search = asymptotics.default_search(core, grid_n=400)
+        self.assert_paths_agree(fam, cone, (0.0, 0.3, 1.1), search)
+
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    def test_core_without_limit_cycle(self, cone):
+        fam, core = rotating_dephasing()
+        assert fam.closed_form.limit_cycle is None
+        search = asymptotics.default_search(core, grid_n=400)
+        rep = self.assert_paths_agree(fam, cone, (0.0, 0.5, 2.0), search)
+        assert rep.details["tail_witness"] is None
+
+    def test_positivity_cone_keeps_the_full_path(self):
+        rep = divisibility.scan_divisibility(
+            TestFloquet.family(), "P", s_grid=(0.0,),
+            search=asymptotics.Search(t_max=4.0, grid_n=12),
+        )
+        assert rep.details == {}
 
 
 class TestCoherenceCutoff:

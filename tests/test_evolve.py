@@ -140,6 +140,78 @@ class TestPropagators:
             h.propagator(3.0, 2.0)
 
 
+def shipped_family(name):
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "configs", f"{name}.ini")
+    return cli.load_config(config)[0]
+
+
+def oscillating_pauli():
+    """Pauli channel with time-dependent rates and no closed-form propagator."""
+    return families.pauli_channel((
+        lambda t: 0.4 + 0.3 * np.sin(1.3 * t),
+        lambda t: 0.7 + 0.2 * np.cos(0.6 * t),
+        0.25,
+    ))
+
+
+class TestStackedGrids:
+    """Grid paths against the per-point loops they replace."""
+
+    @staticmethod
+    def per_point_inversion(handle, ts, s):
+        lam_s = handle.solve(s).matrix
+        return [np.linalg.solve(lam_s.T, lam.matrix.T).T for lam in handle.solve_many(ts)]
+
+    @pytest.mark.parametrize("make, starts", [
+        (lambda: shipped_family("pure_decoherence_cutoff"), (0.0, 0.4, 1.3, 3.9)),
+        (oscillating_pauli, (0.0, 0.5, 2.0, 6.0)),
+    ])
+    def test_one_solve_equals_per_point_solves(self, make, starts):
+        fam = make()
+        handle = evolve.EvolutionHandle(fam)
+        assert fam.closed_form.propagator_at is None and not fam.constant
+        for s in starts:
+            ts = np.linspace(s, s + 12.0, 150).tolist()
+            want = self.per_point_inversion(handle, ts, s)
+            grid = handle._propagator_grid(ts, s)
+            assert grid.shape == (len(ts),) + want[0].shape
+            for got, v, w in zip(grid, handle.propagator_many(ts, s), want):
+                np.testing.assert_array_equal(got, w)
+                np.testing.assert_array_equal(v.matrix, w)
+            np.testing.assert_array_equal(handle.propagator(ts[7], s).matrix, want[7])
+
+    def test_singular_start_raises_as_before(self):
+        fam = shipped_family("pure_decoherence_cutoff")
+        handle = evolve.EvolutionHandle(fam)
+        s = 4.5  # past the cutoff the coherences are exactly zero
+        cond = float(np.linalg.cond(handle.solve(s).matrix))
+        message = f"Lambda_s at s={s:g} is numerically singular (cond {cond:.3e})"
+        ts = [s, 5.0, 6.0]
+        for call in (lambda: handle._propagator_grid(ts, s),
+                     lambda: handle.propagator_many(ts, s),
+                     lambda: handle.propagator(6.0, s)):
+            with pytest.raises(SingularMapError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("make", [
+        lambda: shipped_family("gkls_damped_qubit"),
+        lambda: families.depolarizing(1.0, np.diag([0.6, 0.4])),
+        oscillating_pauli,
+    ])
+    def test_grids_keep_exact_identity_and_empty_input(self, make):
+        handle = evolve.EvolutionHandle(make())
+        d2 = handle.family.d ** 2
+        grid = handle._solve_grid([0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(grid[0], np.eye(d2))
+        np.testing.assert_array_equal(grid[2], np.eye(d2))
+        if handle.family.constant:  # the inversion route gives V_{s,s} up to rounding
+            np.testing.assert_array_equal(handle._propagator_grid([1.0, 2.0], 1.0)[0], np.eye(d2))
+        assert handle._solve_grid([]).shape == (0, d2, d2)
+        assert handle.solve_many([]) == [] and handle.propagator_many([], 1.0) == []
+
+
 class TestModuleWrappers:
     def test_accept_family_or_handle(self):
         fam = families.eternal_nm(1.0)

@@ -1,0 +1,73 @@
+"""tools/fold_bench.py: paired benchmark runs folded into a BENCH record."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+spec = importlib.util.spec_from_file_location(
+    "fold_bench", os.path.join(REPO, "tools", "fold_bench.py"))
+fold_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fold_bench)
+
+
+with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+    BENCHMARK_METRICS = json.load(fh)["end_to_end"]
+
+
+def write_run(path, workload, seed, p50, rate, correct=True):
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in BENCHMARK_METRICS}
+    metrics["analysis_p50_ms"]["value"] = p50
+    metrics["analyses_per_s"]["value"] = rate
+    path.write_text(
+        f"workload {workload}, seed {seed}, 8 groups, 120 analyses per pass\n"
+        "end-to-end metrics:\n"
+        + json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics})
+        + "\n"
+    )
+    return str(path)
+
+
+METRICS = [
+    {"name": "analysis_p50_ms", "unit": "ms", "better": "lower"},
+    {"name": "analyses_per_s", "unit": "1/s", "better": "higher"},
+]
+
+
+def test_medians_quartiles_and_wins(tmp_path):
+    runs = []
+    # change faster in pairs 1 and 2, tied in pair 3 (a tie wins for neither side)
+    for seed, before, after in ((1, 3.0, 2.0), (2, 4.0, 1.0), (3, 2.0, 2.0)):
+        runs.append(write_run(tmp_path / f"p{seed}", "divisibility", seed, before, 1 / before))
+        runs.append(write_run(tmp_path / f"c{seed}", "divisibility", seed, after, 1 / after))
+    rows = {row["metric"]: row for row in fold_bench.fold(runs, METRICS)}
+    p50 = rows["analysis_p50_ms"]
+    assert p50["parent"]["median"] == 3.0 and p50["parent"]["iqr"] == 1.0
+    assert p50["change"]["median"] == 2.0 and p50["change"]["runs"] == [2.0, 1.0, 2.0]
+    assert (p50["pairs"], p50["wins"], p50["seeds"]) == (3, 2, [1, 2, 3])
+    assert rows["analyses_per_s"]["wins"] == 2
+    assert p50["correct"]
+
+
+def test_unmatched_pair_is_refused(tmp_path):
+    runs = [write_run(tmp_path / "p", "classify", 1, 3.0, 1.0),
+            write_run(tmp_path / "c", "classify", 2, 2.0, 1.0)]
+    with pytest.raises(ValueError):
+        fold_bench.fold(runs, METRICS)
+    assert fold_bench.main(["--out", str(tmp_path / "b.json"), "--seconds", "55",
+                            "--machine", "m"] + runs) == 1
+    with pytest.raises(ValueError):
+        fold_bench.fold(runs[:1], METRICS)
+
+
+def test_record_written(tmp_path):
+    runs = [write_run(tmp_path / "p", "classify", 7, 3.0, 1.0),
+            write_run(tmp_path / "c", "classify", 7, 2.0, 2.0, correct=False)]
+    out = tmp_path / "BENCH.json"
+    assert fold_bench.main(["--out", str(out), "--seconds", "55", "--machine", "m"] + runs) == 0
+    record = json.loads(out.read_text())
+    assert record["run_seconds"] == 55 and record["machine"] == "m"
+    assert [row["metric"] for row in record["results"]] == [m["name"] for m in BENCHMARK_METRICS]
+    assert not any(row["correct"] for row in record["results"])

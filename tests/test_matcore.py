@@ -190,6 +190,19 @@ class TestExpGenerator:
         for m in cases:
             np.testing.assert_array_equal(matcore.expm(m), inline_expm(m))
 
+    def test_time_array_stacks_the_scalar_calls(self):
+        """A grid of times is one batched product, bitwise each scalar call."""
+        rng = np.random.default_rng(27)
+        taus = np.concatenate([self.TAUS, np.linspace(0.0, 12.0, 50)])
+        cases = [random_gkls_family(rng, d).generator_matrix(0.0) for d in (2, 3, 4)]
+        for m in cases + [JORDAN]:
+            exp_gen = matcore.exp_generator(m)
+            stack = exp_gen(taus)
+            assert stack.shape == (len(taus),) + m.shape
+            for tau, got in zip(taus, stack):
+                np.testing.assert_array_equal(got, exp_gen(float(tau)))
+            assert exp_gen(np.array([])).shape == (0,) + m.shape
+
     def test_group_law(self):
         rng = np.random.default_rng(26)
         exp_gen = matcore.exp_generator(random_gkls_family(rng, 3).generator_matrix(0.0))

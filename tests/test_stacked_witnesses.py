@@ -103,6 +103,34 @@ class TestBatchedAgainstScalar:
             asymptotics.cone_witnesses(np.eye(4)[None], 2, "EBB")
 
 
+def haar_unitary(rng, d):
+    """Haar-distributed unitary from the QR factorization of a Ginibre matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLocalUnitaryInvariance:
+    """Witnesses ignore unitary conjugations on the input and the output.
+
+    The Floquet shortcut of ``scan_divisibility`` scans the core semigroup
+    instead of P_t o e^{(t-s)X} o P_s^-1 on this ground, and one phase of a
+    limit cycle stands for all of them.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from((2, 3)),
+           rank=st.integers(0, 3), cone=st.sampled_from(WITNESS_CONES))
+    def test_conjugated_maps_keep_their_witness(self, seed, d, rank, cone):
+        stack = hermiticity_preserving_stack(seed, d, 4, 0.0, rank)
+        rng = np.random.default_rng(seed)
+        u, w = haar_unitary(rng, d), haar_unitary(rng, d)
+        # X -> u Phi(w^dag X w) u^dag in column-stacking form
+        conjugated = np.kron(u.conj(), u) @ stack @ np.kron(w.T, w.conj().T)
+        before = asymptotics.cone_witnesses(stack, d, cone)
+        after = asymptotics.cone_witnesses(conjugated, d, cone)
+        np.testing.assert_array_less(np.abs(after - before), 1e-12 * (1.0 + np.abs(before)))
+
+
 def shipped_family(name):
     family, analysis = cli.load_config(os.path.join(REPO, "configs", f"{name}.ini"))
     return family, analysis["tmax"]

@@ -1,0 +1,110 @@
+"""Fold paired benchmark runs into one BENCH_<n>.json record.
+
+Each run is the saved standard output of
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+whose first line names the workload and the seed and whose last line is the
+JSON result.  Runs are given in pairs, the parent commit's run first and the
+change's run second, one pair per seed; pairs of several workloads may be
+mixed.  For every end-to-end metric that BENCHMARK.json lists, the record
+holds each side's median and interquartile range over the pairs, the number
+of pairs and the number the change won (ties count for neither side).
+
+    python3 tools/fold_bench.py --out BENCH_6.json --seconds 55 \\
+        --machine "2-core x86-64 VM, Python 3.11, BLAS on one thread" \\
+        parent_s1.txt change_s1.txt parent_s2.txt change_s2.txt ...
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+HEADER = re.compile(r"workload (\w+), seed (-?\d+),")
+
+
+def read_run(path):
+    """(workload, seed, result) of one saved run."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().strip().splitlines()
+    match = HEADER.match(lines[0]) if lines else None
+    if match is None:
+        raise ValueError(f"{path}: first line does not name a workload and a seed")
+    return match.group(1), int(match.group(2)), json.loads(lines[-1])
+
+
+def summary(values):
+    """Median, quartiles and interquartile range (inclusive quartiles)."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def fold(paths, metrics):
+    """Rows of the record from run files in (parent, change) order."""
+    if len(paths) % 2:
+        raise ValueError("runs come in pairs: parent, then change")
+    pairs = {}
+    for parent_path, change_path in zip(paths[::2], paths[1::2]):
+        parent, change = read_run(parent_path), read_run(change_path)
+        if parent[:2] != change[:2]:
+            raise ValueError(f"{parent_path} and {change_path} differ in workload or seed")
+        pairs.setdefault(parent[0], []).append((parent[1], parent[2], change[2]))
+    rows = []
+    for workload, runs in pairs.items():
+        for metric in metrics:
+            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            before = [p["metrics"][name]["value"] for _, p, _ in runs]
+            after = [c["metrics"][name]["value"] for _, _, c in runs]
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": summary(before),
+                "change": summary(after),
+                "pairs": len(runs),
+                "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+                "seeds": [seed for seed, _, _ in runs],
+                "correct": all(p["correct"] and c["correct"] for _, p, c in runs),
+            })
+    return rows
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--seconds", type=float, required=True,
+                        help="the --seconds every run was made with")
+    parser.add_argument("--machine", required=True, help="where the runs were made")
+    parser.add_argument("runs", nargs="+", help="run outputs: parent, change, parent, ...")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    try:
+        rows = fold(args.runs, metrics)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    record = {"run_seconds": args.seconds, "machine": args.machine, "results": rows}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    for row in rows:
+        p, c = row["parent"], row["change"]
+        print(f"{row['workload']:<13} {row['metric']:<16} parent {p['median']:.4g} "
+              f"(IQR {p['iqr']:.3g})  change {c['median']:.4g} (IQR {c['iqr']:.3g})  "
+              f"wins {row['wins']}/{row['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
