@@ -93,11 +93,6 @@ def cone_witnesses(stack, d, cone) -> np.ndarray:
     return np.where(min_pt < min_c, min_pt, min_c)  # min(min_c, min_pt) per map
 
 
-def _matrices(maps):
-    """The stack ``(N, d^2, d^2)`` of the matrices of a sequence of maps."""
-    return np.stack([phi.matrix for phi in maps])
-
-
 def cone_witness(phi: superop.Superoperator, cone: str) -> float:
     """Membership witness of one map: :func:`cone_witnesses` of a stack of one."""
     return float(cone_witnesses(phi.matrix[None], phi.d, cone)[0])
@@ -276,27 +271,60 @@ class ArrivalResult:
     grid_witness: np.ndarray = field(repr=False)
 
 
-def _bisect_crossing(witness_at, lo, hi, target, tol_t):
+def _round_levels(handle, cone):
+    """Halvings per bisection round: one (the serial bisection) where each
+    point costs its own integration (``ode``, time-dependent ``commuting_exp``)
+    or see-saw search (P), three where a stack costs about one point."""
+    if cone == "P" or handle.solver == "ode" or (
+            handle.solver == "commuting_exp" and not handle.family.constant):
+        return 1
+    return 3
+
+
+def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
+    """Halve [lo, hi] to ``tol_t``; ``witnesses`` maps a list of times to witnesses.
+
+    A round evaluates in one call the midpoints that the next ``levels``
+    halvings can reach (breadth first, skipping brackets within ``tol_t``) and
+    walks down the tree: the same floats as one halving per call, so the same
+    result bitwise.
+    """
     while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        if witness_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        brackets, points = [(lo, hi)], []
+        for _ in range(levels):
+            reached = []
+            for a, b in brackets:
+                if b - a > tol_t:
+                    mid = 0.5 * (a + b)
+                    points.append(mid)
+                    reached += [(a, mid), (mid, b)]
+            brackets = reached
+        ws = dict(zip(points, witnesses(points)))
+        for _ in range(levels):
+            if hi - lo <= tol_t:
+                break
+            mid = 0.5 * (lo + hi)
+            if ws[mid] < target:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
-def _scan_for_arrival(ts, ws, witness_at, tol, bisect_tol, cone):
+def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels):
+    """``(tau, bracket, ws)``: grid witnesses, then the last crossing bisected,
+    with one stacked witness function for the grid and the rounds."""
+    ws = witnesses(ts.tolist())
     neg = ws < -tol
     if neg[-1]:
         raise NotReachedError(ts[-1], ws[-1], cone=cone)
     if not neg.any():
-        return 0.0, None
+        return 0.0, None, ws
     i = int(np.nonzero(neg)[0].max())
     lo, hi = float(ts[i]), float(ts[i + 1])
     target = 0.0 if ws[i + 1] > 0.0 else -tol
-    tau = _bisect_crossing(witness_at, lo, hi, target, bisect_tol)
-    return tau, (lo, hi)
+    tau = _bisect_crossing(witnesses, lo, hi, target, bisect_tol, levels)
+    return tau, (lo, hi), ws
 
 
 def _retention_certificate(family, handle, cone, search, tol):
@@ -340,13 +368,13 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
     if search is None:
         search = default_search(family)
     ts = np.linspace(0.0, search.t_max, search.grid_n)
-    ws = cone_witnesses(_matrices(handle.solve_many(ts)), family.d, cone)
 
-    def witness_at(t):
-        return cone_witness(handle.solve(t), cone)
+    def witnesses(times):
+        return cone_witnesses(handle._solve_grid(times), family.d, cone)
 
-    tau, bracket = _scan_for_arrival(
-        ts, ws, witness_at, tol, search.resolved_bisect_tol(), cone
+    tau, bracket, ws = _scan_for_arrival(
+        ts, witnesses, tol, search.resolved_bisect_tol(), cone,
+        _round_levels(handle, cone),
     )
     try:
         certificate = _retention_certificate(family, handle, cone, search, tol)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -896,7 +897,9 @@ def _reproduction_checks():
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")

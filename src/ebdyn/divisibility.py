@@ -231,15 +231,13 @@ def _grid_delta(handle, cone, s, search, tol):
     :class:`SingularMapError` when Lambda_s cannot be inverted.
     """
     ts = np.linspace(s, s + search.t_max, search.grid_n)
-    ws = asymptotics.cone_witnesses(
-        handle._propagator_grid(ts.tolist(), s), handle.family.d, cone
-    )
 
-    def witness_at(t):
-        return asymptotics.cone_witness(handle.propagator(t, s), cone)
+    def witnesses(times):
+        return asymptotics.cone_witnesses(handle._propagator_grid(times, s), handle.family.d, cone)
 
-    delta, _bracket = asymptotics._scan_for_arrival(
-        ts, ws, witness_at, tol, search.resolved_bisect_tol(), cone
+    delta, _bracket, _ws = asymptotics._scan_for_arrival(
+        ts, witnesses, tol, search.resolved_bisect_tol(), cone,
+        asymptotics._round_levels(handle, cone),
     )
     return max(float(delta), s)  # the scan reports 0.0 when never negative
 

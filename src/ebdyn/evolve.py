@@ -93,14 +93,7 @@ class EvolutionHandle:
             raise EbdynError("need 0 <= s <= t")
         if t == s:
             return superop.identity(self.family.d)
-        cf = self.family.closed_form
-        if cf is not None and cf.propagator_at is not None:
-            return cf.propagator_at(t, s)
-        if self.family.constant:
-            return self.solve(t - s)
-        return superop.Superoperator(
-            self._invert_onto(self.solve(t).matrix[None], s)[0], self.family.d
-        )
+        return superop.Superoperator(self._propagator_grid([t], s)[0], self.family.d)
 
     def propagator_many(self, times: Sequence[float], s) -> list:
         """Propagators V_{t,s} for all t in ``times`` at fixed s."""
@@ -113,16 +106,25 @@ class EvolutionHandle:
     # -- internals ----------------------------------------------------------
 
     def _solve_grid(self, ts):
-        """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``."""
-        if self.solver == "closed_form":
+        """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.
+
+        Closed forms and a single time go through :meth:`solve` and its cache;
+        other grids are one batched exponential or one dense integration.
+        """
+        if self.solver == "closed_form" or len(ts) == 1:
             return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
         if self.solver == "commuting_exp":
             return self._commuting_many(ts)
         return self._ode_many(ts)
 
     def _propagator_grid(self, ts, s):
-        """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``."""
+        """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``, each
+        bitwise ``propagator(t, s)`` but on dense ``ode`` or time-dependent
+        ``commuting_exp`` grids and for V_{s,s} on the inversion route."""
         cf = self.family.closed_form
+        if cf is not None and cf.propagator_coefficients is not None:
+            rows = cf.propagator_coefficients(ts, s)
+            return superop.spectral_sum(rows, cf.components, self.family.d)
         if cf is not None and cf.propagator_at is not None:
             d2 = self.family.d ** 2
             eye = np.eye(d2, dtype=complex)

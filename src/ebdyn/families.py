@@ -62,7 +62,8 @@ class ClosedFormSolution:
     trajectories are unbounded, so no asymptotic map exists.
     ``limit_cycle(t)`` is the phase t of a periodic attractor; its phases
     must be unitary conjugates of one another, so that one phase carries the
-    cone witnesses of every phase.
+    cone witnesses of every phase.  ``propagator_coefficients(ts, s)`` gives
+    the propagators V_{t,s} as rows ``(N, K)`` of coefficients over ``components``.
     """
 
     map_at: Callable[[float], superop.Superoperator]
@@ -73,6 +74,7 @@ class ClosedFormSolution:
     limit_cycle: Callable[[float], superop.Superoperator] | None = None
     period: float | None = None
     propagator_at: Callable[[float, float], superop.Superoperator] | None = None
+    propagator_coefficients: Callable[[Sequence[float], float], np.ndarray] | None = None
     propagator_tail_witness: Callable[[float], float] | None = None
     ppt_arrival_time: float | None = None
     witness_single_crossing: bool = False
@@ -286,9 +288,10 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
         return m
 
     def coefficients(t):
+        g = [r.integral(t) for r in rates]
         c = np.empty(4, dtype=complex)
         for k, (i, j) in enumerate(_PAULI_PAIRS):
-            c[k] = math.exp(-2.0 * (rates[i].integral(t) + rates[j].integral(t)))
+            c[k] = math.exp(-2.0 * (g[i] + g[j]))
         c[3] = 1.0
         return c
 
@@ -390,12 +393,13 @@ def eternal_nm(alpha) -> GeneratorFamily:
     def map_at(t):
         return superop.spectral_sum(coefficients(t), comps, 2)
 
-    def propagator_at(t, s):
-        c = np.empty(4, dtype=complex)
-        c[0] = c[1] = ((1.0 + math.exp(-2.0 * t)) / (1.0 + math.exp(-2.0 * s))) ** alpha
-        c[2] = math.exp(-2.0 * alpha * (t - s))
-        c[3] = 1.0
-        return superop.spectral_sum(c, comps, 2)
+    def propagator_coefficients(ts, s):
+        base = 1.0 + math.exp(-2.0 * s)
+        rows = []
+        for t in ts:
+            c12 = ((1.0 + math.exp(-2.0 * t)) / base) ** alpha
+            rows.append((c12, c12, math.exp(-2.0 * alpha * (t - s)), 1.0))
+        return np.array(rows, dtype=complex).reshape(len(rows), 4)
 
     def tail_witness(s):
         # limit of the propagator's smallest Choi / partial-transpose
@@ -409,7 +413,7 @@ def eternal_nm(alpha) -> GeneratorFamily:
         asymptotic_coefficients=np.array(
             [2.0 ** -alpha, 2.0 ** -alpha, 0.0, 1.0], dtype=complex
         ),
-        propagator_at=propagator_at,
+        propagator_coefficients=propagator_coefficients,
         propagator_tail_witness=tail_witness,
         # both Choi witnesses are increasing in t for alpha >= 1
         witness_single_crossing=alpha >= 1.0,

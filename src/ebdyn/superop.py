@@ -151,12 +151,14 @@ def from_choi(choi: ChoiMatrix) -> Superoperator:
     return Superoperator(_choi_shuffle(choi.matrix, choi.d), choi.d)
 
 
-def spectral_sum(coefficients, components, d) -> Superoperator:
-    """The map sum_k c_k Q_k from scalar coefficients and component matrices."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for ck, q in zip(coefficients, components):
-        s += ck * q
-    return Superoperator(s, d)
+def spectral_sum(coefficients, components, d):
+    """The map sum_k c_k Q_k from scalar coefficients and component matrices;
+    rows ``(N, K)`` give the stack ``(N, d^2, d^2)``, each matrix bitwise its row's."""
+    c = np.asarray(coefficients)
+    s = np.zeros(c.shape[:-1] + (d * d, d * d), dtype=complex)
+    for k, q in enumerate(components):
+        s += c[..., k, None, None] * q
+    return Superoperator(s, d) if c.ndim == 1 else s
 
 
 def is_trace_preserving(phi: Superoperator, tol=1e-9) -> bool:

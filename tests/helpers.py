@@ -4,9 +4,11 @@ Everything takes an explicit ``numpy.random.Generator`` so each test pins
 its own seed; there is no module-level randomness.
 """
 
+import os
+
 import numpy as np
 
-from ebdyn import families, matcore, superop
+from ebdyn import cli, families, matcore, superop
 
 
 def ginibre(rng, rows, cols=None):
@@ -107,3 +109,19 @@ def choi_min_eig(phi):
 
 def choi_pt_min_eig(phi):
     return matcore.min_herm_eig(superop.to_choi(phi).partial_transpose().matrix)
+
+
+def shipped_family(name):
+    """The family of the shipped config ``configs/<name>.ini``."""
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "configs", f"{name}.ini")
+    return cli.load_config(config)[0]
+
+
+def oscillating_pauli():
+    """Pauli channel with time-dependent rates and no closed-form propagator."""
+    return families.pauli_channel((
+        lambda t: 0.4 + 0.3 * np.sin(1.3 * t),
+        lambda t: 0.7 + 0.2 * np.cos(0.6 * t),
+        0.25,
+    ))

@@ -1,0 +1,387 @@
+"""Level-batched bisection against the serial halving loop it replaces.
+
+The bisection of an arrival crossing evaluates the midpoints of several
+halvings per call.  These tests hold it to a serial reference written here:
+the same tau bit for bit, the same points visited, round stacks of
+propagators and evolved maps equal matrix for matrix to the maps computed
+one point at a time, and, where each point costs its own integration or
+see-saw search, the same solver and positivity-witness call counts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ebdyn import asymptotics, classify, divisibility, evolve, families, superop
+from ebdyn.asymptotics import Search
+from ebdyn.errors import NotReachedError, SingularMapError
+
+from helpers import ginibre, oscillating_pauli, random_hermitian, shipped_family
+
+
+def serial_bisect(witness_at, lo, hi, target, tol_t):
+    """One halving per witness call."""
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        if witness_at(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def serial_scan(ts, ws, witness_at, tol, tol_t):
+    """tau of the last crossing, bisected one point at a time (grid given)."""
+    neg = ws < -tol
+    if neg[-1]:
+        raise NotReachedError(ts[-1], ws[-1])
+    if not neg.any():
+        return 0.0
+    i = int(np.nonzero(neg)[0].max())
+    target = 0.0 if ws[i + 1] > 0.0 else -tol
+    return serial_bisect(witness_at, float(ts[i]), float(ts[i + 1]), target, tol_t)
+
+
+def wavy(amps, freqs, phases):
+    """A non-monotone scalar witness with many sign changes."""
+    def w(t):
+        return sum(a * math.sin(f * t + p) for a, f, p in zip(amps, freqs, phases))
+    return w
+
+
+class Recorder:
+    """Stacked witness function that logs every call."""
+
+    def __init__(self, w):
+        self.w = w
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(list(points))
+        return np.array([self.w(t) for t in points])
+
+
+witness_params = st.tuples(
+    st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4),
+    st.lists(st.floats(0.5, 40.0), min_size=4, max_size=4),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+
+
+class TestBisectCrossing:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        params=witness_params,
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-6, 10.0),
+        # tol_t / width: from deep bisections to brackets already within tol_t
+        rel_tol=st.sampled_from((1e-12, 1e-9, 3e-7, 1e-3, 0.3, 0.5, 1.0, 2.0)),
+        target=st.sampled_from((0.0, -1e-9, 0.25)),
+        levels=st.integers(1, 4),
+    )
+    @example(params=([1.0], [1.0] * 4, [0.0] * 4), lo=0.0, width=1.0, rel_tol=1.0,
+             target=0.0, levels=3)
+    def test_bitwise_the_serial_loop(self, params, lo, width, rel_tol, target, levels):
+        w = wavy(*params)
+        hi = lo + width
+        # a tol_t below the spacing of floats near the bracket never ends the loop
+        tol_t = max(rel_tol * width, 1e-12 * (abs(lo) + abs(hi) + 1.0))
+        serial_points = []
+
+        def witness_at(t):
+            serial_points.append(t)
+            return w(t)
+
+        want = serial_bisect(witness_at, lo, hi, target, tol_t)
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, lo, hi, target, tol_t, levels)
+        assert got == want  # bitwise: the same floats are halved the same way
+        # every point of the serial walk is evaluated, in rounds of `levels` halvings
+        evaluated = [t for call in rec.calls for t in call]
+        assert set(serial_points) <= set(evaluated)
+        assert len(rec.calls) == -(-len(serial_points) // levels)
+        assert all(len(call) <= 2 ** levels - 1 for call in rec.calls)
+        if levels == 1:
+            assert evaluated == serial_points
+
+    @pytest.mark.parametrize("halvings", [1, 2, 3, 4, 5, 7, 8, 9, 27])
+    @pytest.mark.parametrize("slack", [1.0, 1.001])
+    def test_brackets_that_end_mid_round(self, halvings, slack):
+        # width 1 and tol_t at or just above 2^-halvings: exactly `halvings`
+        # steps (the widths are exact, so a bracket of width tol_t stops)
+        tol_t = slack * 2.0 ** -halvings
+        w = wavy([1.0, 0.4], [7.0, 23.0, 1.0, 1.0], [0.3, -1.1, 0.0, 0.0])
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, 2.0, 3.0, 0.0, tol_t, 3)
+        assert got == serial_bisect(w, 2.0, 3.0, 0.0, tol_t)
+        # a round lists only the levels whose brackets are still wider than tol_t
+        sizes = [len(call) for call in rec.calls]
+        full, rest = divmod(halvings, 3)
+        assert sizes == [7] * full + ([2 ** rest - 1] if rest else [])
+
+    def test_bracket_within_tolerance_is_not_evaluated(self):
+        rec = Recorder(lambda t: -1.0)
+        assert asymptotics._bisect_crossing(rec, 1.0, 1.5, 0.0, 0.5, 3) == 1.25
+        assert rec.calls == []
+
+
+# ---------------------------------------------------------------------------
+# round stacks: bitwise the maps of single points
+
+
+def noncommuting_gkls():
+    """Time-dependent GKLS at d = 2 whose generators do not commute (ode)."""
+    rng = np.random.default_rng(5)
+    return families.gkls(random_hermitian(rng, 2, 0.5), [
+        (ginibre(rng, 2) / 2.0, 0.9),
+        (ginibre(rng, 2) / 2.0, lambda t: 0.8 * (1.0 + 0.5 * math.sin(1.1 * t))),
+    ])
+
+
+def constant_gkls(d):
+    rng = np.random.default_rng(10 + d)
+    return families.gkls(random_hermitian(rng, d, 0.5),
+                         [(ginibre(rng, d) / d, 0.7), (ginibre(rng, d) / d, 0.4)])
+
+
+def floquet_family():
+    return shipped_family("floquet_rotating")
+
+
+# (name, family factory, solver); the first group evaluates a round in one batch
+BATCHED = [
+    ("eternal", lambda: families.eternal_nm(1.7), None),
+    ("pure_decoherence_cutoff", lambda: shipped_family("pure_decoherence_cutoff"), None),
+    ("pauli_td", oscillating_pauli, None),
+    ("floquet_full", floquet_family, None),
+    ("depolarizing", lambda: shipped_family("depolarizing_qutrit"), None),
+    ("gkls_d2", lambda: constant_gkls(2), None),
+    ("gkls_d3", lambda: constant_gkls(3), None),
+    ("floquet_core", lambda: floquet_family().params["core"], None),
+]
+PER_POINT = [
+    ("ode", noncommuting_gkls, None),
+    ("commuting_td", oscillating_pauli, "commuting_exp"),
+    ("ode_constant", lambda: constant_gkls(2), "ode"),
+]
+
+
+def reference_propagator(handle, t, s):
+    """V_{t,s} of one point, built the way a single point is built."""
+    fam = handle.family
+    cf = fam.closed_form
+    if t == s:
+        return np.eye(fam.d ** 2)
+    if fam.kind == "eternal_nm":
+        # the closed form of the propagator, one point at a time
+        a = fam.params["alpha"]
+        c12 = ((1.0 + math.exp(-2.0 * t)) / (1.0 + math.exp(-2.0 * s))) ** a
+        c = np.array([c12, c12, math.exp(-2.0 * a * (t - s)), 1.0], dtype=complex)
+        return superop.spectral_sum(c, cf.components, 2).matrix
+    if cf is not None and cf.propagator_at is not None:
+        return cf.propagator_at(t, s).matrix
+    if fam.constant:
+        return handle.solve(t - s).matrix
+    lam_s = handle.solve(s).matrix
+    return np.linalg.solve(lam_s.T, handle.solve(t).matrix.T).T
+
+
+def round_points(s, width=2.0):
+    """The seven midpoints of three halvings of [s + 0.3, s + 0.3 + width]."""
+    lo, hi = s + 0.3, s + 0.3 + width
+    points = []
+    brackets = [(lo, hi)]
+    for _ in range(3):
+        nxt = []
+        for a, b in brackets:
+            m = 0.5 * (a + b)
+            points.append(m)
+            nxt += [(a, m), (m, b)]
+        brackets = nxt
+    return points
+
+
+class TestRoundStacks:
+    @pytest.mark.parametrize("name, make, solver", BATCHED)
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_batched_round_is_bitwise_the_points(self, name, make, solver, s):
+        fam = make()
+        handle = evolve.EvolutionHandle(fam, solver=solver)
+        assert asymptotics._round_levels(handle, "PPT") == 3
+        points = round_points(s)
+        props = handle._propagator_grid(points, s)
+        maps = handle._solve_grid(points)
+        for k, t in enumerate(points):
+            fresh = evolve.EvolutionHandle(fam, solver=solver, cache=False)
+            np.testing.assert_array_equal(props[k], reference_propagator(fresh, t, s))
+            np.testing.assert_array_equal(props[k], fresh.propagator(t, s).matrix)
+            np.testing.assert_array_equal(maps[k], fresh.solve(t).matrix)
+
+    @pytest.mark.parametrize("name, make, solver", PER_POINT)
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_single_point_rounds_are_bitwise_the_points(self, name, make, solver, s):
+        fam = make()
+        handle = evolve.EvolutionHandle(fam, solver=solver)
+        assert asymptotics._round_levels(handle, "PPT") == 1
+        for t in round_points(s)[:3]:
+            fresh = evolve.EvolutionHandle(fam, solver=solver, cache=False)
+            np.testing.assert_array_equal(handle._propagator_grid([t], s)[0],
+                                          reference_propagator(fresh, t, s))
+            np.testing.assert_array_equal(handle._solve_grid([t])[0], fresh.solve(t).matrix)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.7, 3.3])
+    def test_coefficient_propagator_at_its_start_is_the_identity(self, alpha):
+        handle = evolve.EvolutionHandle(families.eternal_nm(alpha))
+        for s in (0.0, 0.37, 11.0):
+            np.testing.assert_array_equal(handle._propagator_grid([s, s + 1.0], s)[0], np.eye(4))
+
+    def test_p_cone_rounds_hold_one_point(self):
+        handle = evolve.EvolutionHandle(families.eternal_nm(1.7))
+        assert asymptotics._round_levels(handle, "P") == 1
+
+    def test_coefficient_rows_are_bitwise_the_rows(self):
+        rng = np.random.default_rng(3)
+        comps = [ginibre(rng, 9) for _ in range(5)]
+        rows = ginibre(rng, 11, 5)
+        stack = superop.spectral_sum(rows, comps, 3)
+        assert stack.shape == (11, 9, 9)
+        for row, got in zip(rows, stack):
+            np.testing.assert_array_equal(got, superop.spectral_sum(row, comps, 3).matrix)
+        assert superop.spectral_sum(rows[:0], comps, 3).shape == (0, 9, 9)
+
+
+# ---------------------------------------------------------------------------
+# whole scans: the batched bisection against the serial one
+
+
+def serial_grid_delta(handle, cone, s, search, tol):
+    """Delta(s) with the bisection calling ``propagator`` one point at a time."""
+    ts = np.linspace(s, s + search.t_max, search.grid_n)
+    ws = asymptotics.cone_witnesses(handle._propagator_grid(ts.tolist(), s),
+                                    handle.family.d, cone)
+    tau = serial_scan(ts, ws, lambda t: asymptotics.cone_witness(handle.propagator(t, s), cone),
+                      tol, search.resolved_bisect_tol())
+    return max(float(tau), s)
+
+
+def serial_arrival_tau(handle, cone, search, tol):
+    """Arrival tau with the bisection calling ``solve`` one point at a time."""
+    ts = np.linspace(0.0, search.t_max, search.grid_n)
+    ws = asymptotics.cone_witnesses(
+        np.stack([m.matrix for m in handle.solve_many(ts)]), handle.family.d, cone)
+    return serial_scan(ts, ws, lambda t: asymptotics.cone_witness(handle.solve(t), cone),
+                       tol, search.resolved_bisect_tol())
+
+
+class TestWholeScans:
+    @pytest.mark.parametrize("name, make, solver", BATCHED)
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    def test_grid_delta_bitwise_the_serial_scan(self, name, make, solver, cone):
+        fam = make()
+        search = asymptotics.default_search(fam, grid_n=60)
+        tol = 1e-9
+        for s in (0.0, 0.4):
+            try:
+                want = serial_grid_delta(evolve.EvolutionHandle(fam, solver=solver),
+                                         cone, s, search, tol)
+            except (NotReachedError, SingularMapError) as exc:  # fail the same way
+                with pytest.raises(type(exc)):
+                    divisibility._grid_delta(evolve.EvolutionHandle(fam, solver=solver),
+                                             cone, s, search, tol)
+                continue
+            got = divisibility._grid_delta(evolve.EvolutionHandle(fam, solver=solver),
+                                           cone, s, search, tol)
+            assert got == want
+
+    @pytest.mark.parametrize("name, make, solver", BATCHED)
+    @pytest.mark.parametrize("cone", ["CP", "coCP", "PPT"])
+    def test_arrival_tau_bitwise_the_serial_scan(self, name, make, solver, cone):
+        fam = make()
+        search = asymptotics.default_search(fam, grid_n=60)
+        try:
+            want = serial_arrival_tau(evolve.EvolutionHandle(fam, solver=solver), cone,
+                                      search, 1e-9)
+        except NotReachedError:
+            return
+        res = asymptotics.arrival_time(evolve.EvolutionHandle(fam, solver=solver), cone,
+                                       search=search)
+        if res.tau is not None:
+            assert res.tau == want
+
+
+class CallCounter:
+    """Counts ``EvolutionHandle.solve`` and ``classify.positivity_witness`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.solve = 0
+        self.positivity = 0
+        solve, positivity = evolve.EvolutionHandle.solve, classify.positivity_witness
+
+        def counted_solve(handle, t):
+            self.solve += 1
+            return solve(handle, t)
+
+        def counted_positivity(*args, **kwargs):
+            self.positivity += 1
+            return positivity(*args, **kwargs)
+
+        monkeypatch.setattr(evolve.EvolutionHandle, "solve", counted_solve)
+        monkeypatch.setattr(classify, "positivity_witness", counted_positivity)
+
+    def run(self, fn):
+        self.solve = self.positivity = 0
+        value = fn()
+        return value, (self.solve, self.positivity)
+
+
+def transiently_nonpositive_pauli():
+    """Pauli channel that leaves the positive maps and returns (P arrival > 0)."""
+    return families.pauli_channel(
+        (lambda t: 1.5 - 2.5 * math.exp(-t), 0.5, 1.2),
+        antiderivatives=(lambda t: 1.5 * t - 2.5 * (1.0 - math.exp(-t)),
+                         lambda t: 0.5 * t, lambda t: 1.2 * t),
+    )
+
+
+class TestPerPointCallCounts:
+    """Where a point costs its own integration or see-saw, a round is one point."""
+
+    SEARCH = Search(t_max=3.0, grid_n=16, bisect_tol=1e-5)
+
+    @pytest.mark.parametrize("name, make, solver", PER_POINT)
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_grid_delta_counts(self, monkeypatch, name, make, solver, s):
+        fam = make()
+        counter = CallCounter(monkeypatch)
+        want, want_calls = counter.run(lambda: serial_grid_delta(
+            evolve.EvolutionHandle(fam, solver=solver), "PPT", s, self.SEARCH, 1e-9))
+        got, got_calls = counter.run(lambda: divisibility._grid_delta(
+            evolve.EvolutionHandle(fam, solver=solver), "PPT", s, self.SEARCH, 1e-9))
+        assert want > s  # a crossing was bisected
+        assert got == want and got_calls == want_calls
+
+    @pytest.mark.parametrize("name, make, solver", PER_POINT)
+    def test_arrival_counts(self, monkeypatch, name, make, solver):
+        fam = make()
+        assert fam.cp_divisible  # so the retention certificate makes no solve
+        counter = CallCounter(monkeypatch)
+        want, want_calls = counter.run(lambda: serial_arrival_tau(
+            evolve.EvolutionHandle(fam, solver=solver), "PPT", self.SEARCH, 1e-9))
+        got, got_calls = counter.run(lambda: asymptotics.arrival_time(
+            evolve.EvolutionHandle(fam, solver=solver), "PPT", search=self.SEARCH))
+        assert want > 0.0
+        assert got.tau == want and got_calls == want_calls
+
+    @pytest.mark.parametrize("solver", [None, "commuting_exp"])
+    def test_p_cone_counts(self, monkeypatch, solver):
+        fam = transiently_nonpositive_pauli()
+        search = Search(t_max=4.0, grid_n=12, bisect_tol=1e-4)
+        counter = CallCounter(monkeypatch)
+        want, want_calls = counter.run(lambda: serial_grid_delta(
+            evolve.EvolutionHandle(fam, solver=solver), "P", 0.0, search, 1e-9))
+        got, got_calls = counter.run(lambda: divisibility._grid_delta(
+            evolve.EvolutionHandle(fam, solver=solver), "P", 0.0, search, 1e-9))
+        assert want > 0.0 and want_calls[1] > search.grid_n
+        assert got == want and got_calls == want_calls

@@ -249,6 +249,23 @@ class TestListFamilies:
         assert payload["detailed_balance"]["numbered"] == ["jumpK", "freqK"]
 
 
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    config = write_config(tmp_path, PAULI_EQUAL)
+    first = cli._build_parser().parse_args(
+        ["arrival", "--config", config, "--cones", "CP", "--format", "csv"])
+    assert (first.cones, first.format) == ("CP", "csv")
+    # a later parse starts from the defaults, not from the previous call
+    args = cli._build_parser().parse_args(["arrival", "--config", config])
+    assert args.cones is None and args.format != "csv"
+    assert cli.main(["classify", "--config", config, "--times", "0.5", "--format", "csv"]) == 0
+    csv_out = capsys.readouterr().out
+    assert cli.main(["classify", "--config", config, "--times", "0.5"]) == 0
+    json.loads(capsys.readouterr().out)  # the csv format of the last call did not stick
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(csv_out)
+
+
 def test_threads_flag_pins_blas_env(tmp_path, capsys, monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)

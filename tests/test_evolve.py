@@ -9,7 +9,7 @@ import scipy.linalg
 from ebdyn import cli, evolve, families, matcore, superop
 from ebdyn.errors import EbdynError, SingularMapError
 
-from helpers import ginibre, random_hermitian
+from helpers import ginibre, oscillating_pauli, random_hermitian, shipped_family
 
 
 def catalog(rng):
@@ -138,21 +138,6 @@ class TestPropagators:
         h = evolve.EvolutionHandle(fam, solver="closed_form")
         with pytest.raises(SingularMapError):
             h.propagator(3.0, 2.0)
-
-
-def shipped_family(name):
-    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                          "configs", f"{name}.ini")
-    return cli.load_config(config)[0]
-
-
-def oscillating_pauli():
-    """Pauli channel with time-dependent rates and no closed-form propagator."""
-    return families.pauli_channel((
-        lambda t: 0.4 + 0.3 * np.sin(1.3 * t),
-        lambda t: 0.7 + 0.2 * np.cos(0.6 * t),
-        0.25,
-    ))
 
 
 class TestStackedGrids:

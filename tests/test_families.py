@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from ebdyn import asymptotics, classify, cli, evolve, families, matcore, superop
@@ -87,6 +88,27 @@ class TestPauliChannel:
             assert c[1] == pytest.approx(math.exp(-2 * (g[0] + g[2]) * t))
             assert c[2] == pytest.approx(math.exp(-2 * (g[0] + g[1]) * t))
             assert c[3] == 1.0
+
+    def test_each_rate_integrated_once(self, monkeypatch):
+        rates = (lambda t: 0.4 + 0.3 * math.sin(1.3 * t), lambda t: 0.7 + 0.2 * math.cos(t), 0.25)
+        fam = families.pauli_channel(rates)
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        for t in (0.3, 2.9):
+            calls.clear()
+            c = fam.closed_form.coefficients(t)
+            assert len(calls) == 2  # one quadrature per callable rate
+            # bitwise the sum of antiderivatives taken pair by pair
+            g = [quad(r, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+                 if callable(r) else r * t for r in rates]
+            want = [math.exp(-2.0 * (g[i] + g[j])) for i, j in ((1, 2), (0, 2), (0, 1))]
+            assert list(c[:3].real) == want and c[3] == 1.0
 
     def test_map_action_on_paulis(self):
         fam = families.pauli_channel((0.3, 0.5, 0.9))

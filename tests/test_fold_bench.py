@@ -31,8 +31,8 @@ def write_run(path, workload, seed, p50, rate, correct=True):
 
 
 METRICS = [
-    {"name": "analysis_p50_ms", "unit": "ms", "better": "lower"},
-    {"name": "analyses_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "analysis_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "analyses_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
 ]
 
 
@@ -71,3 +71,56 @@ def test_record_written(tmp_path):
     assert record["run_seconds"] == 55 and record["machine"] == "m"
     assert [row["metric"] for row in record["results"]] == [m["name"] for m in BENCHMARK_METRICS]
     assert not any(row["correct"] for row in record["results"])
+
+
+def side(runs):
+    return fold_bench.summary(runs)
+
+
+class TestVerdict:
+    """The choosing-metrics rule with the BENCHMARK.json bound of a metric."""
+
+    def verdict(self, before, after, better="lower", bound=0.25):
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+        return fold_bench.verdict(side(before), side(after), wins, len(before), better, bound)
+
+    def test_gain_needs_nine_tenths_and_more_than_the_parent_iqr(self):
+        before = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
+        assert self.verdict(before, [b - 1.0 for b in before]) == "gain"
+        # 9 of 10 pairs won is enough; 8 of 10 is not
+        nine = [b - 1.0 for b in before[:9]] + [before[9] + 0.1]
+        assert self.verdict(before, nine) == "gain"
+        eight = [b - 1.0 for b in before[:8]] + [b + 0.1 for b in before[8:]]
+        assert self.verdict(before, eight) == "within_bound"
+        # every pair won, but the medians differ by less than the parent's IQR
+        assert self.verdict(before, [b - 0.05 for b in before]) == "within_bound"
+
+    def test_direction_follows_better(self):
+        before = [100.0, 101.0, 102.0, 103.0]
+        assert self.verdict(before, [b + 20.0 for b in before], better="higher") == "gain"
+        assert self.verdict(before, [b - 30.0 for b in before], better="higher") == "regression"
+        assert self.verdict(before, [b + 30.0 for b in before]) == "regression"
+
+    def test_regression_is_beyond_the_bound(self):
+        before = [1.0, 1.0, 1.01, 1.01]
+        assert self.verdict(before, [1.2, 1.2, 1.2, 1.2]) == "within_bound"
+        assert self.verdict(before, [1.3, 1.3, 1.3, 1.3]) == "regression"
+        assert self.verdict(before, [1.3, 1.3, 1.3, 1.3], bound=0.4) == "within_bound"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        before = [0.5, 1.0, 1.5, 2.0]  # IQR 0.75 against a median of 1.25
+        assert self.verdict(before, [1.4, 1.6, 1.2, 1.8]) == "unresolved"
+        # unless every run of the change reads better than every parent run
+        outlier = [1.0, 1.0, 1.0, 3.0]  # IQR 0.5 against a median of 1.0
+        assert self.verdict(outlier, [1.1, 0.9, 1.0, 1.2]) == "unresolved"
+        assert self.verdict(outlier, [0.9, 0.9, 0.95, 0.9]) == "within_bound"
+
+    def test_rows_carry_the_verdict(self, tmp_path):
+        runs = []
+        for seed in range(1, 11):
+            runs.append(write_run(tmp_path / f"p{seed}", "divisibility", seed, 3.0 + seed / 100, 300.0))
+            runs.append(write_run(tmp_path / f"c{seed}", "divisibility", seed, 2.0, 300.0))
+        rows = {row["metric"]: row for row in fold_bench.fold(runs, METRICS)}
+        assert rows["analysis_p50_ms"]["verdict"] == "gain"
+        assert rows["analyses_per_s"]["verdict"] == "within_bound"

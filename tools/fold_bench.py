@@ -9,7 +9,8 @@ JSON result.  Runs are given in pairs, the parent commit's run first and the
 change's run second, one pair per seed; pairs of several workloads may be
 mixed.  For every end-to-end metric that BENCHMARK.json lists, the record
 holds each side's median and interquartile range over the pairs, the number
-of pairs and the number the change won (ties count for neither side).
+of pairs, the number the change won (ties count for neither side) and a
+verdict (see :func:`verdict`).
 
     python3 tools/fold_bench.py --out BENCH_6.json --seconds 55 \\
         --machine "2-core x86-64 VM, Python 3.11, BLAS on one thread" \\
@@ -48,6 +49,30 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def verdict(parent, change, wins, pairs, better, bound):
+    """``gain``, ``regression``, ``unresolved`` or ``within_bound`` for one row.
+
+    A gain needs the change to win at least nine tenths of the pairs and the
+    medians to differ, in the better direction, by more than the parent's
+    interquartile range.  A regression is a change median worse than the
+    parent's by more than ``bound`` (a fraction of the parent's median).  A
+    row whose parent spread (IQR over median) exceeds the bound is
+    unresolved, unless every run of the change reads better than every run
+    of the parent; any other row is within its bound.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    step = sign * (change["median"] - parent["median"])
+    scale = abs(parent["median"])
+    if wins >= 0.9 * pairs and step > parent["iqr"]:
+        return "gain"
+    if step < -bound * scale:
+        return "regression"
+    if parent["iqr"] > bound * scale and not (
+            min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])):
+        return "unresolved"
+    return "within_bound"
+
+
 def fold(paths, metrics):
     """Rows of the record from run files in (parent, change) order."""
     if len(paths) % 2:
@@ -64,15 +89,19 @@ def fold(paths, metrics):
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
             before = [p["metrics"][name]["value"] for _, p, _ in runs]
             after = [c["metrics"][name]["value"] for _, _, c in runs]
+            parent, change = summary(before), summary(after)
+            wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
             rows.append({
                 "workload": workload,
                 "metric": name,
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent": summary(before),
-                "change": summary(after),
+                "parent": parent,
+                "change": change,
                 "pairs": len(runs),
-                "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+                "wins": wins,
+                "verdict": verdict(parent, change, wins, len(runs), metric["better"],
+                                   metric["bound"]),
                 "seeds": [seed for seed, _, _ in runs],
                 "correct": all(p["correct"] and c["correct"] for _, p, c in runs),
             })
@@ -102,7 +131,7 @@ def main(argv=None):
         p, c = row["parent"], row["change"]
         print(f"{row['workload']:<13} {row['metric']:<16} parent {p['median']:.4g} "
               f"(IQR {p['iqr']:.3g})  change {c['median']:.4g} (IQR {c['iqr']:.3g})  "
-              f"wins {row['wins']}/{row['pairs']}")
+              f"wins {row['wins']}/{row['pairs']}  {row['verdict']}")
     return 0
 
 
