@@ -28,6 +28,7 @@ from . import classify, evolve, matcore, superop, tolerances
 from .errors import (
     InvalidIntervalError,
     NoLimitError,
+    NonConservativeMapError,
     NoRetentionCertificateError,
     NotAProbabilityVectorError,
     NotReachedError,
@@ -62,8 +63,8 @@ CONES = ("P", "CP", "coCP", "PPT", "EB")
 
 def witness_pair(phi: superop.Superoperator):
     """Smallest eigenvalues of the Choi matrix and its partial transpose."""
-    _, min_c, min_pt = classify.choi_floors(phi)
-    return min_c, min_pt
+    _, min_c, min_pt = classify.choi_floors(phi.matrix[None], phi.d)
+    return float(min_c[0]), float(min_pt[0])
 
 
 def cone_witnesses(stack, d, cone) -> np.ndarray:
@@ -71,7 +72,8 @@ def cone_witnesses(stack, d, cone) -> np.ndarray:
 
     Entry k is the witness of the map with matrix ``stack[k]``; nonnegative
     means inside.  The Choi permutation, the partial transpose and the
-    eigensolves run once over the whole stack.  For EB with d > 2 this is
+    eigensolves run once over the whole stack (:func:`classify.choi_floors`),
+    one eigensolve for CP and coCP, two for PPT and EB.  For EB with d > 2 this is
     the PPT witness, a necessary condition only (callers flag the result as
     a lower bound).  The P witness is a see-saw search over product vectors,
     run map by map: sound for refutation, heuristic for membership.
@@ -83,13 +85,11 @@ def cone_witnesses(stack, d, cone) -> np.ndarray:
         ])
     if cone not in CONES:
         raise ValueError(f"unknown cone {cone!r}")
-    choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
+    _, min_c, min_pt = classify.choi_floors(stack, d, cp=cone != "coCP", cocp=cone != "CP")
     if cone == "CP":
-        return matcore.min_herm_eig(choi)
-    pt = matcore.partial_transpose_second(choi, d, d)
+        return min_c
     if cone == "coCP":
-        return matcore.min_herm_eig(pt)
-    min_c, min_pt = matcore.min_herm_eig(choi), matcore.min_herm_eig(pt)
+        return min_pt
     return np.where(min_pt < min_c, min_pt, min_c)  # min(min_c, min_pt) per map
 
 
@@ -532,10 +532,11 @@ def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
         )
     periodic = isinstance(limit, PeriodicMap)
     basis = "limit_cycle" if periodic else "asymptotic"
-    floors = classify.choi_floors(_one_phase(limit))
-    w_inf = min(floors[1:])
+    phase = _one_phase(limit)
+    floors = classify.choi_floors(phase.matrix[None], phase.d)
+    w_inf = min(float(floors[1][0]), float(floors[2][0]))
     evidence[f"{basis}_witness"] = w_inf
-    if classify._interior_from_floors(*floors).certified:
+    if classify.interior_certificates(*floors, phase.d)[0].certified:
         return AsymptoticVerdict(
             "eventually_EB", f"{basis}_interior",
             kernel_dim=kernel_dim, numeric_evidence=evidence,
@@ -586,32 +587,22 @@ def ppt_composition_experiment(phi: superop.Superoperator, n_max) -> PptComposit
     bounded and the witnesses are meaningful.
     """
     if not (superop.is_trace_preserving(phi) or superop.is_unital(phi)):
-        raise ValueError("map must be trace preserving or unital")
-    ks = []
-    wc = []
-    wp = []
-    statuses = []
-    first_ppt = None
-    first_eb = None
-    current = phi
-    for k in range(1, int(n_max) + 1):
-        report = classify.classify_map(current)
-        ks.append(k)
-        wc.append(report.min_eig_choi)
-        wp.append(report.min_eig_choi_pt)
-        statuses.append(report.eb_status)
-        if first_ppt is None and report.is_ppt:
-            first_ppt = k
-        if first_eb is None and report.eb_status == classify.EB_CERTIFIED:
-            first_eb = k
-        current = superop.compose(current, phi)
+        raise NonConservativeMapError("map must be trace preserving or unital")
+    # phi, phi^2 = phi o phi, ... as one stack, each power the previous one
+    # composed with phi
+    powers = np.empty((max(int(n_max), 0),) + phi.matrix.shape, dtype=complex)
+    for k in range(len(powers)):
+        powers[k] = powers[k - 1] @ phi.matrix if k else phi.matrix
+    reports = classify.classify_stack(powers, phi.d)
+    ks = tuple(range(1, len(reports) + 1))
     return PptCompositionResult(
-        ks=tuple(ks),
-        witness_choi=tuple(wc),
-        witness_pt=tuple(wp),
-        eb_statuses=tuple(statuses),
-        first_ppt=first_ppt,
-        first_eb=first_eb,
+        ks=ks,
+        witness_choi=tuple(r.min_eig_choi for r in reports),
+        witness_pt=tuple(r.min_eig_choi_pt for r in reports),
+        eb_statuses=tuple(r.eb_status for r in reports),
+        first_ppt=next((k for k, r in zip(ks, reports) if r.is_ppt), None),
+        first_eb=next((k for k, r in zip(ks, reports)
+                       if r.eb_status == classify.EB_CERTIFIED), None),
     )
 
 

@@ -1,4 +1,4 @@
-"""Cone membership of a single map: CP, coCP, PPT and entanglement breaking.
+"""Cone membership of maps and stacks of maps: CP, coCP, PPT and entanglement breaking.
 
 Membership is decided from the Choi matrix.  Complete positivity is
 positivity of the Choi matrix, co-complete-positivity is positivity of its
@@ -33,8 +33,10 @@ __all__ = [
     "InteriorCertificate",
     "choi_floors",
     "classify_map",
+    "classify_stack",
     "eb_certify_interior",
     "interior_certificate",
+    "interior_certificates",
     "projector_onto_state",
     "positivity_witness",
 ]
@@ -76,93 +78,98 @@ class InteriorCertificate:
     radius: float | None
 
 
-def choi_floors(phi: superop.Superoperator):
-    """Choi matrix and its two eigenvalue floors, built and solved once.
+def choi_floors(stack, d, cp=True, cocp=True):
+    """Choi matrices of a stack ``(N, d^2, d^2)`` of map matrices and their floors.
 
-    Returns ``(choi, min_eig_choi, min_eig_choi_pt)``: the Choi matrix of
-    ``phi`` and the smallest eigenvalues of it and of its partial transpose.
+    Returns ``(choi, min_c, min_pt)``: the Choi stack (one permutation) and
+    the ``(N,)`` smallest eigenvalues of each Choi matrix (if ``cp``) and of
+    its partial transpose (if ``cocp``; else None), one batched solve each,
+    bitwise those of each map alone.  A partial transpose deviates from
+    Hermiticity exactly as its Choi matrix does, so a stack raises the
+    NotHermitianError of its first non-Hermitian map.
     """
-    choi = superop.to_choi(phi)
-    return (
-        choi,
-        matcore.min_herm_eig(choi.matrix),
-        matcore.min_herm_eig(choi.partial_transpose().matrix),
-    )
+    choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
+    min_c = matcore.min_herm_eig(choi) if cp else None
+    min_pt = (matcore.min_herm_eig(matcore.partial_transpose_second(choi, d, d))
+              if cocp else None)
+    return choi, min_c, min_pt
 
 
-def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
-    """Classify a map against the CP / coCP / PPT / EB cones.
+def classify_stack(stack, d, tol=None) -> list:
+    """:class:`ClassificationReport` of each map of a stack ``(N, d^2, d^2)``.
 
-    The map must be Hermiticity preserving (Hermitian Choi matrix);
-    otherwise the eigensolver's error propagates.
+    The maps must be Hermiticity preserving (Hermitian Choi matrices);
+    otherwise the eigensolver's error propagates.  For d > 2 the ball
+    certificate runs once over the PPT maps of the stack.
     """
     if tol is None:
         tol = tolerances.PSD_TOL
-    choi, min_c, min_pt = choi_floors(phi)
-    is_cp = min_c >= -tol
-    is_cocp = min_pt >= -tol
-    is_ppt = is_cp and is_cocp
-    if phi.d == 2:
-        eb_status = EB_CERTIFIED if is_ppt else EB_REFUTED
-    elif not is_ppt:
-        eb_status = EB_REFUTED
-    else:
-        cert = _interior_from_floors(choi, min_c, min_pt, tol=tol)
-        eb_status = EB_CERTIFIED if cert.certified else EB_UNKNOWN
-    return ClassificationReport(
-        d=phi.d,
-        is_cp=is_cp,
-        is_cocp=is_cocp,
-        is_ppt=is_ppt,
-        eb_status=eb_status,
-        min_eig_choi=min_c,
-        min_eig_choi_pt=min_pt,
-        tolerance_used=float(tol),
-    )
+    choi, min_c, min_pt = choi_floors(stack, d)
+    is_cp, is_cocp = min_c >= -tol, min_pt >= -tol
+    is_ppt = is_cp & is_cocp
+    certs = (interior_certificates(choi, min_c, min_pt, d, tol=tol, which=is_ppt)
+             if d > 2 else [None] * len(choi))
+    return [
+        ClassificationReport(
+            d=d, is_cp=bool(is_cp[k]), is_cocp=bool(is_cocp[k]), is_ppt=bool(is_ppt[k]),
+            eb_status=(EB_REFUTED if not is_ppt[k] else
+                       EB_CERTIFIED if d == 2 or cert.certified else EB_UNKNOWN),
+            min_eig_choi=float(min_c[k]), min_eig_choi_pt=float(min_pt[k]),
+            tolerance_used=float(tol),
+        )
+        for k, cert in enumerate(certs)
+    ]
+
+
+def classify_map(phi: superop.Superoperator, tol=None) -> ClassificationReport:
+    """Classify one map: :func:`classify_stack` of a stack of one."""
+    return classify_stack(phi.matrix[None], phi.d, tol=tol)[0]
 
 
 def interior_certificate(phi: superop.Superoperator, tol=None) -> InteriorCertificate:
     """Try to certify that ``phi`` lies in the interior of the EB cone."""
-    return _interior_from_floors(*choi_floors(phi), tol=tol)
+    return interior_certificates(*choi_floors(phi.matrix[None], phi.d), phi.d, tol=tol)[0]
 
 
-def _interior_from_floors(choi, min_c, min_pt, tol=None) -> InteriorCertificate:
-    """:func:`interior_certificate` from the output of :func:`choi_floors`."""
+def interior_certificates(choi, min_c, min_pt, d, tol=None, which=None) -> list:
+    """:class:`InteriorCertificate` of each map, from :func:`choi_floors`.
+
+    Only the maps where the boolean array ``which`` is set (all by default)
+    are tested; the others get None.  The marginals, traces and eigenvalue
+    floors of the ball test run once over the tested maps.
+    """
     if tol is None:
         tol = tolerances.PSD_TOL
-    d = choi.d
-    ppt_floor = min(min_c, min_pt)
-
-    if d == 2 and ppt_floor > tol:
-        return InteriorCertificate(
-            certified=True, path="strict_ppt_qubit", boundary=False,
-            distance=None, radius=None,
+    which = np.ones(len(choi), dtype=bool) if which is None else np.asarray(which, dtype=bool)
+    floor = np.where(min_pt < min_c, min_pt, min_c)  # min(min_c, min_pt) per map
+    strict = which & (floor > tol) & (d == 2)
+    ball = np.flatnonzero(which & ~strict)
+    # ball around the rank-one map X -> tr(X) omega, with the Choi marginal as
+    # omega, for roughly trace preserving maps (tr > 0.5) with omega > 0
+    omega = choi[ball].reshape(-1, d, d, d, d).trace(axis1=1, axis2=3) / d
+    omega = (omega + omega.conj().swapaxes(1, 2)) / 2.0
+    tr = np.trace(omega, axis1=1, axis2=2).real
+    omega, ball = omega[tr > 0.5] / tr[tr > 0.5, None, None], ball[tr > 0.5]
+    lam = matcore.min_herm_eig(omega)
+    ball, omega, lam = ball[lam > tol], omega[lam > tol], lam[lam > tol]
+    # each Choi matrix minus I (x) omega, with the products of matcore.kron
+    target = np.eye(d, dtype=complex)[:, None, :, None] * omega[:, None, :, None, :]
+    diff = choi[ball] - target.reshape(-1, d * d, d * d)
+    found = {k: (float(np.linalg.norm(x, "fro")), float(lam_k) / 2.0)
+             for k, x, lam_k in zip(ball, diff, lam)}
+    certs = [None] * len(choi)
+    for k in np.flatnonzero(which):
+        distance, radius = found.get(k, (None, None))
+        certified = bool(strict[k]) or (distance is not None and distance <= radius)
+        certs[k] = InteriorCertificate(
+            certified=certified,
+            path=("strict_ppt_qubit" if strict[k] else
+                  "state_projector_ball" if certified else None),
+            boundary=bool(not certified and -tol <= floor[k] <= tol),
+            distance=distance,
+            radius=radius,
         )
-
-    # ball around the rank-one map X -> tr(X) omega, using the Choi marginal
-    # as the candidate omega
-    omega = matcore.partial_trace_first(choi.matrix, d, d) / d
-    omega = (omega + omega.conj().T) / 2.0
-    tr = float(np.trace(omega).real)
-    certified = False
-    distance = None
-    radius = None
-    if tr > 0.5:  # sanity: roughly trace preserving
-        omega = omega / tr
-        lam = matcore.min_herm_eig(omega)
-        if lam > tol:
-            target = matcore.kron(np.eye(d, dtype=complex), omega)
-            distance = float(np.linalg.norm(choi.matrix - target, "fro"))
-            radius = lam / 2.0
-            certified = distance <= radius
-    boundary = (not certified) and ppt_floor >= -tol and ppt_floor <= tol
-    return InteriorCertificate(
-        certified=certified,
-        path="state_projector_ball" if certified else None,
-        boundary=boundary,
-        distance=distance,
-        radius=radius,
-    )
+    return certs
 
 
 def eb_certify_interior(phi: superop.Superoperator, tol=None) -> bool:

@@ -23,6 +23,7 @@ pin the BLAS thread count before the numerics are loaded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import functools
 import json
@@ -94,9 +95,15 @@ _FAMILY_NOTES = {
 }
 
 
+def _finite(value, what, text):
+    if not cmath.isfinite(value):  # nan and inf parse as numbers
+        raise ConfigError(f"{what}: expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_scalar(text, what, *, positive=False, integer=False):
     try:
-        value = int(text) if integer else float(text)
+        value = int(text) if integer else _finite(float(text), what, text)
     except ValueError:
         raise ConfigError(f"{what}: expected a number, got {text!r}") from None
     if positive and value <= 0:
@@ -108,7 +115,7 @@ def _parse_vector(text, what):
     out = []
     for tok in text.split():
         try:
-            out.append(float(tok))
+            out.append(_finite(float(tok), what, tok))
         except ValueError:
             raise ConfigError(f"{what}: bad entry {tok!r}") from None
     if not out:
@@ -125,7 +132,7 @@ def _parse_matrix(text, what):
         entries = []
         for tok in r.split():
             try:
-                entries.append(complex(tok))
+                entries.append(_finite(complex(tok), what, tok))
             except ValueError:
                 raise ConfigError(f"{what}: bad entry {tok!r}") from None
         data.append(entries)
@@ -158,19 +165,20 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from None
-    sections = set(parser.sections())
     if "family" not in sections:
         raise ConfigError("config needs a [family] section")
-    extra = sections - {"family", "analysis"}
+    extra = set(sections) - {"family", "analysis"}
     if extra:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(extra))}")
-    family = _build_family(dict(parser["family"]))
-    analysis = _read_analysis(dict(parser["analysis"]) if "analysis" in sections
-                              else {})
+    family = _build_family(sections["family"])
+    analysis = _read_analysis(sections.get("analysis", {}))
     return family, analysis
 
 
@@ -179,39 +187,19 @@ def _read_analysis(section):
     if unknown:
         raise ConfigError(f"unknown [analysis] keys: {', '.join(sorted(unknown))}")
     opts = {}
-    if "tmax" in section:
-        opts["tmax"] = _parse_scalar(section["tmax"], "tmax", positive=True)
-    if "tol" in section:
-        opts["tol"] = _parse_scalar(section["tol"], "tol", positive=True)
-    if "bisect_tol" in section:
-        opts["bisect_tol"] = _parse_scalar(section["bisect_tol"], "bisect_tol",
-                                           positive=True)
-    if "grid_n" in section:
-        n = _parse_scalar(section["grid_n"], "grid_n", positive=True,
-                          integer=True)
-        if n < 16:
-            raise ConfigError("grid_n: need at least 16 points")
-        opts["grid_n"] = n
-    if "points" in section:
-        opts["points"] = _parse_scalar(section["points"], "points",
-                                       positive=True, integer=True)
-    if "t" in section:
-        opts["t"] = _parse_scalar(section["t"], "t", positive=True)
-    if "kmax" in section:
-        opts["kmax"] = _parse_scalar(section["kmax"], "kmax", positive=True,
-                                     integer=True)
+    for key in ("tmax", "tol", "bisect_tol", "grid_n", "points", "t", "kmax"):
+        if key in section:
+            opts[key] = _parse_scalar(section[key], key, positive=True,
+                                      integer=key in ("grid_n", "points", "kmax"))
+            if key == "grid_n" and opts[key] < 16:
+                raise ConfigError("grid_n: need at least 16 points")
     if "cones" in section:
         opts["cones"] = _parse_cones(section["cones"])
-    if "times" in section:
-        ts = _parse_vector(section["times"], "times")
-        if any(t < 0 for t in ts):
-            raise ConfigError("times: must be nonnegative")
-        opts["times"] = ts
-    if "s_grid" in section:
-        ss = _parse_vector(section["s_grid"], "s_grid")
-        if any(s < 0 for s in ss):
-            raise ConfigError("s_grid: must be nonnegative")
-        opts["s_grid"] = ss
+    for key in ("times", "s_grid"):
+        if key in section:
+            opts[key] = _parse_vector(section[key], key)
+            if any(t < 0 for t in opts[key]):
+                raise ConfigError(f"{key}: must be nonnegative")
     return opts
 
 
@@ -228,7 +216,7 @@ def _parse_cones(text):
 
 
 def _build_family(section):
-    from . import families
+    import numpy as np
 
     kind = section.pop("kind", None)
     if kind is None:
@@ -263,6 +251,8 @@ def _build_family(section):
     if not 2 <= family.d <= 8:
         raise ConfigError(f"dimension d={family.d} outside the supported "
                           "range 2..8")
+    if not np.isfinite(family.generator_matrix(0.0)).all():
+        raise ConfigError(f"{kind}: the generator overflows the float range")
     return family
 
 
@@ -487,19 +477,15 @@ def _cmd_classify(args):
     else:
         points = int(analysis.get("points", 25))
         times = list(np.linspace(0.0, search.t_max, points))
-    tol = _resolved_tol(args, analysis)
-    rows = []
-    for t in times:
-        report = classify.classify_map(handle.solve(t), tol=tol)
-        rows.append({
-            "t": float(t),
-            "min_eig_choi": float(report.min_eig_choi),
-            "min_eig_choi_pt": float(report.min_eig_choi_pt),
-            "is_cp": bool(report.is_cp),
-            "is_cocp": bool(report.is_cocp),
-            "is_ppt": bool(report.is_ppt),
-            "eb_status": report.eb_status,
-        })
+    times = [float(t) for t in times]
+    reports = classify.classify_stack(handle._solve_grid(times), family.d,
+                                      tol=_resolved_tol(args, analysis))
+    rows = [
+        {"t": t, "min_eig_choi": r.min_eig_choi, "min_eig_choi_pt": r.min_eig_choi_pt,
+         "is_cp": r.is_cp, "is_cocp": r.is_cocp, "is_ppt": r.is_ppt,
+         "eb_status": r.eb_status}
+        for t, r in zip(times, reports)
+    ]
     if args.format == "csv":
         _emit_csv(["t", "min_eig_choi", "min_eig_choi_pt", "is_cp", "is_cocp",
                    "is_ppt", "eb_status"], rows, args.out)
@@ -903,8 +889,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json", help="output format (default json)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="pin BLAS/OpenMP thread count")
     common.add_argument("--tmax", type=float, default=None,
@@ -952,11 +936,17 @@ def _build_parser():
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="run the built-in cross-validation suite")
-    p.set_defaults(handler=_cmd_reproduce, format="text")
+    p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("list-families", parents=[common],
                        help="list supported family kinds and their keys")
-    p.set_defaults(handler=_cmd_list_families, format="text")
+    p.set_defaults(handler=_cmd_list_families)
+
+    # --format per subcommand: actions shared through a parent share defaults
+    for name, p in sub.choices.items():
+        fmt = "text" if name in ("reproduce", "list-families") else "json"
+        p.add_argument("--format", choices=("json", "csv", "text"), default=fmt,
+                       help=f"output format (default {fmt})")
 
     return parser
 
@@ -970,18 +960,20 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.tmax is not None and args.tmax <= 0:
-        print("error: --tmax must be positive", file=sys.stderr)
+    for flag, value in (("--tol", args.tol), ("--tmax", args.tmax)):
+        if value is not None and not 0 < value < math.inf:
+            print(f"error: {flag} must be positive and finite", file=sys.stderr)
+            return EXIT_CONFIG
+    if not math.isfinite(getattr(args, "t", None) or 0.0):
+        print("error: --t must be finite", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationFailureError, NoConvergenceError, SingularMapError) as exc:
+    except (IntegrationFailureError, NoConvergenceError, SingularMapError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except EbdynError as exc:

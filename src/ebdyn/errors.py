@@ -56,6 +56,10 @@ class SingularMapError(EbdynError):
     """A map that must be inverted is numerically singular."""
 
 
+class NonConservativeMapError(EbdynError, ValueError):
+    """A map is neither trace preserving nor unital, so its powers may grow."""
+
+
 class NotReachedError(EbdynError):
     """A cone was not entered within the search horizon.
 

@@ -119,6 +119,25 @@ def _dissipator(v):
     return matcore.kron(v.conj(), v) - 0.5 * (matcore.kron(eye, vv) + matcore.kron(vv.T, eye))
 
 
+def _unit_dissipators(d, pairs):
+    """Stack of :func:`_dissipator` of E_ij, (i, j) in ``pairs``, i != j, from the
+    nonzero entries (entry for entry the Kronecker form): E_jj -> E_ii, and
+    -1/2 on the diagonal at each unit in row or column j (-1 at E_jj)."""
+    i, j = (np.array(col, dtype=int)[:, None] for col in zip(*pairs))
+    k, a = np.arange(len(pairs))[:, None], np.arange(d)[None, :]
+    m = np.zeros((len(pairs), d * d, d * d), dtype=complex)
+    m[k, i * (d + 1), j * (d + 1)] = 1.0
+    m[k, a * d + j, a * d + j] -= 0.5
+    m[k, j * d + a, j * d + a] -= 0.5
+    return m
+
+
+def _built_once(m):
+    """The generator t -> m of a constant family, ``m`` made read-only."""
+    m.setflags(write=False)
+    return lambda t: m
+
+
 class _Rate:
     """A scalar rate, either constant or a callable of time.
 
@@ -154,13 +173,10 @@ class _Rate:
         return float(value)
 
 
-def _sample_times(horizon=3.0):
-    return (0.0, 0.37 * horizon, 0.71 * horizon, horizon)
-
-
-def _check_trace_annihilating(gen, d, times=_sample_times()):
+def _check_trace_annihilating(gen, d, constant=False):
     lid = matcore.vec(np.eye(d, dtype=complex)).conj()
-    for t in times:
+    # a constant generator is evaluated once
+    for t in (0.0,) if constant else (0.0, 0.37 * 3.0, 0.71 * 3.0, 3.0):
         m = gen(t)
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(lid @ m).max()) > 1e-10 * scale:
@@ -218,7 +234,9 @@ def gkls(hamiltonian, lindblads) -> GeneratorFamily:
             m += r(t) * dmat
         return m
 
-    _check_trace_annihilating(gen, d)
+    if constant:
+        gen = _built_once(gen(0.0))
+    _check_trace_annihilating(gen, d, constant)
     if constant:
         commutative = True
         cp_div = all(r.constant >= 0.0 for r in rates)
@@ -871,7 +889,8 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         np.fill_diagonal(m, 0.0)
         return m
 
-    if a_const is not None and all(r.constant is not None for r in h_rates):
+    constant = a_const is not None and all(r.constant is not None for r in h_rates)
+    if constant:
         ell0 = ell(0.0)
 
         def ell_integral(t):
@@ -904,31 +923,20 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
             raise SingularMapError("generator is singular past the coherence cutoff")
         return schur_diagonal(ell(t))
 
-    comps = tuple(
-        np.diag((np.arange(d * d) == k).astype(complex)) for k in range(d * d)
-    )
+    # the matrix units of the superoperator diagonal, views of one block
+    units = np.zeros((d * d,) * 3, dtype=complex)
+    units[(np.arange(d * d),) * 3] = 1.0
+    comps = tuple(units)
     asym = None
     diverges = False
     if cutoff is not None:
-        lam_inf = np.eye(d, dtype=complex)
-        asym = lam_inf.ravel(order="F").astype(complex)
-    elif a_const is not None and all(r.constant is not None for r in h_rates):
-        ell0 = ell(0.0)
-        lam_inf = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    lam_inf[i, j] = 1.0
-                elif ell0[i, j].real < -1e-12:
-                    lam_inf[i, j] = 0.0
-                elif abs(ell0[i, j]) <= 1e-12:
-                    lam_inf[i, j] = 1.0
-                else:  # purely oscillatory coherence
-                    diverges = True
-        if diverges:
-            asym = None
-        else:
-            asym = lam_inf.ravel(order="F")
+        asym = np.eye(d, dtype=complex).ravel(order="F")
+    elif constant:
+        # each coherence decays to 0 or stays at 1 (populations: ell0 = 0);
+        # a purely oscillatory one has no limit
+        decays, frozen = ell0.real < -1e-12, np.abs(ell0) <= 1e-12
+        diverges = not np.all(decays | frozen)
+        asym = None if diverges else frozen.astype(complex).ravel(order="F")
     cf = ClosedFormSolution(
         map_at=map_at,
         components=comps,
@@ -936,17 +944,12 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         asymptotic_coefficients=asym,
         diverges=diverges,
     )
-    constant = (
-        a_const is not None
-        and cutoff is None
-        and all(r.constant is not None for r in h_rates)
-    )
     return GeneratorFamily(
         d=d,
         kind="pure_decoherence",
         generator_matrix=gen,
         commutative=True,
-        constant=constant,
+        constant=constant and cutoff is None,
         closed_form=cf,
         stationary_state=None,
         cp_divisible=True,
@@ -974,22 +977,20 @@ def diagonally_covariant(h, a, b) -> GeneratorFamily:
             raise InvalidRateMatrixError(f"b({t:g}) has invalid off-diagonal rates")
         if b_const is not None:
             break
-    hop = [
-        (i, j, _dissipator(matcore.matrix_unit(d, i, j)))
-        for i in range(d)
-        for j in range(d)
-        if i != j
-    ]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    hop = _unit_dissipators(d, pairs)
 
     def gen(t):
         m = dec.generator_matrix(t).copy()
         bt = matcore.as_matrix(b_func(t), square=True)
-        for i, j, dmat in hop:
+        for (i, j), dmat in zip(pairs, hop):
             m += bt[i, j].real * dmat
         return m
 
     constant = dec.constant and b_const is not None
-    _check_trace_annihilating(gen, d)
+    if constant:
+        gen = _built_once(gen(0.0))
+    _check_trace_annihilating(gen, d, constant)
     return GeneratorFamily(
         d=d,
         kind="diagonally_covariant",

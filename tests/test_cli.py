@@ -7,6 +7,8 @@ emitted files are exactly what a shell user would see.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -327,3 +329,28 @@ def test_shipped_config_output_matches_recorded_reference(tmp_path, capsys, name
     with open(os.path.join(REFERENCE_DIRS[cmd], f"{name}.{cmd}.json"), encoding="utf-8") as fh:
         want = json.load(fh)
     assert reference_mismatches(json.loads(out.read_text()), want) == []
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["classify", "--config", "x.ini"], "json"),
+    (["arrival", "--config", "x.ini"], "json"),
+    (["divisibility", "--config", "x.ini"], "json"),
+    (["ppt2", "--config", "x.ini"], "json"),
+    (["reproduce"], "text"),
+    (["list-families"], "text"),
+])
+def test_parsed_format_defaults(argv, fmt):
+    """Data commands default to json, the summaries to text, as --help says."""
+    args = cli._build_parser().parse_args(argv)
+    assert args.format == fmt
+    assert (args.out, args.threads, args.tmax, args.tol) == (None, None, None, None)
+    sub = cli._build_parser()._subparsers._group_actions[0].choices[argv[0]]
+    assert f"default {fmt}" in sub.format_help().replace("\n", " ").replace("  ", " ")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-m", "ebdyn", "list-families", "--format", "csv"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "kind,keys,note"
