@@ -18,7 +18,9 @@ well inside the known separable ball around it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,21 +80,141 @@ class InteriorCertificate:
     radius: float | None
 
 
+# The reduced route of a covariant Choi matrix has a fixed cost of about
+# 0.1 ms (one thread).  At d = 3 a single map takes 0.12 ms on it against
+# 0.05 ms dense; at d = 4 it wins from a few maps on (ten maps: 0.20 against
+# 0.33 ms), and from d = 5 on even for one map (d = 8: 0.17 against 0.7 ms).
+_COVARIANT_MIN_D = 4
+
+
 def choi_floors(stack, d, cp=True, cocp=True):
     """Choi matrices of a stack ``(N, d^2, d^2)`` of map matrices and their floors.
 
     Returns ``(choi, min_c, min_pt)``: the Choi stack (one permutation) and
     the ``(N,)`` smallest eigenvalues of each Choi matrix (if ``cp``) and of
-    its partial transpose (if ``cocp``; else None), one batched solve each,
-    bitwise those of each map alone.  A partial transpose deviates from
-    Hermiticity exactly as its Choi matrix does, so a stack raises the
-    NotHermitianError of its first non-Hermitian map.
+    its partial transpose (if ``cocp``; else None).  Each floor is that of
+    its map alone, whatever else the stack holds.
+
+    The route is chosen map by map.  For d >= 4, a Choi
+    matrix that is finite and exactly zero outside the d x d block on the
+    indices {ii} and the diagonal (that of a map covariant under diagonal
+    unitaries) takes :func:`_covariant_floors`; its floors agree with the
+    dense eigensolve to rounding.  Every other map takes one batched dense
+    solve per floor, bitwise that of the map alone.  A partial transpose
+    deviates from Hermiticity exactly as its Choi matrix does, so a stack
+    raises the NotHermitianError of its first non-Hermitian map.
     """
     choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
+    routed = _covariant_maps(choi, d)
+    if not routed.any():
+        return (choi,) + _dense_floors(choi, d, cp, cocp)
+    covariant = _covariant_floors(choi, routed, d, cp, cocp)
+    if routed.all():
+        return (choi,) + covariant
+    floors = []
+    for cov, dense in zip(covariant, _dense_floors(choi[~routed], d, cp, cocp)):
+        if cov is not None:
+            floor = np.empty(len(choi))
+            floor[routed], floor[~routed] = cov, dense
+            cov = floor
+        floors.append(cov)
+    return (choi,) + tuple(floors)
+
+
+def _dense_floors(choi, d, cp, cocp):
+    """(min_c, min_pt) of a Choi stack, one batched dense eigensolve each."""
     min_c = matcore.min_herm_eig(choi) if cp else None
     min_pt = (matcore.min_herm_eig(matcore.partial_transpose_second(choi, d, d))
               if cocp else None)
-    return choi, min_c, min_pt
+    return min_c, min_pt
+
+
+class _CovariantLayout(NamedTuple):
+    ii: np.ndarray
+    off: np.ndarray
+    pair_p: np.ndarray
+    pair_q: np.ndarray
+    pattern: np.ndarray
+    mirror: np.ndarray
+    outside: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _covariant_layout(d):
+    """Read-only flat indices of the covariant pattern at dimension d.
+
+    ``ii``: the indices {ii}; ``off``: the other d^2 - d diagonal indices;
+    ``pair_p``, ``pair_q``: the diagonal indices ab and ba of each pair
+    a < b (ba is also the position (b, a) of C_{bb,aa} in the flat block);
+    ``pattern`` and ``mirror``: the flattened ``(d^2, d^2)`` positions on
+    the block and the diagonal, and their transposes; ``outside``: every
+    other position.
+    """
+    ii = np.arange(d) * (d + 1)
+    mask = np.eye(d * d, dtype=bool)
+    mask[ii[:, None], ii] = True
+    rows, cols = np.nonzero(mask)
+    b, a = np.tril_indices(d, -1)
+    layout = _CovariantLayout(
+        ii=ii, off=np.setdiff1d(np.arange(d * d), ii), pair_p=a * d + b, pair_q=b * d + a,
+        pattern=rows * d * d + cols, mirror=cols * d * d + rows,
+        outside=np.flatnonzero(~mask))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _covariant_maps(choi, d):
+    """Which Choi matrices of a stack take :func:`_covariant_floors`."""
+    if d < _COVARIANT_MIN_D:
+        return np.zeros(len(choi), dtype=bool)
+    layout = _covariant_layout(d)
+    flat = choi.reshape(len(choi), d ** 4)
+    # -0.0 is zero; NaN and inf are not
+    return ~flat[:, layout.outside].any(axis=1) & np.isfinite(flat[:, layout.pattern]).all(axis=1)
+
+
+def _covariant_floors(choi, routed, d, cp, cocp):
+    """(min_c, min_pt) of the maps ``routed`` of a Choi stack, from their pattern.
+
+    Such a Choi matrix C is the direct sum of its block A on the indices
+    {ii} and the other diagonal entries, and its partial transpose is the
+    direct sum of the entries C_{ii,ii} and the 2 x 2 blocks
+    [[C_{ab,ab}, C_{aa,bb}], [C_{bb,aa}, C_{ba,ba}]] over the pairs a < b
+    (Singh & Nechita, Quantum 5, 519, 2021).  The CP floor costs one batched
+    eigensolve of the (M, d, d) block stack; the pairs have a closed form.
+    Hermiticity is judged on the pattern, which gives the deviation and the
+    tolerance of the whole matrix; if any routed map fails, the whole stack
+    is checked in order so the error names its first non-Hermitian map.
+    """
+    layout = _covariant_layout(d)
+    c = choi[routed]
+    flat = c.reshape(len(c), d ** 4)
+    values = flat[:, layout.pattern]
+    devs = np.abs(values - flat[:, layout.mirror].conj()).max(axis=1)
+    # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the first test
+    if (devs.max() > tolerances.HERM_TOL_SCALE and (
+            devs > tolerances.HERM_TOL_SCALE * np.maximum(1.0, np.abs(values).max(axis=1))).any()):
+        matcore._checked_hermitian(choi, None)
+    block = c[:, layout.ii[:, None], layout.ii]
+    diag = np.diagonal(c, axis1=1, axis2=2).real
+    min_c = min_pt = None
+    if cp:
+        # Hermiticity was judged above, against the whole matrix's tolerance
+        min_c = np.minimum(matcore.min_herm_eig(block, tol=np.inf),
+                           diag[:, layout.off].min(axis=1))
+    if cocp:
+        # pair a < b: p = C_{ab,ab}, q = C_{ba,ba}, z = C_{bb,aa} (the lower
+        # entry, as the dense solve reads it); its smaller eigenvalue
+        # min(p, q) - |z|^2 / (h + hypot(h, |z|)) with h = |p - q| / 2 has no
+        # cancellation and is min(p, q) exactly when z = 0
+        p, q = diag[:, layout.pair_p], diag[:, layout.pair_q]
+        r = np.abs(block.reshape(len(c), d * d)[:, layout.pair_q])
+        h = np.abs(p - q) / 2.0
+        shift = np.divide(r, h + np.hypot(h, r), out=np.zeros_like(r), where=r > 0) * r
+        min_pt = np.minimum(diag[:, layout.ii].min(axis=1),
+                            (np.minimum(p, q) - shift).min(axis=1))
+    return min_c, min_pt
 
 
 def classify_stack(stack, d, tol=None) -> list:

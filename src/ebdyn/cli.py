@@ -967,6 +967,9 @@ def main(argv=None) -> int:
     if not math.isfinite(getattr(args, "t", None) or 0.0):
         print("error: --t must be finite", file=sys.stderr)
         return EXIT_CONFIG
+    if getattr(args, "kmax", None) is not None and args.kmax < 1:
+        print("error: --kmax must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -114,6 +114,18 @@ class TestConfigErrors:
         assert cli.main(["classify", "--config", config, "--threads", "0"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_below_one_is_a_config_error(self, tmp_path, capsys, kmax):
+        # the flag agrees with the INI key, which must be positive
+        config = write_config(tmp_path, DEPOLARIZING_QUBIT)
+        out = tmp_path / "out.json"
+        assert cli.main(["ppt2", "--config", config, "--kmax", kmax, "--out", str(out)]) == 1
+        assert "error: --kmax must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        key = write_config(tmp_path, DEPOLARIZING_QUBIT + "kmax = 0\n", name="key.ini")
+        assert cli.main(["ppt2", "--config", key]) == 1
+        assert "kmax: must be positive" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_json_rows(self, tmp_path):

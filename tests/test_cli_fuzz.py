@@ -84,19 +84,26 @@ PAULI_NAN = "[family]\nkind = pauli\ngamma1 = nan\ngamma2 = 1\ngamma3 = 1\n"
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=configs(), command=st.sampled_from(["classify", "ppt2"]))
-@example(config=(PAULI_NAN, True), command="ppt2")
-@example(config=(DEPOLARIZING.replace("1.0", "inf"), True), command="classify")
-@example(config=(DEPOLARIZING + "[analysis]\ntmax = inf\n", True), command="classify")
-@example(config=(DEPOLARIZING + "[analysis]\ntimes = 0 nan\n", True), command="classify")
-@example(config=(DEPOLARIZING.replace("0.5 0;", "0.5 nanj;"), True), command="ppt2")
-@example(config=("[family]\nkind = gkls\nlindblad1 = %(x)s\n", False), command="classify")
+@given(config=configs(), command=st.sampled_from(["classify", "ppt2"]),
+       kmax=st.one_of(st.none(), st.integers(-3, 4)))
+@example(config=(PAULI_NAN, True), command="ppt2", kmax=None)
+@example(config=(DEPOLARIZING.replace("1.0", "inf"), True), command="classify", kmax=None)
+@example(config=(DEPOLARIZING + "[analysis]\ntmax = inf\n", True), command="classify", kmax=None)
+@example(config=(DEPOLARIZING + "[analysis]\ntimes = 0 nan\n", True), command="classify",
+         kmax=None)
+@example(config=(DEPOLARIZING.replace("0.5 0;", "0.5 nanj;"), True), command="ppt2", kmax=None)
+@example(config=("[family]\nkind = gkls\nlindblad1 = %(x)s\n", False), command="classify",
+         kmax=None)
 @example(config=("[family]\nkind = pauli\ngamma1 = 0\ngamma2 = 0\ngamma3 = 1e308\n", True),
-         command="classify")
-def test_random_configs_end_in_an_exit_code(tmp_path, capsys, config, command):
+         command="classify", kmax=None)
+@example(config=(DEPOLARIZING, False), command="ppt2", kmax=0)
+@example(config=(DEPOLARIZING, False), command="ppt2", kmax=-3)
+def test_random_configs_end_in_an_exit_code(tmp_path, capsys, config, command, kmax):
     text, invalid = config
-    code, _ = run(tmp_path, capsys, text.encode("utf-8"), command)
-    if invalid:
+    # --kmax is a ppt2 flag; below 1 it is rejected like the INI key
+    extra = ["--kmax", str(kmax)] if command == "ppt2" and kmax is not None else []
+    code, _ = run(tmp_path, capsys, text.encode("utf-8"), command, extra)
+    if invalid or (extra and kmax < 1):
         assert code == cli.EXIT_CONFIG
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebdyn import asymptotics, classify, cli, evolve, families, matcore, superop
-from ebdyn.errors import NotHermitianError
+from ebdyn.errors import NoConvergenceError, NotHermitianError
 
 from helpers import (
     ginibre,
@@ -40,11 +40,48 @@ PSD_TOL = 1e-9
 # the per-map reference loop
 
 
-def reference_floors(s, d):
-    """Choi matrix of one map matrix and its two eigenvalue floors."""
-    choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+def covariant_pattern(d):
+    """Mask of the d x d block on the indices {ii} and the diagonal."""
+    ii = [a * (d + 1) for a in range(d)]
+    mask = np.eye(d * d, dtype=bool)
+    mask[np.ix_(ii, ii)] = True
+    return ii, mask
+
+
+def is_covariant(choi, d):
+    """Whether the classifier takes the reduced route for this Choi matrix."""
+    _, mask = covariant_pattern(d)
+    return d >= 4 and not np.any(choi[~mask] != 0) and bool(np.isfinite(choi[mask]).all())
+
+
+def dense_floors(choi, d):
     pt = choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    return choi, float(np.linalg.eigvalsh(choi)[0]), float(np.linalg.eigvalsh(pt)[0])
+    return float(np.linalg.eigvalsh(choi)[0]), float(np.linalg.eigvalsh(pt)[0])
+
+
+def covariant_floors(choi, d):
+    """Floors from the block on {ii}, the other diagonal entries and the
+    partial-transpose pairs [[C_ab,ab, C_aa,bb], [C_bb,aa, C_ba,ba]], a < b."""
+    ii, _ = covariant_pattern(d)
+    diag = choi.diagonal().real
+    modulus = np.abs(choi)  # numpy's array abs, which can differ from scalar abs in the last bit
+    others = [diag[k] for k in range(d * d) if k not in ii]
+    min_c = min(float(np.linalg.eigvalsh(choi[np.ix_(ii, ii)])[0]), min(others))
+    pairs = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            p, q, z = diag[a * d + b], diag[b * d + a], modulus[b * (d + 1), a * (d + 1)]
+            h = abs(p - q) / 2.0
+            pairs.append(min(p, q) - (z / (h + np.hypot(h, z)) * z if z > 0 else 0.0))
+    return min_c, float(min(min(diag[ii]), min(pairs)))
+
+
+def reference_floors(s, d):
+    """Choi matrix of one map matrix and its two eigenvalue floors: from the
+    covariant pattern where the classifier routes the map, else dense."""
+    choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    floors = covariant_floors(choi, d) if is_covariant(choi, d) else dense_floors(choi, d)
+    return (choi,) + floors
 
 
 def reference_certificate(choi, min_c, min_pt, d, tol):
@@ -195,10 +232,20 @@ def test_cone_witnesses_keep_their_eigensolve_count(monkeypatch):
         calls.clear()
         asymptotics.cone_witnesses(stack, 3, cone)
         assert len(calls) == n, cone
+    # a covariant stack: one batched block solve for the CP floor, none for coCP
+    stack = covariant_stack(np.random.default_rng(1), 4)
+    for cone, n in (("CP", 1), ("coCP", 0), ("PPT", 1), ("EB", 1)):
+        calls.clear()
+        asymptotics.cone_witnesses(stack, 4, cone)
+        assert calls == [(len(stack), 4, 4)] * n, cone
 
 
 def test_empty_stack():
     assert classify.classify_stack(np.zeros((0, 9, 9)), 3) == []
+    for d in (4, 6):
+        assert classify.classify_stack(np.zeros((0, d * d, d * d)), d) == []
+        choi, min_c, min_pt = classify.choi_floors(np.zeros((0, d * d, d * d)), d)
+        assert choi.shape == (0, d * d, d * d) and min_c.shape == min_pt.shape == (0,)
     assert asymptotics.ppt_composition_experiment(superop.identity(2), 0).ks == ()
 
 
@@ -219,6 +266,167 @@ def test_non_hermitian_stack_raises_the_per_map_error():
         with pytest.raises(NotHermitianError) as stacked:
             classify.classify_stack(stack, d)
         assert str(stacked.value) == str(per_map.value)
+
+
+# ---------------------------------------------------------------------------
+# the reduced route of covariant Choi matrices against the dense eigensolve
+
+
+def covariant_choi(a, b):
+    """sum_ab A_ab |aa><bb| + sum_{a != b} B_ab |ab><ab|, the Choi matrix of a
+    map covariant under diagonal unitaries."""
+    d = len(a)
+    c = np.diag(np.asarray(b, dtype=complex).reshape(-1))
+    ii = [k * (d + 1) for k in range(d)]
+    c[np.ix_(ii, ii)] = a
+    return c
+
+
+def covariant_stack(rng, d, scale=1.0):
+    """Covariant map matrices: PPT, CP but not coCP, not CP, and near I (x) omega."""
+    g = ginibre(rng, d)
+    a = g @ g.conj().T / d
+    z = np.abs(a - np.diag(np.diag(a)))
+    shift = np.linalg.eigvalsh(a)[0] + rng.uniform(0.05, 1.0)
+    omega = rng.uniform(0.5, 1.5, d)
+    chois = [
+        covariant_choi(a, z * rng.uniform(1.05, 2.0, (d, d))),             # PPT
+        covariant_choi(a, z * rng.uniform(0.0, 0.9, (d, d))),              # CP, not coCP
+        covariant_choi(a - shift * np.eye(d), z * rng.uniform(0.0, 2.0, (d, d))),  # not CP
+        0.97 * np.diag(np.tile(omega / omega.sum(), d)).astype(complex)    # near I (x) omega
+        + 0.03 * covariant_choi(a, z * rng.uniform(1.05, 2.0, (d, d))) / np.trace(a).real,
+    ]
+    return np.array([from_choi_matrix(scale * c, d) for c in chois])
+
+
+def dense_classify(choi, d, tol=PSD_TOL):
+    """Classification and certificate fields of one map from dense floors."""
+    min_c, min_pt = dense_floors(choi, d)
+    is_cp, is_cocp = min_c >= -tol, min_pt >= -tol
+    cert = reference_certificate(choi, min_c, min_pt, d, tol)
+    status = (classify.EB_REFUTED if not (is_cp and is_cocp) else
+              classify.EB_CERTIFIED if cert[0] else classify.EB_UNKNOWN)
+    return (is_cp, is_cocp, is_cp and is_cocp, status), (min_c, min_pt), cert[:5]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 8),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_covariant_floors_agree_with_dense_eigvalsh(seed, d, scale):
+    stack = covariant_stack(np.random.default_rng(seed), d, scale)
+    choi, min_c, min_pt = classify.choi_floors(stack, d)
+    assert classify._covariant_maps(choi, d).all()
+    reports = classify.classify_stack(stack, d)
+    certs = classify.interior_certificates(choi, min_c, min_pt, d)
+    classes = []
+    for c, report, cert in zip(choi, reports, certs):
+        flags, floors, ref_cert = dense_classify(c, d)
+        bound = 1e-13 * max(1.0, float(np.abs(c).max()))
+        assert abs(report.min_eig_choi - floors[0]) <= bound
+        assert abs(report.min_eig_choi_pt - floors[1]) <= bound
+        assert report_fields(report)[:4] == flags
+        assert cert_fields(cert) == ref_cert
+        classes.append(flags[:3])
+    assert classes[:3] == [(True, True, True), (True, False, False), (False, False, False)]
+
+
+def test_diagonal_choi_matrices_give_the_dense_floors_bitwise():
+    rng = np.random.default_rng(31)
+    for d in range(4, 9):
+        for diag in (rng.uniform(-1.0, 1.0, d * d), rng.uniform(0.0, 2.0, d * d),
+                     np.zeros(d * d), -np.arange(d * d, dtype=float)):
+            s = from_choi_matrix(np.diag(diag).astype(complex), d)
+            choi, min_c, min_pt = classify.choi_floors(s[None], d)
+            assert classify._covariant_maps(choi, d).all()
+            assert (float(min_c[0]), float(min_pt[0])) == dense_floors(choi[0], d)
+
+
+@pytest.mark.parametrize("entry", [1e-300, 1e-300j, np.nan])
+def test_one_off_pattern_entry_sends_only_that_map_down_the_dense_path(monkeypatch, entry):
+    d = 5
+    stack = covariant_stack(np.random.default_rng(41), d)
+    choi = classify.choi_floors(stack, d)[0]
+    c = choi[2].copy()
+    c[1, 7], c[7, 1] = entry, np.conj(entry)  # |01><12|: off the block and the diagonal
+    stack[2] = from_choi_matrix(c, d)
+    calls = []
+    real = matcore.min_herm_eig
+    monkeypatch.setattr(matcore, "min_herm_eig",
+                        lambda m, tol=None: calls.append(np.shape(m)) or real(m, tol))
+    assert list(classify._covariant_maps(superop._choi_shuffle(stack, d), d)) == [
+        True, True, False, True]
+    if np.isnan(entry):
+        with pytest.raises(NoConvergenceError) as alone:
+            classify.choi_floors(stack[2:3], d)
+        calls.clear()
+        with pytest.raises(NoConvergenceError) as stacked:
+            classify.choi_floors(stack, d)
+        assert str(stacked.value) == str(alone.value)
+        assert calls == [(3, d, d), (1, d * d, d * d)]
+        return
+    calls.clear()
+    _, min_c, min_pt = classify.choi_floors(stack, d)
+    assert calls == [(3, d, d), (1, d * d, d * d), (1, d * d, d * d)]
+    assert (float(min_c[2]), float(min_pt[2])) == dense_floors(c, d)
+    for k in (0, 1, 3):
+        _, c_k, pt_k = classify.choi_floors(stack[k:k + 1], d)
+        assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_mixed_stack_gives_each_map_its_stack_of_one_floors(d):
+    rng = np.random.default_rng(50 + d)
+    generic = [random_cptp(rng, d).matrix, random_hp_map(rng, d, shift=0.5).matrix,
+               superop.transpose_map(d).matrix]
+    covariant = list(covariant_stack(rng, d)) + [superop.identity(d).matrix]
+    stack = np.array([covariant[0], generic[0], covariant[1], covariant[2], generic[1],
+                      covariant[3], generic[2], covariant[4]])
+    assert list(classify._covariant_maps(classify.choi_floors(stack, d)[0], d)) == [
+        True, False, True, True, False, True, False, True]
+    for cp, cocp in ((True, True), (True, False), (False, True)):
+        _, min_c, min_pt = classify.choi_floors(stack, d, cp=cp, cocp=cocp)
+        for k in range(len(stack)):
+            _, c_k, pt_k = classify.choi_floors(stack[k:k + 1], d, cp=cp, cocp=cocp)
+            assert (min_c is None) == (c_k is None) and (min_pt is None) == (pt_k is None)
+            if cp:
+                assert min_c[k] == c_k[0]
+            if cocp:
+                assert min_pt[k] == pt_k[0]
+    reports = classify.classify_stack(stack, d)
+    for s, report in zip(stack, reports):
+        assert report_fields(report) == reference_classify(s, d)
+
+
+def test_covariant_non_hermitian_stack_raises_the_per_map_error():
+    rng = np.random.default_rng(61)
+    d = 4
+    cov = covariant_stack(rng, d)
+    generic = [random_cptp(rng, d).matrix for _ in range(2)]
+
+    def perturbed(s, i, j, delta):
+        c = classify.choi_floors(s[None], d)[0][0].copy()
+        c[i, j] += delta
+        return from_choi_matrix(c, d)
+
+    bad_block = perturbed(cov[0], 0, 5, 1e-6)        # block entry C_00,11, not mirrored
+    bad_diag = perturbed(cov[1], 1, 1, 3e-4j)        # imaginary part of C_01,01
+    bad_generic = generic[0] + 1e-5 * ginibre(rng, d * d)
+    routed = np.array([cov[2], cov[3], bad_block, bad_diag])
+    assert classify._covariant_maps(superop._choi_shuffle(routed, d), d).all()
+    for stack in ([cov[2], bad_generic, bad_block, generic[1]],
+                  [cov[2], bad_block, bad_generic, bad_diag],
+                  [generic[1], bad_diag, cov[3], bad_block],
+                  [cov[3], generic[1], bad_generic]):
+        stack = np.array(stack)
+        with pytest.raises(NotHermitianError) as per_map:
+            for s in stack:  # the dense loop: Choi matrix, then its partial transpose
+                choi = superop.to_choi(superop.Superoperator(s, d))
+                matcore.min_herm_eig(choi.matrix)
+                matcore.min_herm_eig(choi.partial_transpose().matrix)
+        for cp, cocp in ((True, True), (False, True)):
+            with pytest.raises(NotHermitianError) as stacked:
+                classify.choi_floors(stack, d, cp=cp, cocp=cocp)
+            assert str(stacked.value) == str(per_map.value)
 
 
 # ---------------------------------------------------------------------------
