@@ -192,8 +192,6 @@ def asymptotic_map(family, handle=None, horizon=None):
             return PeriodicMap(period=cf.period, at=cf.limit_cycle)
         if cf.diverges:
             raise NoLimitError(f"{family.kind}: spectral trajectories diverge")
-        if cf.asymptotic_builder is not None:
-            return cf.asymptotic_builder()
         if cf.components is not None:
             coeffs = cf.asymptotic_coefficients
             if coeffs is None:
@@ -225,8 +223,7 @@ def _two_horizon_limits(a, b, zero_tol, slack, settle_tol, what):
 
 def _coefficient_limits(cf, family, horizon):
     t1 = horizon if horizon is not None else default_search(family).t_max
-    a = np.asarray(cf.coefficients(t1))
-    b = np.asarray(cf.coefficients(2.0 * t1))
+    a, b = cf.coefficients([t1, 2.0 * t1])
     return _two_horizon_limits(a, b, 1e-9, 1e-12, 1e-7, f"{family.kind}: trajectory")
 
 

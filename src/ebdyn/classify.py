@@ -122,9 +122,13 @@ def choi_floors(stack, d, cp=True, cocp=True):
 
 
 def _dense_floors(choi, d, cp, cocp):
-    """(min_c, min_pt) of a Choi stack, one batched dense eigensolve each."""
-    min_c = matcore.min_herm_eig(choi) if cp else None
-    min_pt = (matcore.min_herm_eig(matcore.partial_transpose_second(choi, d, d))
+    """(min_c, min_pt) of a Choi stack, one batched dense eigensolve each.
+    Hermiticity is judged on C alone: (C^Gamma)^dag = (C^dag)^Gamma permutes
+    the entries, so the partial transpose deviates exactly as C does."""
+    if cp or cocp:
+        choi = matcore._checked_hermitian(choi, None)
+    min_c = matcore.min_herm_eig(choi, tol=np.inf) if cp else None
+    min_pt = (matcore.min_herm_eig(matcore.partial_transpose_second(choi, d, d), tol=np.inf)
               if cocp else None)
     return min_c, min_pt
 

@@ -5,13 +5,14 @@ family carries one; commuting generators go through the exponential of the
 integrated generator; everything else integrates the matrix equation
 d Lambda / dt = L_t Lambda with a high-order adaptive scheme.
 
-``solve_many`` exists because sweeps dominate the workload: the commuting
-path accumulates the generator antiderivative incrementally across the grid
-(a constant generator is diagonalized once per handle, and a whole grid is
-one batched exponential), and the direct path integrates the equation once
-with dense evaluation points instead of restarting from zero for every
-sample.  Grids are built as stacks ``(N, d^2, d^2)``; a propagator grid at
-one start time s applies Lambda_s^-1 to the whole stack with one solve.
+``solve_many`` exists because sweeps dominate the workload: a spectral closed
+form sum_k c_k(t) Q_k sums one array of coefficient rows (its propagators from
+s have the rows c(t) / c(s)), the commuting path accumulates the generator
+antiderivative incrementally across the grid (a constant generator is
+diagonalized once per handle, and a whole grid is one batched exponential),
+and the direct path integrates the equation once with dense evaluation
+points.  Grids are stacks ``(N, d^2, d^2)``; any other propagator grid at one
+start time s applies Lambda_s^-1 to the whole stack with one solve.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ _SOLVERS = ("closed_form", "commuting_exp", "ode")
 
 
 class EvolutionHandle:
-    """Caches evolved maps for one family under one solver choice."""
+    """Evolved maps of one family under one solver choice; per time, the handle
+    keeps the coefficient row of a spectral closed form, else the solved map."""
 
-    def __init__(self, family, solver=None, rtol=None, atol=None, cache=True):
+    def __init__(self, family, solver=None, rtol=None, atol=None):
         if solver is None:
             if family.closed_form is not None:
                 solver = "closed_form"
@@ -48,9 +50,10 @@ class EvolutionHandle:
         self.solver = solver
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
-        self._cache = {} if cache else None
+        self._cache = {}
         # tau -> expm(tau L) of a constant generator, diagonalized on first use
         self._exp_l = None
+        self._spectral = solver == "closed_form" and family.closed_form.components is not None
 
     # -- single time ------------------------------------------------------
 
@@ -61,18 +64,18 @@ class EvolutionHandle:
             raise EbdynError("t must be nonnegative")
         if t == 0.0:
             return superop.identity(self.family.d)
-        if self._cache is not None:
-            hit = self._cache.get(t)
-            if hit is not None:
-                return hit
+        if self._spectral:
+            return superop.Superoperator(self._solve_grid([t])[0], self.family.d)
+        hit = self._cache.get(t)
+        if hit is not None:
+            return hit
         if self.solver == "closed_form":
             result = self.family.closed_form.map_at(t)
         elif self.solver == "commuting_exp":
             result = superop.Superoperator(self._commuting_many([t])[0], self.family.d)
         else:
             result = superop.Superoperator(self._ode_many([t])[0], self.family.d)
-        if self._cache is not None:
-            self._cache[t] = result
+        self._cache[t] = result
         return result
 
     def solve_many(self, times: Sequence[float]) -> list:
@@ -80,8 +83,6 @@ class EvolutionHandle:
         ts = [float(t) for t in times]
         if any(t < 0.0 for t in ts):
             raise EbdynError("times must be nonnegative")
-        if self.solver == "closed_form":
-            return [self.solve(t) for t in ts]
         return [superop.Superoperator(m, self.family.d) for m in self._solve_grid(ts)]
 
     # -- propagators -------------------------------------------------------
@@ -108,9 +109,12 @@ class EvolutionHandle:
     def _solve_grid(self, ts):
         """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.
 
-        Closed forms and a single time go through :meth:`solve` and its cache;
-        other grids are one batched exponential or one dense integration.
+        A spectral closed form sums its coefficient rows; other closed forms
+        and a single time go through :meth:`solve` and its cache; other grids
+        are one batched exponential or one dense integration.
         """
+        if self._spectral:
+            return self._spectral_sum(self._rows(ts), ts, 0.0)
         if self.solver == "closed_form" or len(ts) == 1:
             return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
         if self.solver == "commuting_exp":
@@ -122,16 +126,40 @@ class EvolutionHandle:
         bitwise ``propagator(t, s)`` but on dense ``ode`` or time-dependent
         ``commuting_exp`` grids and for V_{s,s} on the inversion route."""
         cf = self.family.closed_form
-        if cf is not None and cf.propagator_coefficients is not None:
-            rows = cf.propagator_coefficients(ts, s)
-            return superop.spectral_sum(rows, cf.components, self.family.d)
+        if self.family.constant:
+            return self._solve_grid([t - s for t in ts])
+        if self._spectral:
+            # the time-dependent families have orthogonal projectors Q_k, so
+            # the |c_k(s)| are the singular values of Lambda_s
+            row_s = self._cache[s] if s in self._cache else self._rows([s])[0]
+            mags = np.abs(row_s).tolist()
+            _check_invertible(max(mags) / min(mags) if min(mags) > 0.0 else np.inf, s)
+            return self._spectral_sum(self._rows(ts) / row_s, ts, s)
         if cf is not None and cf.propagator_at is not None:
             d2 = self.family.d ** 2
             eye = np.eye(d2, dtype=complex)
             return _stack([eye if t == s else cf.propagator_at(t, s).matrix for t in ts], d2)
-        if self.family.constant:
-            return self._solve_grid([t - s for t in ts])
         return self._invert_onto(self._solve_grid(ts), s)
+
+    def _rows(self, ts):
+        """Coefficient rows ``(N, K)`` at the floats ``ts``, each time evaluated once."""
+        cache = self._cache
+        new = [t for t in ts if t not in cache]
+        if len(new) == len(ts):  # every time is new, or there is none
+            rows = self.family.closed_form.coefficients(new)
+            cache.update(zip(new, rows))
+            return rows
+        if new:
+            cache.update(zip(new, self.family.closed_form.coefficients(new)))
+        return np.array([cache[t] for t in ts], dtype=complex)
+
+    def _spectral_sum(self, rows, ts, start):
+        """The stack sum_k rows[:, k] Q_k, exactly the identity where t == start."""
+        d = self.family.d
+        out = superop.spectral_sum(rows, self.family.closed_form.components, d)
+        if start in ts:
+            out[np.asarray(ts) == start] = np.eye(d * d)
+        return out
 
     def _generator(self, t):
         return self.family.generator_matrix(t)
@@ -197,16 +225,18 @@ class EvolutionHandle:
     def _invert_onto(self, lam_ts, s):
         """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t."""
         lam_s = self.solve(s).matrix
-        cond = float(np.linalg.cond(lam_s))
-        if not np.isfinite(cond) or cond > tolerances.SINGULAR_COND_LIMIT:
-            raise SingularMapError(
-                f"Lambda_s at s={s:g} is numerically singular (cond {cond:.3e})"
-            )
+        _check_invertible(np.linalg.cond(lam_s), s)
         # V Lambda_s = Lambda_t  =>  V^T = solve(Lambda_s^T, Lambda_t^T); the
         # columns of every Lambda_t^T side by side share one factorization
         n_t, n, _ = lam_ts.shape
         v_t = np.linalg.solve(lam_s.T, lam_ts.transpose(2, 0, 1).reshape(n, n_t * n))
         return v_t.reshape(n, n_t, n).transpose(1, 2, 0)
+
+
+def _check_invertible(cond, s):
+    """SingularMapError unless Lambda_s, of condition number ``cond``, can be inverted."""
+    if not cond <= tolerances.SINGULAR_COND_LIMIT:  # also catches inf and nan
+        raise SingularMapError(f"Lambda_s at s={s:g} is numerically singular (cond {cond:.3e})")
 
 
 def _stack(mats, d2):

@@ -11,15 +11,15 @@ spectral components,
 
     Lambda_t = sum_k c_k(t) Q_k,
 
-with idempotent superoperators Q_k and scalar trajectories c_k(t), plus an
-explicit ``map_at`` builder that is always present.
+with idempotent superoperators Q_k and scalar trajectories c_k(t) that
+broadcast over an array of times; ``map_at`` sums the row of one time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -55,26 +55,24 @@ __all__ = [
 class ClosedFormSolution:
     """Exact solution data for a generator family.
 
-    ``map_at`` is always usable.  The spectral fields are optional: when
-    ``components`` is set, ``coefficients(t)`` returns the matching scalar
-    trajectories and ``asymptotic_coefficients`` their limits (None when a
-    limit must be found numerically).  ``diverges`` marks families whose
-    trajectories are unbounded, so no asymptotic map exists.
-    ``limit_cycle(t)`` is the phase t of a periodic attractor; its phases
-    must be unitary conjugates of one another, so that one phase carries the
-    cone witnesses of every phase.  ``propagator_coefficients(ts, s)`` gives
-    the propagators V_{t,s} as rows ``(N, K)`` of coefficients over ``components``.
+    ``map_at(t)`` is always usable.  The spectral fields are optional: when
+    ``components`` (the Q_k) is set, ``coefficients`` gives the trajectories
+    c_k(t), a row ``(K,)`` for a scalar t and rows ``(N, K)`` for an array of
+    times (an overflow raises ``FloatingPointError``), and
+    ``asymptotic_coefficients`` their limits (None when a limit must be found
+    numerically).  ``diverges`` marks families whose trajectories are
+    unbounded, so no asymptotic map exists.  ``limit_cycle(t)`` is the phase
+    t of a periodic attractor; its phases must be unitary conjugates of one
+    another, so that one phase carries the cone witnesses of every phase.
     """
 
     map_at: Callable[[float], superop.Superoperator]
     components: tuple | None = None
-    coefficients: Callable[[float], np.ndarray] | None = None
+    coefficients: Callable[[float | np.ndarray], np.ndarray] | None = None
     asymptotic_coefficients: np.ndarray | None = None
-    asymptotic_builder: Callable[[], superop.Superoperator] | None = None
     limit_cycle: Callable[[float], superop.Superoperator] | None = None
     period: float | None = None
     propagator_at: Callable[[float, float], superop.Superoperator] | None = None
-    propagator_coefficients: Callable[[Sequence[float], float], np.ndarray] | None = None
     propagator_tail_witness: Callable[[float], float] | None = None
     ppt_arrival_time: float | None = None
     witness_single_crossing: bool = False
@@ -138,6 +136,26 @@ def _built_once(m):
     return lambda t: m
 
 
+def _spectral(d, components, rows, **fields):
+    """The closed form Lambda_t = sum_k c_k(t) Q_k; ``rows`` maps times ``(N,)``
+    to coefficients ``(N, K)``, with overflow raising as in ``math.exp``.  A
+    scalar time is an array of one (numpy scalars take other kernels: ``**``
+    differs in the last bit), so a row is bitwise the same in a grid and alone.
+    """
+    components = superop.SpectralComponents(components)
+
+    def coefficients(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="raise"):
+            return rows(t.reshape(-1)).reshape(t.shape + (len(components),))
+
+    def map_at(t):
+        return superop.spectral_sum(coefficients(float(t)), components, d)
+
+    return ClosedFormSolution(
+        map_at=map_at, components=components, coefficients=coefficients, **fields)
+
+
 class _Rate:
     """A scalar rate, either constant or a callable of time.
 
@@ -153,24 +171,22 @@ class _Rate:
             c = float(value)
             self.func = lambda t: c
             self.constant = c
-        if antiderivative is not None:
-            self._anti = antiderivative
-        elif self.constant is not None:
-            c = self.constant
-            self._anti = lambda t: c * t
-        else:
-            self._anti = None
+        self._anti = antiderivative
 
     def __call__(self, t):
         return float(self.func(t))
 
     def integral(self, t):
-        if self._anti is not None:
-            return float(self._anti(t))
+        if self._anti is None and self.constant is not None:
+            return self.constant * t
+        at = self._anti or self._quad
+        return np.array([float(at(x)) for x in t])
+
+    def _quad(self, t):
         value, _ = scipy.integrate.quad(
             self.func, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200
         )
-        return float(value)
+        return value
 
 
 def _check_trace_annihilating(gen, d, constant=False):
@@ -305,16 +321,10 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
             m += r(t) * dmat
         return m
 
-    def coefficients(t):
+    def rows(t):
         g = [r.integral(t) for r in rates]
-        c = np.empty(4, dtype=complex)
-        for k, (i, j) in enumerate(_PAULI_PAIRS):
-            c[k] = math.exp(-2.0 * (g[i] + g[j]))
-        c[3] = 1.0
-        return c
-
-    def map_at(t):
-        return superop.spectral_sum(coefficients(t), comps, 2)
+        c = [np.exp(-2.0 * (g[i] + g[j])) for i, j in _PAULI_PAIRS]
+        return np.array(c + [np.ones_like(t)], dtype=complex).T
 
     constant = all(r.constant is not None for r in rates)
     asym = None
@@ -335,13 +345,7 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
         cp_div = all(r.constant >= 0.0 for r in rates)
     else:
         cp_div = _sampled_nonnegative(rates)
-    cf = ClosedFormSolution(
-        map_at=map_at,
-        components=comps,
-        coefficients=coefficients,
-        asymptotic_coefficients=asym,
-        diverges=diverges,
-    )
+    cf = _spectral(2, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
     return GeneratorFamily(
         d=2,
         kind="pauli",
@@ -374,12 +378,6 @@ def pauli_p_divisible(family: GeneratorFamily, times) -> bool:
     return True
 
 
-def _log_cosh(t):
-    # overflow-safe log(cosh(t))
-    a = abs(t)
-    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-
-
 def eternal_nm(alpha) -> GeneratorFamily:
     """Pauli family with rates (a/2, a/2, -(a/2) tanh t).
 
@@ -388,50 +386,30 @@ def eternal_nm(alpha) -> GeneratorFamily:
 
         c_1 = c_2 = ((1 + e^{-2t}) / 2)^a,   c_3 = e^{-2 a t},   c_4 = 1,
 
-    with limits (2^-a, 2^-a, 0, 1).  Closed-form propagators and their
-    witness limit as t -> infinity are included.
+    with limits (2^-a, 2^-a, 0, 1).  The propagators' witness limit as
+    t -> infinity is included.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise EbdynError("alpha must be positive")
-    base = pauli_channel(
-        (alpha / 2.0, alpha / 2.0, lambda t: -(alpha / 2.0) * math.tanh(t)),
-        antiderivatives=(
-            lambda t: alpha * t / 2.0,
-            lambda t: alpha * t / 2.0,
-            lambda t: -(alpha / 2.0) * _log_cosh(t),
-        ),
-    )
+    # the generator and components of the Pauli family; its own rows are exact
+    base = pauli_channel((alpha / 2.0, alpha / 2.0, lambda t: -(alpha / 2.0) * math.tanh(t)))
     comps = base.closed_form.components
 
-    def coefficients(t):
-        c12 = ((1.0 + math.exp(-2.0 * t)) / 2.0) ** alpha
-        return np.array([c12, c12, math.exp(-2.0 * alpha * t), 1.0], dtype=complex)
-
-    def map_at(t):
-        return superop.spectral_sum(coefficients(t), comps, 2)
-
-    def propagator_coefficients(ts, s):
-        base = 1.0 + math.exp(-2.0 * s)
-        rows = []
-        for t in ts:
-            c12 = ((1.0 + math.exp(-2.0 * t)) / base) ** alpha
-            rows.append((c12, c12, math.exp(-2.0 * alpha * (t - s)), 1.0))
-        return np.array(rows, dtype=complex).reshape(len(rows), 4)
+    def rows(t):
+        c12 = ((1.0 + np.exp(-2.0 * t)) / 2.0) ** alpha
+        return np.array([c12, c12, np.exp(-2.0 * alpha * t), np.ones_like(t)], dtype=complex).T
 
     def tail_witness(s):
         # limit of the propagator's smallest Choi / partial-transpose
         # eigenvalue as t -> infinity, at fixed s
         return 0.5 - (1.0 + math.exp(-2.0 * s)) ** (-alpha)
 
-    cf = ClosedFormSolution(
-        map_at=map_at,
-        components=comps,
-        coefficients=coefficients,
+    cf = _spectral(
+        2, comps, rows,
         asymptotic_coefficients=np.array(
             [2.0 ** -alpha, 2.0 ** -alpha, 0.0, 1.0], dtype=complex
         ),
-        propagator_coefficients=propagator_coefficients,
         propagator_tail_witness=tail_witness,
         # both Choi witnesses are increasing in t for alpha >= 1
         witness_single_crossing=alpha >= 1.0,
@@ -479,46 +457,23 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
     def gen(t):
         return gen_matrix
 
-    def map_at(t):
-        s = np.zeros((4, 4), dtype=complex)
-        decay = 1.0 - math.exp(-gl * t)
-        if gl > 0.0:
-            pp, pm = gp / gl, gm / gl
-        else:
-            pp = pm = 0.0  # decay == 0, populations frozen
-        s[0, 0] = 1.0 - pm * decay
-        s[0, 3] = pp * decay
-        s[3, 0] = pm * decay
-        s[3, 3] = 1.0 - pp * decay
-        s[1, 1] = np.exp(-(gt - 1j * w) * t)
-        s[2, 2] = np.exp(-(gt + 1j * w) * t)
-        return superop.Superoperator(s, 2)
-
-    if gl > 0.0:
-        pp, pm = gp / gl, gm / gl
-        omega = np.diag([pp, pm]).astype(complex)
-        q1 = np.outer(matcore.vec(omega), matcore.vec(np.eye(2, dtype=complex)).conj())
-        x2 = np.diag([1.0, -1.0]).astype(complex)
-        y2 = np.diag([pm, -pp]).astype(complex)
-        q2 = np.outer(matcore.vec(x2), matcore.vec(y2).conj())
-    else:
-        omega = None
-        q1 = np.zeros((4, 4), dtype=complex)
-        q1[0, 0] = 1.0
-        q2 = np.zeros((4, 4), dtype=complex)
-        q2[3, 3] = 1.0
+    # populations relax toward (p+, p-) (or run away from it when G_L < 0);
+    # with G_L = 0 both components have coefficient 1 and any split will do
+    pp, pm = (gp / gl, gm / gl) if gl != 0.0 else (0.5, 0.5)
+    pops = np.diag([pp, pm]).astype(complex)
+    q1 = np.outer(matcore.vec(pops), matcore.vec(np.eye(2, dtype=complex)).conj())
+    x2 = np.diag([1.0, -1.0]).astype(complex)
+    y2 = np.diag([pm, -pp]).astype(complex)
+    q2 = np.outer(matcore.vec(x2), matcore.vec(y2).conj())
     q3 = np.zeros((4, 4), dtype=complex)
     q3[1, 1] = 1.0
     q4 = np.zeros((4, 4), dtype=complex)
     q4[2, 2] = 1.0
     comps = (q1, q2, q3, q4)
 
-    def coefficients(t):
-        pop2 = math.exp(-gl * t) if gl > 0.0 else 1.0
-        return np.array(
-            [1.0, pop2, np.exp(-(gt - 1j * w) * t), np.exp(-(gt + 1j * w) * t)],
-            dtype=complex,
-        )
+    def rows(t):
+        return np.array([np.ones_like(t), np.exp(-gl * t), np.exp(-(gt - 1j * w) * t),
+                         np.exp(-(gt + 1j * w) * t)], dtype=complex).T
 
     diverges = gl < 0.0 or gt < 0.0 or (gt == 0.0 and w != 0.0)
     asym = None
@@ -532,13 +487,7 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
             ],
             dtype=complex,
         )
-    cf = ClosedFormSolution(
-        map_at=map_at,
-        components=comps,
-        coefficients=coefficients,
-        asymptotic_coefficients=asym,
-        diverges=diverges,
-    )
+    cf = _spectral(2, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
     positive_domain = gp >= 0.0 and gm >= 0.0 and gz >= -0.5 * math.sqrt(max(gp * gm, 0.0))
     return GeneratorFamily(
         d=2,
@@ -547,7 +496,7 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
         commutative=True,
         constant=True,
         closed_form=cf,
-        stationary_state=omega,
+        stationary_state=pops if gl > 0.0 else None,
         cp_divisible=gp >= 0.0 and gm >= 0.0 and gz >= 0.0,
         params={
             "omega_freq": w,
@@ -595,24 +544,17 @@ def depolarizing(gamma, omega) -> GeneratorFamily:
     def gen(t):
         return gen_matrix
 
-    def map_at(t):
-        u = math.exp(-g * t)
-        return superop.Superoperator(u * eye + (1.0 - u) * proj, d)
-
-    def coefficients(t):
-        return np.array([1.0, math.exp(-g * t)], dtype=complex)
+    def rows(t):
+        return np.array([np.ones_like(t), np.exp(-g * t)], dtype=complex).T
 
     interior = evals[0] > 1e-12
     tau = None
     if interior:
         pair_min = float(evals[0] * evals[1])  # two smallest eigenvalues
         tau = math.log(1.0 + 1.0 / math.sqrt(pair_min)) / g
-    cf = ClosedFormSolution(
-        map_at=map_at,
-        components=(proj, eye - proj),
-        coefficients=coefficients,
+    cf = _spectral(
+        d, (proj, eye - proj), rows,
         asymptotic_coefficients=np.array([1.0, 0.0], dtype=complex),
-        asymptotic_builder=lambda: superop.Superoperator(proj.copy(), d),
         ppt_arrival_time=tau,
         witness_single_crossing=interior,
     )
@@ -893,40 +835,34 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
     if constant:
         ell0 = ell(0.0)
 
-        def ell_integral(t):
-            return t * ell0
+        def ell_integrals(ts):
+            return ts[:, None, None] * ell0
     else:
-        def ell_integral(t):
-            val, _ = scipy.integrate.quad_vec(
-                lambda s: ell(s).ravel(), 0.0, t, epsabs=1e-10, epsrel=1e-10
-            )
-            return val.reshape(d, d)
+        def ell_integrals(ts):
+            return np.array([
+                scipy.integrate.quad_vec(
+                    lambda s: ell(s).ravel(), 0.0, t, epsabs=1e-10, epsrel=1e-10)[0]
+                for t in ts
+            ]).reshape(len(ts), d, d)
 
-    def schur_diagonal(lam):
-        # Schur multiplier as a superoperator: diagonal in the unit basis
-        return np.diag(lam.ravel(order="F"))
-
-    def coefficients(t):
-        if cutoff is not None and t >= cutoff:
-            lam = np.eye(d, dtype=complex)
-        else:
-            lam = np.exp(ell_integral(t))
-            np.fill_diagonal(lam, 1.0)
-        return lam.ravel(order="F")
-
-    def map_at(t):
-        lam = coefficients(t).reshape((d, d), order="F")
-        return superop.Superoperator(schur_diagonal(lam), d)
+    def rows(t):
+        # the Schur multiplier exp(integral_0^t l) in the unit basis, with
+        # the coherences exactly zero past the cutoff
+        past = t >= cutoff if cutoff is not None else np.zeros(len(t), dtype=bool)
+        lam = np.empty((len(t), d, d), dtype=complex)
+        lam[past] = np.eye(d)
+        lam[~past] = np.exp(ell_integrals(t[~past]))
+        lam[:, range(d), range(d)] = 1.0
+        return lam.swapaxes(1, 2).reshape(len(t), d * d)
 
     def gen(t):
         if cutoff is not None and t >= cutoff:
             raise SingularMapError("generator is singular past the coherence cutoff")
-        return schur_diagonal(ell(t))
+        return np.diag(ell(t).ravel(order="F"))
 
     # the matrix units of the superoperator diagonal, views of one block
-    units = np.zeros((d * d,) * 3, dtype=complex)
-    units[(np.arange(d * d),) * 3] = 1.0
-    comps = tuple(units)
+    comps = np.zeros((d * d,) * 3, dtype=complex)
+    comps[(np.arange(d * d),) * 3] = 1.0
     asym = None
     diverges = False
     if cutoff is not None:
@@ -937,13 +873,7 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         decays, frozen = ell0.real < -1e-12, np.abs(ell0) <= 1e-12
         diverges = not np.all(decays | frozen)
         asym = None if diverges else frozen.astype(complex).ravel(order="F")
-    cf = ClosedFormSolution(
-        map_at=map_at,
-        components=comps,
-        coefficients=coefficients,
-        asymptotic_coefficients=asym,
-        diverges=diverges,
-    )
+    cf = _spectral(d, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
     return GeneratorFamily(
         d=d,
         kind="pure_decoherence",

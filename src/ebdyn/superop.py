@@ -36,6 +36,7 @@ __all__ = [
     "adjoint",
     "to_choi",
     "from_choi",
+    "SpectralComponents",
     "spectral_sum",
     "is_trace_preserving",
     "is_unital",
@@ -151,13 +152,49 @@ def from_choi(choi: ChoiMatrix) -> Superoperator:
     return Superoperator(_choi_shuffle(choi.matrix, choi.d), choi.d)
 
 
+class SpectralComponents(tuple):
+    """Component matrices Q_k of :func:`spectral_sum`; layer r of ``layers``
+    pairs each entry with its r-th nonzero Q_k (index and value, or 0).  When
+    the Q_k vanish together on most entries, the layers cover only ``support``,
+    the flat entries where some Q_k is nonzero (never one alone: numpy
+    multiplies a lone column with a kernel that rounds differently)."""
+
+    def __new__(cls, components):
+        q = np.asarray(components, dtype=complex)  # one block (K, n, n) is not copied
+        self = super().__new__(cls, components)
+        q = q.reshape(len(self), -1)
+        support = np.flatnonzero(q.any(axis=0))
+        self.support = support if 1 < len(support) < q.shape[1] / 2 else None
+        if self.support is not None:
+            q = q[:, support]
+        rank = np.where(q != 0, np.cumsum(q != 0, axis=0) - 1, -1)
+        self.layers = []
+        for r in range(rank.max() + 1):
+            k = np.argmax(rank == r, axis=0)
+            nth = np.take_along_axis(q, k[None], axis=0)[0]
+            self.layers.append((k, np.where((rank == r).any(axis=0), nth, 0)))
+        return self
+
+
 def spectral_sum(coefficients, components, d):
     """The map sum_k c_k Q_k from scalar coefficients and component matrices;
-    rows ``(N, K)`` give the stack ``(N, d^2, d^2)``, each matrix bitwise its row's."""
+    rows ``(N, K)`` give the stack ``(N, d^2, d^2)``, each matrix bitwise its row's.
+
+    The nonzero terms are added in the order of k, layer by layer; for finite
+    c_k a zero term leaves the sum as it is, so each entry is bitwise the full sum's.
+    """
+    if not isinstance(components, SpectralComponents):
+        components = SpectralComponents(components)
     c = np.asarray(coefficients)
-    s = np.zeros(c.shape[:-1] + (d * d, d * d), dtype=complex)
-    for k, q in enumerate(components):
-        s += c[..., k, None, None] * q
+    support = components.support
+    s = np.zeros(c.shape[:-1] + (d ** 4 if support is None else len(support),), dtype=complex)
+    for k, q in components.layers:
+        s += c[..., k] * q
+    if support is not None:
+        full = np.zeros(c.shape[:-1] + (d ** 4,), dtype=complex)
+        full[..., support] = s
+        s = full
+    s = s.reshape(c.shape[:-1] + (d * d, d * d))
     return Superoperator(s, d) if c.ndim == 1 else s
 
 

@@ -119,9 +119,15 @@ def shipped_family(name):
 
 
 def oscillating_pauli():
-    """Pauli channel with time-dependent rates and no closed-form propagator."""
+    """Pauli channel with time-dependent rates, integrated by quadrature."""
     return families.pauli_channel((
         lambda t: 0.4 + 0.3 * np.sin(1.3 * t),
         lambda t: 0.7 + 0.2 * np.cos(0.6 * t),
         0.25,
     ))
+
+
+def inversion_atol(lam_s):
+    """Tolerance for V = Lambda_t o Lambda_s^-1 computed by a linear solve, whose
+    error grows as cond(Lambda_s) * eps."""
+    return 10.0 * np.finfo(float).eps * max(1.0, float(np.linalg.cond(lam_s)))

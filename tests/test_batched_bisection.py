@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, divisibility, evolve, families, superop
+from ebdyn import asymptotics, classify, divisibility, evolve, families, superop, tolerances
 from ebdyn.asymptotics import Search
 from ebdyn.errors import NotReachedError, SingularMapError
 
-from helpers import ginibre, oscillating_pauli, random_hermitian, shipped_family
+from helpers import (ginibre, inversion_atol, oscillating_pauli, random_hermitian,
+                     shipped_family)
 
 
 def serial_bisect(witness_at, lo, hi, target, tol_t):
@@ -174,16 +175,19 @@ def reference_propagator(handle, t, s):
     cf = fam.closed_form
     if t == s:
         return np.eye(fam.d ** 2)
-    if fam.kind == "eternal_nm":
-        # the closed form of the propagator, one point at a time
-        a = fam.params["alpha"]
-        c12 = ((1.0 + math.exp(-2.0 * t)) / (1.0 + math.exp(-2.0 * s))) ** a
-        c = np.array([c12, c12, math.exp(-2.0 * a * (t - s)), 1.0], dtype=complex)
-        return superop.spectral_sum(c, cf.components, 2).matrix
     if cf is not None and cf.propagator_at is not None:
         return cf.propagator_at(t, s).matrix
     if fam.constant:
         return handle.solve(t - s).matrix
+    if handle.solver == "closed_form":
+        # the ratio of the coefficient rows of the two times
+        return superop.spectral_sum(cf.coefficients(t) / cf.coefficients(s),
+                                    cf.components, fam.d).matrix
+    return inverted_propagator(handle, t, s)
+
+
+def inverted_propagator(handle, t, s):
+    """V_{t,s} = Lambda_t o Lambda_s^-1 of one point, by a linear solve."""
     lam_s = handle.solve(s).matrix
     return np.linalg.solve(lam_s.T, handle.solve(t).matrix.T).T
 
@@ -214,10 +218,13 @@ class TestRoundStacks:
         props = handle._propagator_grid(points, s)
         maps = handle._solve_grid(points)
         for k, t in enumerate(points):
-            fresh = evolve.EvolutionHandle(fam, solver=solver, cache=False)
+            fresh = evolve.EvolutionHandle(fam, solver=solver)
             np.testing.assert_array_equal(props[k], reference_propagator(fresh, t, s))
             np.testing.assert_array_equal(props[k], fresh.propagator(t, s).matrix)
             np.testing.assert_array_equal(maps[k], fresh.solve(t).matrix)
+            if handle.solver == "closed_form" and not fam.constant and fam.closed_form.components:
+                np.testing.assert_allclose(props[k], inverted_propagator(fresh, t, s), rtol=0,
+                                           atol=inversion_atol(fresh.solve(s).matrix))
 
     @pytest.mark.parametrize("name, make, solver", PER_POINT)
     @pytest.mark.parametrize("s", [0.0, 0.7])
@@ -226,7 +233,7 @@ class TestRoundStacks:
         handle = evolve.EvolutionHandle(fam, solver=solver)
         assert asymptotics._round_levels(handle, "PPT") == 1
         for t in round_points(s)[:3]:
-            fresh = evolve.EvolutionHandle(fam, solver=solver, cache=False)
+            fresh = evolve.EvolutionHandle(fam, solver=solver)
             np.testing.assert_array_equal(handle._propagator_grid([t], s)[0],
                                           reference_propagator(fresh, t, s))
             np.testing.assert_array_equal(handle._solve_grid([t])[0], fresh.solve(t).matrix)
@@ -235,6 +242,12 @@ class TestRoundStacks:
     def test_coefficient_propagator_at_its_start_is_the_identity(self, alpha):
         handle = evolve.EvolutionHandle(families.eternal_nm(alpha))
         for s in (0.0, 0.37, 11.0):
+            mags = np.abs(handle.family.closed_form.coefficients(s))
+            if mags.max() / mags.min() > tolerances.SINGULAR_COND_LIMIT:
+                # e^{-2 alpha s} has decayed below 1e-12: Lambda_s counts as singular
+                with pytest.raises(SingularMapError):
+                    handle._propagator_grid([s, s + 1.0], s)
+                continue
             np.testing.assert_array_equal(handle._propagator_grid([s, s + 1.0], s)[0], np.eye(4))
 
     def test_p_cone_rounds_hold_one_point(self):

@@ -140,9 +140,17 @@ def test_non_finite_evaluation_time_is_a_config_error(tmp_path, capsys, value):
     assert code == cli.EXIT_CONFIG and "--t must be finite" in err
 
 
+DIVERGING = "[family]\nkind = phase_covariant\ngamma_plus = -1\ngamma_minus = -1\ngamma_z = 0\n"
+
+
 def test_diverging_map_is_a_numerical_failure(tmp_path, capsys):
-    text = "[family]\nkind = phase_covariant\ngamma_plus = -1\ngamma_minus = -1\ngamma_z = 0\n"
-    code, err = run(tmp_path, capsys, text.encode("utf-8"), "ppt2", ["--t", "1000"])
+    code, err = run(tmp_path, capsys, DIVERGING.encode("utf-8"), "ppt2", ["--t", "1000"])
+    assert code == cli.EXIT_NUMERICS and "numerical failure" in err
+
+
+def test_diverging_grid_is_a_numerical_failure(tmp_path, capsys):
+    # the grid route evaluates the coefficient rows of all times at once
+    code, err = run(tmp_path, capsys, DIVERGING.encode("utf-8"), "classify", ["--times", "0 1000"])
     assert code == cli.EXIT_NUMERICS and "numerical failure" in err
 
 

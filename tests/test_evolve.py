@@ -9,7 +9,8 @@ import scipy.linalg
 from ebdyn import cli, evolve, families, matcore, superop
 from ebdyn.errors import EbdynError, SingularMapError
 
-from helpers import ginibre, oscillating_pauli, random_hermitian, shipped_family
+from helpers import (ginibre, inversion_atol, oscillating_pauli, random_hermitian,
+                     shipped_family)
 
 
 def catalog(rng):
@@ -78,10 +79,21 @@ class TestSolverRoutes:
             )
 
     def test_cache_returns_same_object(self):
-        h = evolve.EvolutionHandle(families.eternal_nm(1.0))
+        fam = families.eternal_nm(1.0)
+        h = evolve.EvolutionHandle(fam, solver="ode")
         assert h.solve(1.0) is h.solve(1.0)
-        cold = evolve.EvolutionHandle(families.eternal_nm(1.0), cache=False)
-        assert cold.solve(1.0) is not cold.solve(1.0)
+        cold = evolve.EvolutionHandle(fam, solver="ode")
+        assert cold.solve(1.0) is not h.solve(1.0)
+
+    def test_closed_form_cache_holds_coefficient_rows(self):
+        h = evolve.EvolutionHandle(families.eternal_nm(1.0))
+        h.solve(1.0)
+        h._solve_grid([0.5, 1.0, 2.0])
+        h._propagator_grid([2.0, 3.0], 0.5)
+        assert sorted(h._cache) == [0.5, 1.0, 2.0, 3.0]
+        for t, row in h._cache.items():
+            assert row.shape == (4,)
+            np.testing.assert_array_equal(row, h.family.closed_form.coefficients(t))
 
 
 class TestPropagators:
@@ -121,8 +133,8 @@ class TestPropagators:
         for t, v in zip(ts, many):
             np.testing.assert_allclose(v.matrix, h.propagator(t, 1.0).matrix, atol=1e-12)
 
-    def test_inversion_route_for_family_without_closed_propagator(self):
-        # pure decoherence with time-dependent rates: V by solving on Lambda_s
+    def test_coefficient_route_for_time_dependent_family(self):
+        # pure decoherence with time-dependent rates: V from the rows c(t) / c(s)
         fam = families.pure_decoherence(
             a=lambda t: (1 + 0.5 * t) * np.array([[1.0, 0.6], [0.6, 0.5]])
         )
@@ -144,6 +156,14 @@ class TestStackedGrids:
     """Grid paths against the per-point loops they replace."""
 
     @staticmethod
+    def per_point_ratio(fam, ts, s):
+        cf = fam.closed_form
+        c_s = cf.coefficients(s)
+        return [np.eye(fam.d ** 2) if t == s else
+                superop.spectral_sum(cf.coefficients(t) / c_s, cf.components, fam.d).matrix
+                for t in ts]
+
+    @staticmethod
     def per_point_inversion(handle, ts, s):
         lam_s = handle.solve(s).matrix
         return [np.linalg.solve(lam_s.T, lam.matrix.T).T for lam in handle.solve_many(ts)]
@@ -152,19 +172,23 @@ class TestStackedGrids:
         (lambda: shipped_family("pure_decoherence_cutoff"), (0.0, 0.4, 1.3, 3.9)),
         (oscillating_pauli, (0.0, 0.5, 2.0, 6.0)),
     ])
-    def test_one_solve_equals_per_point_solves(self, make, starts):
+    def test_one_sum_equals_per_point_rows(self, make, starts):
         fam = make()
         handle = evolve.EvolutionHandle(fam)
         assert fam.closed_form.propagator_at is None and not fam.constant
         for s in starts:
             ts = np.linspace(s, s + 12.0, 150).tolist()
-            want = self.per_point_inversion(handle, ts, s)
+            want = self.per_point_ratio(fam, ts, s)
             grid = handle._propagator_grid(ts, s)
             assert grid.shape == (len(ts),) + want[0].shape
             for got, v, w in zip(grid, handle.propagator_many(ts, s), want):
                 np.testing.assert_array_equal(got, w)
                 np.testing.assert_array_equal(v.matrix, w)
             np.testing.assert_array_equal(handle.propagator(ts[7], s).matrix, want[7])
+            # the Lambda_s^-1 route of other families, as a cross-check
+            atol = inversion_atol(handle.solve(s).matrix)
+            for got, w in zip(grid, self.per_point_inversion(handle, ts, s)):
+                np.testing.assert_allclose(got, w, rtol=0, atol=atol)
 
     def test_singular_start_raises_as_before(self):
         fam = shipped_family("pure_decoherence_cutoff")
@@ -191,8 +215,8 @@ class TestStackedGrids:
         grid = handle._solve_grid([0.0, 0.5, 0.0])
         np.testing.assert_array_equal(grid[0], np.eye(d2))
         np.testing.assert_array_equal(grid[2], np.eye(d2))
-        if handle.family.constant:  # the inversion route gives V_{s,s} up to rounding
-            np.testing.assert_array_equal(handle._propagator_grid([1.0, 2.0], 1.0)[0], np.eye(d2))
+        # V_{s,s} is exact on every route but the inversion one
+        np.testing.assert_array_equal(handle._propagator_grid([1.0, 2.0], 1.0)[0], np.eye(d2))
         assert handle._solve_grid([]).shape == (0, d2, d2)
         assert handle.solve_many([]) == [] and handle.propagator_many([], 1.0) == []
 

@@ -279,6 +279,17 @@ class TestPhaseCovariant:
             assert not rep.is_cp
             assert classify.positivity_witness(lam, restarts=6, iters=60) >= -1e-9
 
+    @pytest.mark.parametrize("rates", [(0.8, 1.0, -0.1), (-1.0, -1.0, 0.0), (-0.3, 0.1, 0.4),
+                                       (0.0, 0.0, 0.3)])
+    def test_closed_form_is_the_exponential(self, rates):
+        """Also for G_L < 0, where the populations run away from (p+, p-)."""
+        fam = families.phase_covariant(0.5, *rates)
+        gen = fam.generator_matrix(0.0)
+        for t in (0.3, 1.0, 2.5):
+            want = scipy.linalg.expm(t * gen)
+            np.testing.assert_allclose(fam.closed_form.map_at(t).matrix, want, rtol=0,
+                                       atol=1e-13 * max(1.0, np.abs(want).max()))
+
     def test_flags(self):
         assert families.phase_covariant(0.0, 1.0, 1.0, 0.5).cp_divisible
         assert not families.phase_covariant(0.0, 1.0, 1.0, -0.1).cp_divisible

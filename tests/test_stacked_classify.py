@@ -268,6 +268,29 @@ def test_non_hermitian_stack_raises_the_per_map_error():
         assert str(stacked.value) == str(per_map.value)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_dense_floors_judge_hermiticity_once_per_stack(d):
+    """cp only, cocp only and both raise the error of the same first bad map:
+    the partial transpose deviates from Hermiticity exactly as its Choi matrix."""
+    rng = np.random.default_rng(12 + d)
+    good = [random_cptp(rng, d).matrix for _ in range(3)]
+    bad_small = good[0] + 1e-6 * ginibre(rng, d * d)
+    bad_large = good[1] + ginibre(rng, d * d)
+    for stack, first in (([good[0], bad_small, good[2], bad_large], bad_small),
+                         ([good[2], bad_large, bad_small], bad_large)):
+        choi_first = superop._choi_shuffle(first, d)
+        with pytest.raises(NotHermitianError) as alone:
+            matcore.min_herm_eig(choi_first)
+        with pytest.raises(NotHermitianError) as pt_alone:
+            matcore.min_herm_eig(matcore.partial_transpose_second(choi_first, d, d))
+        assert str(pt_alone.value) == str(alone.value)
+        choi = superop._choi_shuffle(np.array(stack), d)
+        for cp, cocp in ((True, False), (False, True), (True, True)):
+            with pytest.raises(NotHermitianError) as stacked:
+                classify._dense_floors(choi, d, cp, cocp)
+            assert str(stacked.value) == str(alone.value)
+
+
 # ---------------------------------------------------------------------------
 # the reduced route of covariant Choi matrices against the dense eigensolve
 

@@ -253,3 +253,44 @@ class TestMapSpectrum:
 def test_superoperator_shape_validation():
     with pytest.raises(DimensionMismatchError):
         superop.Superoperator(np.eye(4), 3)
+
+
+def dense_spectral_sum(c, components, d):
+    """sum_k c_k Q_k over every entry, term by term from k = 0."""
+    c = np.asarray(c)
+    s = np.zeros(c.shape[:-1] + (d * d, d * d), dtype=complex)
+    for k, q in enumerate(components):
+        s += c[..., k, None, None] * q
+    return s
+
+
+def same_bits(a, b):
+    return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spectral_sum_on_the_support_is_bitwise_the_dense_sum(seed):
+    """Sparse components are summed on their joint support only; stacks and
+    single rows equal the sum over every entry, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    signed_zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    sparse = 0
+    for _ in range(150):
+        d, k, n = int(rng.integers(2, 4)), int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        q = ginibre(rng, k * d * d, d * d).reshape(k, d * d, d * d)
+        q[:, rng.random((d * d, d * d)) < rng.random()] = 0.0
+        q[rng.random(q.shape) < 0.5] = 0.0
+        q[rng.random(q.shape) < 0.1] = signed_zeros[int(rng.integers(3))]
+        c = ginibre(rng, n, k)
+        c[rng.random(c.shape) < 0.2] = 0.0
+        c[rng.random(c.shape) < 0.1] *= -1e-320
+        c.imag[rng.random(c.shape) < 0.3] = 0.0
+        components = superop.SpectralComponents(q)
+        sparse += components.support is not None
+        stack = superop.spectral_sum(c, components, d)
+        assert same_bits(stack, dense_spectral_sum(c, q, d))
+        assert same_bits(superop.spectral_sum(c, list(q), d), stack)
+        for row, got in zip(c, stack):
+            assert same_bits(superop.spectral_sum(row, components, d).matrix, got)
+    assert sparse > 30
