@@ -125,24 +125,35 @@ def _reference_generators(family):
             yield m, scale
 
 
-def _spectral_gap(family) -> float | None:
-    # falls through to t = 1 when the generator at t = 0 has no decaying mode
+def _spectral_gap(handle_or_family) -> float | None:
+    # a constant generator that a handle evolves through its exponential is
+    # diagonalized there, once; falls through to t = 1 when the generator at
+    # t = 0 has no decaying mode
+    handle = handle_or_family if isinstance(handle_or_family, evolve.EvolutionHandle) else None
+    family = handle_or_family if handle is None else handle.family
     for m, scale in _reference_generators(family):
-        re = np.abs(np.linalg.eigvals(m).real)
+        w = None
+        if handle is not None and family.constant and handle.solver == "commuting_exp":
+            w = handle._generator_exponential().eigenvalues
+        re = np.abs((np.linalg.eigvals(m) if w is None else w).real)
         nonzero = re[re > 1e-9 * scale]
         if nonzero.size:
             return float(nonzero.min())
     return None
 
 
-def default_search(family, t_max=None, grid_n=2000, bisect_tol=None) -> Search:
+def default_search(handle_or_family, t_max=None, grid_n=2000, bisect_tol=None) -> Search:
     """Search horizon from the generator's slowest decaying mode.
 
     t_max = 20 / min |Re mu| over the nonzero-real-part spectrum of the
-    generator, falling back to 20 when the generator gives no scale.
+    generator, falling back to 20 when the generator gives no scale.  Accepts
+    a family or an :class:`~ebdyn.evolve.EvolutionHandle`.  A handle that
+    evolves a constant generator through its exponential gives the
+    eigenvalues of that diagonalization, which the evolution then reuses;
+    otherwise the spectrum comes from ``np.linalg.eigvals``.
     """
     if t_max is None:
-        gap = _spectral_gap(family)
+        gap = _spectral_gap(handle_or_family)
         t_max = 20.0 / gap if gap else 20.0
     return Search(t_max=float(t_max), grid_n=int(grid_n), bisect_tol=bisect_tol)
 
@@ -230,7 +241,7 @@ def _coefficient_limits(cf, family, horizon):
 def _numeric_limit(family, handle, horizon):
     if handle is None:
         handle = evolve.EvolutionHandle(family)
-    t1 = horizon if horizon is not None else default_search(family).t_max
+    t1 = horizon if horizon is not None else default_search(handle).t_max
     spec1 = superop.map_spectrum(handle.solve(t1))
     spec2 = superop.map_spectrum(handle.solve(2.0 * t1))
     limits = _two_horizon_limits(
@@ -363,7 +374,7 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
     if tol is None:
         tol = tolerances.PSD_TOL
     if search is None:
-        search = default_search(family)
+        search = default_search(handle)
     ts = np.linspace(0.0, search.t_max, search.grid_n)
 
     def witnesses(times):
@@ -469,7 +480,7 @@ def predict_eventually_eb(family, handle=None, horizon=None) -> AsymptoticVerdic
     d = 2); a limit with a strictly negative witness refutes.
     """
     if horizon is None:
-        horizon = default_search(family).t_max
+        horizon = default_search(family if handle is None else handle).t_max
     evidence = {}
     kernel = _kernel_analysis(family)
     kernel_dim = None

@@ -140,7 +140,6 @@ class _CovariantLayout(NamedTuple):
     pair_q: np.ndarray
     pattern: np.ndarray
     mirror: np.ndarray
-    outside: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -151,8 +150,7 @@ def _covariant_layout(d):
     ``pair_p``, ``pair_q``: the diagonal indices ab and ba of each pair
     a < b (ba is also the position (b, a) of C_{bb,aa} in the flat block);
     ``pattern`` and ``mirror``: the flattened ``(d^2, d^2)`` positions on
-    the block and the diagonal, and their transposes; ``outside``: every
-    other position.
+    the block and the diagonal, and their transposes.
     """
     ii = np.arange(d) * (d + 1)
     mask = np.eye(d * d, dtype=bool)
@@ -161,8 +159,7 @@ def _covariant_layout(d):
     b, a = np.tril_indices(d, -1)
     layout = _CovariantLayout(
         ii=ii, off=np.setdiff1d(np.arange(d * d), ii), pair_p=a * d + b, pair_q=b * d + a,
-        pattern=rows * d * d + cols, mirror=cols * d * d + rows,
-        outside=np.flatnonzero(~mask))
+        pattern=rows * d * d + cols, mirror=cols * d * d + rows)
     for arr in layout:
         arr.flags.writeable = False
     return layout
@@ -174,8 +171,10 @@ def _covariant_maps(choi, d):
         return np.zeros(len(choi), dtype=bool)
     layout = _covariant_layout(d)
     flat = choi.reshape(len(choi), d ** 4)
-    # -0.0 is zero; NaN and inf are not
-    return ~flat[:, layout.outside].any(axis=1) & np.isfinite(flat[:, layout.pattern]).all(axis=1)
+    # no nonzero entry outside the pattern: -0.0 is zero; NaN and inf are not
+    nonzero = flat != 0
+    inside = np.count_nonzero(nonzero[:, layout.pattern], axis=1)
+    return (np.count_nonzero(nonzero, axis=1) == inside) & np.isfinite(flat[:, layout.pattern]).all(axis=1)
 
 
 def _covariant_floors(choi, routed, d, cp, cocp):
@@ -278,20 +277,25 @@ def interior_certificates(choi, min_c, min_pt, d, tol=None, which=None) -> list:
     omega, ball = omega[tr > 0.5] / tr[tr > 0.5, None, None], ball[tr > 0.5]
     lam = matcore.min_herm_eig(omega)
     ball, omega, lam = ball[lam > tol], omega[lam > tol], lam[lam > tol]
-    # each Choi matrix minus I (x) omega, with the products of matcore.kron
-    target = np.eye(d, dtype=complex)[:, None, :, None] * omega[:, None, :, None, :]
-    diff = choi[ball] - target.reshape(-1, d * d, d * d)
+    # each Choi matrix minus I (x) omega: omega comes off the d diagonal
+    # blocks; the other entries of I (x) omega are zeros, which change at
+    # most the sign of a zero entry and so not the norm
+    diff = choi[ball].reshape(-1, d, d, d, d)
+    for i in range(d):
+        diff[:, i, :, i, :] -= omega
     found = {k: (float(np.linalg.norm(x, "fro")), float(lam_k) / 2.0)
-             for k, x, lam_k in zip(ball, diff, lam)}
+             for k, x, lam_k in zip(ball.tolist(), diff.reshape(-1, d * d, d * d), lam)}
+    tested = np.flatnonzero(which)
+    edge = (-tol <= floor) & (floor <= tol)
     certs = [None] * len(choi)
-    for k in np.flatnonzero(which):
+    for k, qubit, near in zip(tested.tolist(), strict[tested].tolist(), edge[tested].tolist()):
         distance, radius = found.get(k, (None, None))
-        certified = bool(strict[k]) or (distance is not None and distance <= radius)
+        certified = qubit or (distance is not None and distance <= radius)
         certs[k] = InteriorCertificate(
             certified=certified,
-            path=("strict_ppt_qubit" if strict[k] else
+            path=("strict_ppt_qubit" if qubit else
                   "state_projector_ball" if certified else None),
-            boundary=bool(not certified and -tol <= floor[k] <= tol),
+            boundary=not certified and near,
             distance=distance,
             radius=radius,
         )

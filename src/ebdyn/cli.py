@@ -383,29 +383,6 @@ def _family_diagonally_covariant(section):
 # ---------------------------------------------------------------------------
 # output
 
-def _jsonable(value):
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    return value
-
-
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -416,8 +393,84 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _json_text(value):
+    """``value`` as JSON text, indented by two spaces with sorted keys.
+
+    The text is the one ``json.dumps`` writes with that indent and sorted
+    keys for the plain-Python copy of ``value``, without building the copy:
+    dict keys are written as ``str(key)``, tuples and numpy arrays as lists,
+    numpy booleans, integers and floats as Python ones, and the non-finite
+    floats as the strings "inf", "-inf" and "nan".  Strings go through json's
+    ASCII escaper and floats through ``float.__repr__``, as in ``json``.
+    """
+    import numpy as np
+
+    quote = json.encoder.encode_basestring_ascii
+
+    def number(x):
+        text = float.__repr__(float(x))
+        return f'"{text}"' if text in ("inf", "-inf", "nan") else text
+
+    def boolean(x):
+        return "true" if x else "false"
+
+    def plain(x):
+        # numpy scalars and subclasses of the JSON scalar types, as plain ones
+        if isinstance(x, (np.bool_, bool)):
+            return bool(x)
+        if isinstance(x, (np.integer, int)):
+            return int(x)
+        if isinstance(x, (np.floating, float)):
+            return float(x)
+        if isinstance(x, str):
+            return str.__str__(x)
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    scalars = {
+        str: quote, float: number, int: int.__repr__, bool: boolean,
+        type(None): lambda _: "null", np.float64: number, np.bool_: boolean,
+    }
+    out = []
+    write = out.append
+
+    def put(v, pad):
+        # pad is the newline and indentation of v's own line
+        text = scalars.get(type(v))
+        if text is not None:
+            write(text(v))
+        elif isinstance(v, dict):
+            if not v:
+                write("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, x in sorted({str(k): x for k, x in v.items()}.items()):
+                write(f"{sep}{quote(key)}: ")
+                put(x, inner)
+                sep = "," + inner
+            write(pad + "}")
+        elif isinstance(v, (list, tuple, np.ndarray)):
+            items = v.tolist() if isinstance(v, np.ndarray) else v
+            if not len(items):
+                write("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for x in items:
+                write(sep)
+                put(x, inner)
+                sep = "," + inner
+            write(pad + "]")
+        else:
+            v = plain(v)
+            write(scalars[type(v)](v))
+
+    put(value, "\n")
+    return "".join(out)
+
+
 def _emit_json(payload, out_path):
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True), out_path)
+    _emit(_json_text(payload), out_path)
 
 
 def _csv_cell(value):
@@ -443,11 +496,11 @@ def _emit_csv(header, rows, out_path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _make_search(family, args, analysis):
+def _make_search(handle, args, analysis):
     from . import asymptotics
 
     return asymptotics.default_search(
-        family,
+        handle,
         t_max=args.tmax if args.tmax is not None else analysis.get("tmax"),
         grid_n=analysis.get("grid_n", 2000),
         bisect_tol=analysis.get("bisect_tol"),
@@ -467,7 +520,7 @@ def _cmd_classify(args):
 
     family, analysis = load_config(args.config)
     handle = evolve.EvolutionHandle(family)
-    search = _make_search(family, args, analysis)
+    search = _make_search(handle, args, analysis)
     if args.times is not None:
         times = _parse_vector(args.times, "--times")
         if any(t < 0 for t in times):
@@ -500,7 +553,7 @@ def _cmd_arrival(args):
 
     family, analysis = load_config(args.config)
     handle = evolve.EvolutionHandle(family)
-    search = _make_search(family, args, analysis)
+    search = _make_search(handle, args, analysis)
     cones = (_parse_cones(args.cones) if args.cones is not None
              else analysis.get("cones", ["CP", "coCP", "PPT", "EB"]))
     tol = _resolved_tol(args, analysis)
@@ -541,7 +594,7 @@ def _cmd_divisibility(args):
 
     family, analysis = load_config(args.config)
     handle = evolve.EvolutionHandle(family)
-    search = _make_search(family, args, analysis)
+    search = _make_search(handle, args, analysis)
     cones = (_parse_cones(args.cones) if args.cones is not None
              else analysis.get("cones", ["CP", "PPT", "EB"]))
     tol = _resolved_tol(args, analysis)
@@ -978,6 +1031,10 @@ def main(argv=None) -> int:
     except (IntegrationFailureError, NoConvergenceError, SingularMapError,
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
+    except MemoryError as exc:  # a huge --kmax, points or grid_n
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICS
     except EbdynError as exc:
         print(f"error: {exc}", file=sys.stderr)

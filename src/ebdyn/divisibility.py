@@ -78,7 +78,7 @@ def scan_divisibility(
     if tol is None:
         tol = tolerances.PSD_TOL
     if search is None:
-        search = asymptotics.default_search(family)
+        search = asymptotics.default_search(handle)
     if s_grid is None:
         s_grid = default_s_grid(search)
     s_grid = tuple(float(s) for s in s_grid)

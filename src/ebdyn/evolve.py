@@ -51,8 +51,7 @@ class EvolutionHandle:
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {}
-        # tau -> expm(tau L) of a constant generator, diagonalized on first use
-        self._exp_l = None
+        self._exp_l = None  # see _generator_exponential
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
 
     # -- single time ------------------------------------------------------
@@ -184,12 +183,17 @@ class EvolutionHandle:
             out.append(acc.copy())
         return out
 
+    def _generator_exponential(self):
+        """tau -> expm(tau L) of a constant generator, with the eigenvalues of L;
+        diagonalized on first use, once per handle."""
+        if self._exp_l is None:
+            self._exp_l = matcore.exp_generator(self._generator(0.0))
+        return self._exp_l
+
     def _commuting_many(self, ts):
         d2 = self.family.d ** 2
         if self.family.constant:
-            if self._exp_l is None:
-                self._exp_l = matcore.exp_generator(self._generator(0.0))
-            out = self._exp_l(np.array(ts, dtype=float))
+            out = self._generator_exponential()(np.array(ts, dtype=float))
         else:
             ts_sorted = sorted(ts)
             anti = dict(zip(ts_sorted, self._commuting_antiderivative_steps(ts_sorted)))

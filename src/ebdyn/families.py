@@ -109,25 +109,29 @@ def _hamiltonian_part(h):
     return -1j * (matcore.kron(eye, h) - matcore.kron(h.T, eye))
 
 
-def _dissipator(v):
-    """Superoperator matrix of rho -> V rho V^dag - {V^dag V, rho}/2."""
-    v = matcore.as_matrix(v, square=True)
-    eye = np.eye(v.shape[0], dtype=complex)
-    vv = v.conj().T @ v
-    return matcore.kron(v.conj(), v) - 0.5 * (matcore.kron(eye, vv) + matcore.kron(vv.T, eye))
+def _dissipators(ops, d):
+    """Stack ``(K, d^2, d^2)`` of the superoperator matrices of
+    rho -> V rho V^dag - {V^dag V, rho}/2 for the K jump operators ``ops``.
 
+    Entry for entry the Kronecker form kron(V*, V) - 0.5 * (kron(I, V^dag V) +
+    kron((V^dag V)^T, I)): each V^dag V is the product of the operator as
+    given, and the Kronecker products are broadcasts over the stack, combined
+    in place in that order.
+    """
+    ops = [matcore.as_matrix(v, square=True) for v in ops]
+    k = len(ops)
+    vv = np.array([v.conj().T @ v for v in ops], dtype=complex).reshape(k, d, d)
+    v = np.array(ops, dtype=complex).reshape(k, d, d)
+    eye = np.eye(d, dtype=complex)[None]
 
-def _unit_dissipators(d, pairs):
-    """Stack of :func:`_dissipator` of E_ij, (i, j) in ``pairs``, i != j, from the
-    nonzero entries (entry for entry the Kronecker form): E_jj -> E_ii, and
-    -1/2 on the diagonal at each unit in row or column j (-1 at E_jj)."""
-    i, j = (np.array(col, dtype=int)[:, None] for col in zip(*pairs))
-    k, a = np.arange(len(pairs))[:, None], np.arange(d)[None, :]
-    m = np.zeros((len(pairs), d * d, d * d), dtype=complex)
-    m[k, i * (d + 1), j * (d + 1)] = 1.0
-    m[k, a * d + j, a * d + j] -= 0.5
-    m[k, j * d + a, j * d + a] -= 0.5
-    return m
+    def kron(a, b):
+        return np.multiply(a[:, :, None, :, None], b[:, None, :, None, :], order="C")
+
+    out, anti = kron(v.conj(), v), kron(eye, vv)
+    anti += kron(vv.swapaxes(1, 2), eye)
+    anti *= 0.5
+    out -= anti
+    return out.reshape(k, d * d, d * d)
 
 
 def _built_once(m):
@@ -142,7 +146,8 @@ def _spectral(d, components, rows, **fields):
     scalar time is an array of one (numpy scalars take other kernels: ``**``
     differs in the last bit), so a row is bitwise the same in a grid and alone.
     """
-    components = superop.SpectralComponents(components)
+    if not isinstance(components, superop.SpectralComponents):
+        components = superop.SpectralComponents(components)
 
     def coefficients(t):
         t = np.asarray(t, dtype=float)
@@ -241,7 +246,7 @@ def gkls(hamiltonian, lindblads) -> GeneratorFamily:
         ops.append(v)
         rates.append(_Rate(g))
     ham_part = _hamiltonian_part(h)
-    diss = [_dissipator(v) for v in ops]
+    diss = _dissipators(ops, d)
     constant = all(r.constant is not None for r in rates)
 
     def gen(t):
@@ -439,7 +444,9 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
     Populations relax toward (p+, p-) = (g+, g-)/(g+ + g-) at rate
     G_L = g+ + g-; coherences decay at rate G_T = G_L/2 + 2 g_z with phase
     rotation w.  Rates outside the positivity domain are accepted and only
-    flagged in ``params``.
+    flagged in ``params``.  With G_L = 0 but g+ = -g- != 0 the populations
+    have a Jordan block, p+(t) = p+(0) + g+ t; such a family has no spectral
+    closed form and is evolved through the exponential of its generator.
     """
     w = float(omega_freq)
     gp, gm, gz = float(gamma_plus), float(gamma_minus), float(gamma_z)
@@ -447,11 +454,12 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
     gt = 0.5 * gl + 2.0 * gz
     sigma_p = np.array([[0, 1], [0, 0]], dtype=complex)
     sigma_m = sigma_p.conj().T
+    diss = _dissipators((sigma_p, sigma_m, matcore.PAULI_Z), 2)
     gen_matrix = (
         _hamiltonian_part(0.5 * w * matcore.PAULI_Z)
-        + gp * _dissipator(sigma_p)
-        + gm * _dissipator(sigma_m)
-        + gz * _dissipator(matcore.PAULI_Z)
+        + gp * diss[0]
+        + gm * diss[1]
+        + gz * diss[2]
     )
 
     def gen(t):
@@ -487,7 +495,12 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
             ],
             dtype=complex,
         )
-    cf = _spectral(2, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
+    # G_L = 0 with g+ != 0 is a Jordan block of the populations; near it the
+    # projector weights g+/G_L blow up and P + e^{-G_L t}(I - P) cancels, so
+    # such families run on the generator's exponential as well
+    jordan_block = gp != 0.0 and abs(gl) <= 1e-8 * max(abs(gp), abs(gm))
+    cf = None if jordan_block else _spectral(
+        2, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
     positive_domain = gp >= 0.0 and gm >= 0.0 and gz >= -0.5 * math.sqrt(max(gp * gm, 0.0))
     return GeneratorFamily(
         d=2,
@@ -600,9 +613,8 @@ def detailed_balance(hamiltonian, jumps, beta) -> GeneratorFamily:
         raise EbdynError("beta must be nonnegative")
     d = h.shape[0]
     energies, basis = matcore.herm_eig(h)
-
-    def _exp_iht(t):
-        return (basis * np.exp(1j * energies * t)) @ basis.conj().T
+    # e^{iHt} at the covariance test times, shared by every jump
+    unitaries = [(t, (basis * np.exp(1j * energies * t)) @ basis.conj().T) for t in (0.5, 1.0)]
 
     gen_matrix = _hamiltonian_part(h)
     freqs = []
@@ -614,16 +626,18 @@ def detailed_balance(hamiltonian, jumps, beta) -> GeneratorFamily:
         if w < -1e-12:
             raise EbdynError("Bohr frequencies must be nonnegative")
         scale = max(1.0, float(np.abs(v).max()))
-        for t in (0.5, 1.0):
-            u = _exp_iht(t)
+        for t, u in unitaries:
             dev = np.abs(u @ v @ u.conj().T - np.exp(-1j * w * t) * v).max()
             if dev > 1e-8 * scale:
                 raise CovarianceViolationError(
                     f"jump operator violates covariance at w={w:g} (dev {dev:.2e})"
                 )
-        gen_matrix = gen_matrix + _dissipator(v) + math.exp(-beta * w) * _dissipator(
-            v.conj().T
-        )
+        # in place, operation for operation gen + D[V] + e^{-beta w} D[V^dag]; one
+        # stack per jump, as a stack of all jumps outgrows the cache from d = 6
+        forward, backward = _dissipators((v, v.conj().T), d)
+        backward *= math.exp(-beta * w)
+        gen_matrix += forward
+        gen_matrix += backward
         freqs.append(w)
 
     shifted = -beta * (energies - energies.min())
@@ -778,6 +792,42 @@ def _as_matrix_rate(a):
     return (lambda t: m), m
 
 
+def _dephasing_rates(h, a):
+    """``(d, ell, constant)`` of the dephasing generator L(E_ij) = l_ij(t) E_ij:
+    ``ell(t)`` is the d x d matrix of the l_ij (zero diagonal) and ``constant``
+    whether it does not depend on t.  Validates ``h`` and ``a`` as
+    :func:`pure_decoherence` documents them."""
+    a_func, a_const = _as_matrix_rate(a)
+    a0 = matcore.as_matrix(a_func(0.0), square=True)
+    d = a0.shape[0]
+    if h is None:
+        h = [0.0] * d
+    if len(h) != d:
+        raise DimensionMismatchError("h must have one entry per level")
+    h_rates = [_Rate(x) for x in h]
+    for t in (0.0, 0.4, 1.3):
+        at = matcore.as_matrix(a_func(t), square=True)
+        if not matcore.is_hermitian(at, tol=1e-10):
+            raise InvalidRateMatrixError(f"a({t:g}) is not Hermitian")
+        if np.linalg.eigvalsh((at + at.conj().T) / 2.0)[0] < -1e-10:
+            raise InvalidRateMatrixError(f"a({t:g}) is not positive semi-definite")
+        if a_const is not None:
+            break
+
+    def ell(t):
+        at = matcore.as_matrix(a_func(t), square=True)
+        hv = np.array([r(t) for r in h_rates])
+        diag = np.real(np.diag(at))
+        m = -1j * (hv[:, None] - hv[None, :]) + at - 0.5 * (
+            diag[:, None] + diag[None, :]
+        )
+        np.fill_diagonal(m, 0.0)
+        return m
+
+    constant = a_const is not None and all(r.constant is not None for r in h_rates)
+    return d, ell, constant
+
+
 def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
     """Hamiltonian-diagonal dephasing: the map multiplies rho entrywise.
 
@@ -800,38 +850,12 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         map becomes the (non-invertible) projection onto the diagonal and the
         family is eventually entanglement breaking by construction.
     """
-    a_func, a_const = _as_matrix_rate(a)
-    a0 = matcore.as_matrix(a_func(0.0), square=True)
-    d = a0.shape[0]
-    if h is None:
-        h = [0.0] * d
-    if len(h) != d:
-        raise DimensionMismatchError("h must have one entry per level")
-    h_rates = [_Rate(x) for x in h]
-    for t in (0.0, 0.4, 1.3):
-        at = matcore.as_matrix(a_func(t), square=True)
-        if not matcore.is_hermitian(at, tol=1e-10):
-            raise InvalidRateMatrixError(f"a({t:g}) is not Hermitian")
-        if np.linalg.eigvalsh((at + at.conj().T) / 2.0)[0] < -1e-10:
-            raise InvalidRateMatrixError(f"a({t:g}) is not positive semi-definite")
-        if a_const is not None:
-            break
+    d, ell, constant = _dephasing_rates(h, a)
     if cutoff is not None:
         cutoff = float(cutoff)
         if cutoff <= 0.0:
             raise EbdynError("cutoff must be positive")
 
-    def ell(t):
-        at = matcore.as_matrix(a_func(t), square=True)
-        hv = np.array([r(t) for r in h_rates])
-        diag = np.real(np.diag(at))
-        m = -1j * (hv[:, None] - hv[None, :]) + at - 0.5 * (
-            diag[:, None] + diag[None, :]
-        )
-        np.fill_diagonal(m, 0.0)
-        return m
-
-    constant = a_const is not None and all(r.constant is not None for r in h_rates)
     if constant:
         ell0 = ell(0.0)
 
@@ -860,9 +884,8 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
             raise SingularMapError("generator is singular past the coherence cutoff")
         return np.diag(ell(t).ravel(order="F"))
 
-    # the matrix units of the superoperator diagonal, views of one block
-    comps = np.zeros((d * d,) * 3, dtype=complex)
-    comps[(np.arange(d * d),) * 3] = 1.0
+    # the matrix units of the superoperator diagonal
+    comps = superop.SpectralComponents.diagonal_units(d * d)
     asym = None
     diverges = False
     if cutoff is not None:
@@ -894,9 +917,14 @@ def diagonally_covariant(h, a, b) -> GeneratorFamily:
     sum_{i != j} b_ij(t) (E_ij rho E_ji - {E_jj, rho}/2), a classical master
     equation on the populations with transition rates b_ij >= 0 (into i,
     out of j).
+
+    The generator is built on the entries these terms touch: the diagonal
+    (the dephasing rates, and -b_ij/2 at each unit in row or column j) and
+    the transfer entries E_jj -> E_ii.  Each entry is the sum of the
+    dephasing rate and the terms b_ij D[E_ij] in the order of (i, j), as in
+    their Kronecker form; every other entry is zero.
     """
-    dec = pure_decoherence(h, a)
-    d = dec.d
+    d, ell, dephasing_constant = _dephasing_rates(h, a)
     b_func, b_const = _as_matrix_rate(b)
     for t in (0.0, 0.4, 1.3):
         bt = matcore.as_matrix(b_func(t), square=True)
@@ -907,17 +935,29 @@ def diagonally_covariant(h, a, b) -> GeneratorFamily:
             raise InvalidRateMatrixError(f"b({t:g}) has invalid off-diagonal rates")
         if b_const is not None:
             break
-    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-    hop = _unit_dissipators(d, pairs)
+    src, dst = (np.array(col) for col in zip(*[(i, j) for i in range(d)
+                                               for j in range(d) if i != j]))
+    n_pairs, n = len(src), d * d
+    # the touched entries, flat in the d^2 x d^2 matrix: the diagonal, then
+    # the transfer entries; row k holds D[E_ij] there for the k-th pair (i, j)
+    touched = np.concatenate([np.arange(n) * (n + 1), src * (d + 1) * n + dst * (d + 1)])
+    k, level = np.arange(n_pairs)[:, None], np.arange(d)[None, :]
+    hop = np.zeros((n_pairs, n + n_pairs), dtype=complex)
+    hop[k, level * d + dst[:, None]] -= 0.5
+    hop[k, dst[:, None] * d + level] -= 0.5
+    hop[k[:, 0], n + k[:, 0]] = 1.0
 
     def gen(t):
-        m = dec.generator_matrix(t).copy()
         bt = matcore.as_matrix(b_func(t), square=True)
-        for (i, j), dmat in zip(pairs, hop):
-            m += bt[i, j].real * dmat
+        start = np.concatenate([ell(t).ravel(order="F"), np.zeros(n_pairs, dtype=complex)])
+        terms = bt[src, dst].real[:, None] * hop
+        # sequential sums over the pairs, term by term as the dense sum adds them
+        entries = np.add.accumulate(np.concatenate([start[None], terms]), axis=0)[-1]
+        m = np.zeros((n, n), dtype=complex)
+        m.reshape(-1)[touched] = entries
         return m
 
-    constant = dec.constant and b_const is not None
+    constant = dephasing_constant and b_const is not None
     if constant:
         gen = _built_once(gen(0.0))
     _check_trace_annihilating(gen, d, constant)

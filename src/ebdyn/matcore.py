@@ -156,8 +156,13 @@ def exp_generator(m):
     A scalar ``tau`` gives one matrix; an array of times gives the stack of
     their exponentials, from one batched product (the fallback loops over
     the times).  Each matrix of the stack equals the scalar call bitwise.
+
+    The returned callable carries the eigenvalues ``w`` of ``m`` (those of
+    ``np.linalg.eig``, also on the fallback) as ``eigenvalues``; it is None
+    when ``eig`` failed.
     """
     a = as_matrix(m, square=True)
+    w = None
     try:
         w, v = np.linalg.eig(a)
         cond = np.linalg.cond(v)
@@ -169,7 +174,11 @@ def exp_generator(m):
         except np.linalg.LinAlgError:
             pass
         else:
-            return lambda tau: (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ v_inv
+            def eigenbasis(tau):
+                return (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ v_inv
+
+            eigenbasis.eigenvalues = w
+            return eigenbasis
 
     def scaling_and_squaring(tau):
         if np.ndim(tau):
@@ -181,6 +190,7 @@ def exp_generator(m):
         except Exception as exc:  # scipy raises assorted types here
             raise NoConvergenceError(f"expm failed: {exc}") from exc
 
+    scaling_and_squaring.eigenvalues = w
     return scaling_and_squaring
 
 

@@ -175,6 +175,26 @@ class SpectralComponents(tuple):
             self.layers.append((k, np.where((rank == r).any(axis=0), nth, 0)))
         return self
 
+    @classmethod
+    def diagonal_units(cls, n):
+        """The n matrix units E_kk of n x n matrices (n >= 3), from their structure.
+
+        Their joint support is the diagonal, n of the n^2 entries, and one layer
+        pairs diagonal entry k with E_kk: what the scan finds, without a dense
+        ``(n, n, n)`` block.  The units are read-only views of one buffer of
+        2 n^2 entries, zero but for a one in the middle: entry (r, c) of unit k
+        sits (r - k) n + (c - k) places from it.
+        """
+        buf = np.zeros(2 * n * n, dtype=complex)
+        buf[n * n] = 1.0
+        step = buf.itemsize
+        units = np.lib.stride_tricks.as_strided(
+            buf[n * n:], (n, n, n), (-(n + 1) * step, n * step, step), writeable=False)
+        self = super().__new__(cls, units)
+        self.support = np.arange(n) * (n + 1)
+        self.layers = [(np.arange(n), np.ones(n, dtype=complex))]
+        return self
+
 
 def spectral_sum(coefficients, components, d):
     """The map sum_k c_k Q_k from scalar coefficients and component matrices;

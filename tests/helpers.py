@@ -131,3 +131,50 @@ def inversion_atol(lam_s):
     """Tolerance for V = Lambda_t o Lambda_s^-1 computed by a linear solve, whose
     error grows as cond(Lambda_s) * eps."""
     return 10.0 * np.finfo(float).eps * max(1.0, float(np.linalg.cond(lam_s)))
+
+
+def _ini_number(z):
+    z = complex(z)
+    if z.imag == 0.0:
+        return repr(z.real)
+    return f"{z.real!r}{'+' if z.imag >= 0.0 else '-'}{abs(z.imag)!r}j"
+
+
+def _ini_matrix(m):
+    return "; ".join(" ".join(_ini_number(x) for x in row) for row in np.asarray(m))
+
+
+CONFIG_KINDS = ("gkls", "depolarizing", "detailed_balance", "diagonally_covariant",
+                "pure_decoherence")
+
+
+def random_config_text(rng, kind, d, points=25):
+    """INI text of a random valid family of one of ``CONFIG_KINDS`` at dimension d."""
+    lines = ["[family]", f"kind = {kind}"]
+    if kind == "gkls":
+        lines.append(f"hamiltonian = {_ini_matrix(random_hermitian(rng, d, 0.5))}")
+        lines += [f"lindblad{k} = {_ini_matrix(ginibre(rng, d) / d)}" for k in (1, 2)]
+    elif kind == "depolarizing":
+        lines += [f"gamma = {rng.uniform(0.5, 2.0)!r}",
+                  f"omega = {_ini_matrix(random_density(rng, d))}"]
+    elif kind == "detailed_balance":
+        # a ladder: E_{k,k+1} lowers level k + 1 by the gap w_k
+        energies = np.cumsum(rng.uniform(0.3, 1.5, d)) - 0.3
+        lines += [f"hamiltonian = {_ini_matrix(np.diag(energies))}",
+                  f"beta = {rng.uniform(0.3, 1.2)!r}"]
+        for k in range(d - 1):
+            v = np.zeros((d, d), dtype=complex)
+            v[k, k + 1] = rng.uniform(0.4, 1.2)
+            lines += [f"jump{k + 1} = {_ini_matrix(v)}",
+                      f"freq{k + 1} = {float(energies[k + 1] - energies[k])!r}"]
+    elif kind in ("diagonally_covariant", "pure_decoherence"):
+        g = ginibre(rng, d)
+        lines += [f"h = {' '.join(repr(float(x)) for x in np.sort(rng.uniform(0.0, 2.0, d)))}",
+                  f"a = {_ini_matrix(0.8 * g @ g.conj().T / d)}"]
+        if kind == "diagonally_covariant":
+            b = rng.uniform(0.0, 0.6, (d, d)) * (rng.uniform(size=(d, d)) < 0.7)
+            np.fill_diagonal(b, 0.0)
+            lines.append(f"b = {_ini_matrix(b)}")
+    else:
+        raise ValueError(kind)
+    return "\n".join(lines + ["[analysis]", f"points = {points}"]) + "\n"

@@ -52,6 +52,49 @@ class TestSearch:
         fam = families.pure_decoherence(a=np.zeros((2, 2)))
         assert asymptotics.default_search(fam).t_max == pytest.approx(20.0)
 
+    def test_default_search_reads_the_handle_exponential(self):
+        """A constant generator evolved through its exponential gives the gap
+        from that diagonalization; the handle then reuses it."""
+        rng = np.random.default_rng(41)
+        for d in (2, 3, 4):
+            fam = random_gkls_family(rng, d)
+            handle = evolve.EvolutionHandle(fam)
+            search = asymptotics.default_search(handle, grid_n=50)
+            exp_l = handle._exp_l
+            assert exp_l is not None
+            re = np.abs(np.linalg.eigvals(fam.generator_matrix(0.0)).real)
+            gap = re[re > 1e-9 * np.abs(fam.generator_matrix(0.0)).max()].min()
+            assert search.t_max == pytest.approx(20.0 / gap, rel=1e-12)
+            assert asymptotics.default_search(fam, grid_n=50).t_max == pytest.approx(
+                search.t_max, rel=1e-12)
+            handle.solve(1.0)
+            assert handle._exp_l is exp_l
+
+    def test_default_search_of_a_family_builds_no_exponential(self, monkeypatch):
+        """Without a handle there is nothing to share: eigvals, as before."""
+        calls = {"eig": 0, "eigvals": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(m, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(m)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        fam = random_gkls_family(np.random.default_rng(42), 3)
+        asymptotics.default_search(fam)
+        assert calls == {"eig": 0, "eigvals": 1}
+
+    def test_default_search_keeps_eigvals_for_other_solvers(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+        fam = families.depolarizing(2.0, np.eye(2) / 2)
+        assert asymptotics.default_search(evolve.EvolutionHandle(fam)).t_max == pytest.approx(10.0)
+        ode = evolve.EvolutionHandle(random_gkls_family(np.random.default_rng(3), 2), solver="ode")
+        asymptotics.default_search(ode)
+        assert len(calls) == 2 and ode._exp_l is None
+
 
 class TestAsymptoticMap:
     def test_depolarizing_limit_is_state_projector(self):

@@ -10,9 +10,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ebdyn import cli
+
+from helpers import random_config_text
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SHIPPED_CONFIGS = sorted(
@@ -366,3 +369,60 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "kind,keys,note"
+
+
+@pytest.mark.parametrize("kind", ["gkls", "detailed_balance", "diagonally_covariant"])
+def test_constant_generator_is_diagonalized_once(tmp_path, capsys, monkeypatch, kind):
+    """classify of a constant generator without a closed form: one eig, no eigvals."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    config = tmp_path / f"{kind}.ini"
+    config.write_text(random_config_text(np.random.default_rng(7), kind, 4, points=7))
+    assert cli.main(["classify", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert calls == {"eig": 1, "eigvals": 0}
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError(),
+    MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**11, 4, 4)"),
+])
+@pytest.mark.parametrize("command", ["classify", "ppt2", "arrival", "divisibility"])
+def test_out_of_memory_is_a_numerical_failure(tmp_path, capsys, monkeypatch, command, error):
+    """No traceback when an array cannot be allocated (a huge --kmax, points or grid_n)."""
+    config = tmp_path / "model.ini"
+    config.write_text(DEPOLARIZING_QUBIT)
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "load_config", exhausted)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory") and err.count("\n") == 1
+
+
+def test_out_file_is_replaced_exactly(tmp_path, capsys):
+    """--out replaces an existing file with exactly the output."""
+    config = tmp_path / "model.ini"
+    config.write_text(DEPOLARIZING_QUBIT)
+    out = tmp_path / "out.json"
+    out.write_text("stale " * 20000)
+    for fmt in ("json", "csv", "json"):
+        assert cli.main(["classify", "--config", str(config), "--format", fmt]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["classify", "--config", str(config), "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8")
+    fresh = tmp_path / "fresh.json"
+    assert cli.main(["classify", "--config", str(config), "--out", str(fresh)]) == 0
+    assert fresh.read_text() == out.read_text()
+    # not a regular file: nothing to cut
+    assert cli.main(["classify", "--config", str(config), "--out", os.devnull]) == 0

@@ -290,6 +290,52 @@ class TestPhaseCovariant:
             np.testing.assert_allclose(fam.closed_form.map_at(t).matrix, want, rtol=0,
                                        atol=1e-13 * max(1.0, np.abs(want).max()))
 
+    @pytest.mark.parametrize("rates", [(1.0, -1.0, 0.0), (-0.4, 0.4, 0.3), (2.0, -2.0, -0.2)])
+    def test_jordan_block_runs_on_the_exponential(self, rates):
+        """G_L = 0 with g+ = -g- != 0: the populations grow as p+(0) + g+ t, so
+        there is no spectral closed form; the map is the generator's exponential."""
+        fam = families.phase_covariant(0.5, *rates)
+        assert fam.closed_form is None
+        handle = evolve.EvolutionHandle(fam)
+        assert handle.solver == "commuting_exp"
+        gen = fam.generator_matrix(0.0)
+        ts = (0.3, 1.0, 2.5, 6.0)
+        grid = handle._solve_grid(list(ts))
+        for t, m in zip(ts, grid):
+            want = scipy.linalg.expm(t * gen)
+            atol = 1e-12 * max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(handle.solve(t).matrix, want, rtol=0, atol=atol)
+            np.testing.assert_allclose(m, want, rtol=0, atol=atol)
+        rho = evolve.EvolutionHandle(fam).solve(1.0).apply(np.diag([0.5, 0.5]))
+        assert rho[0, 0].real == pytest.approx(0.5 + rates[0], abs=1e-12)
+
+    @pytest.mark.parametrize("gp", [1.0, -0.4, 2.0])
+    @pytest.mark.parametrize("ulps", [1, 3, 9, 1000])
+    def test_near_jordan_block_runs_on_the_exponential(self, gp, ulps):
+        """G_L a few ulp from zero: the weights g+/G_L of the closed form would
+        be about 1e15 and cancel, so the map is the generator's exponential."""
+        gm = -gp
+        for _ in range(ulps):
+            gm = np.nextafter(gm, np.inf)
+        fam = families.phase_covariant(0.5, gp, gm, 0.1)
+        assert fam.params["longitudinal_rate"] != 0.0
+        assert fam.closed_form is None
+        handle = evolve.EvolutionHandle(fam)
+        gen = fam.generator_matrix(0.0)
+        for t in (0.3, 1.0, 2.5, 6.0):
+            want = scipy.linalg.expm(t * gen)
+            np.testing.assert_allclose(handle.solve(t).matrix, want, rtol=0,
+                                       atol=1e-8 * max(1.0, np.abs(want).max()))
+
+    def test_small_longitudinal_rate_keeps_the_closed_form(self):
+        fam = families.phase_covariant(0.5, 1.0, -0.999, 0.1)
+        assert fam.closed_form is not None
+        gen = fam.generator_matrix(0.0)
+        for t in (0.3, 1.0, 2.5, 6.0):
+            want = scipy.linalg.expm(t * gen)
+            np.testing.assert_allclose(fam.closed_form.map_at(t).matrix, want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(want).max()))
+
     def test_flags(self):
         assert families.phase_covariant(0.0, 1.0, 1.0, 0.5).cp_divisible
         assert not families.phase_covariant(0.0, 1.0, 1.0, -0.1).cp_divisible

@@ -124,3 +124,56 @@ class TestVerdict:
         rows = {row["metric"]: row for row in fold_bench.fold(runs, METRICS)}
         assert rows["analysis_p50_ms"]["verdict"] == "gain"
         assert rows["analyses_per_s"]["verdict"] == "within_bound"
+
+
+with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+    LAYER_METRICS = json.load(fh)["per_layer"]
+
+
+def write_trace_run(path, workload, seed, load_s, main_s):
+    """A saved ``--trace 1`` run: per-layer metrics per traced pass."""
+    metrics = {m["name"]: {"value": 0.5, "unit": m["unit"]} for m in LAYER_METRICS}
+    metrics["cli.load_config.self_s"]["value"] = load_s
+    metrics["cli.main.self_s"]["value"] = main_s
+    path.write_text(
+        f"workload {workload}, seed {seed}, 59 groups, 118 analyses per pass\n"
+        "pairs of untraced and traced passes: 4\n"
+        + json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+        + "\n"
+    )
+    return str(path)
+
+
+def test_traced_runs_fold_into_layers(tmp_path):
+    runs = []
+    for seed, (before, after) in enumerate(((0.20, 0.10), (0.30, 0.12), (0.25, 0.25)), start=1):
+        runs.append(write_trace_run(tmp_path / f"tp{seed}", "classify", seed, before, 1.0))
+        runs.append(write_trace_run(tmp_path / f"tc{seed}", "classify", seed, after, 0.5))
+    # untraced pairs mix in; each kind folds only its own pairs
+    runs.append(write_run(tmp_path / "p9", "classify", 9, 3.0, 1.0))
+    runs.append(write_run(tmp_path / "c9", "classify", 9, 2.0, 2.0))
+    layers = {row["metric"]: row for row in fold_bench.fold(runs, LAYER_METRICS, traced=True)}
+    assert list(layers) == [m["name"] for m in LAYER_METRICS]
+    load = layers["cli.load_config.self_s"]
+    assert load["parent"]["median"] == 0.25 and load["change"]["median"] == 0.12
+    assert (load["pairs"], load["wins"], load["seeds"]) == (3, 2, [1, 2, 3])
+    assert "verdict" not in load
+    assert layers["cli.main.self_s"]["wins"] == 3
+    rows = fold_bench.fold(runs, METRICS)
+    assert all(row["pairs"] == 1 and row["seeds"] == [9] for row in rows)
+
+    out = tmp_path / "BENCH.json"
+    assert fold_bench.main(["--out", str(out), "--seconds", "55", "--machine", "m"] + runs) == 0
+    record = json.loads(out.read_text())
+    assert [row["metric"] for row in record["layers"]] == list(layers)
+    assert [row["metric"] for row in record["results"]] == [m["name"] for m in BENCHMARK_METRICS]
+    # no traced runs, no layers section
+    assert fold_bench.main(["--out", str(out), "--seconds", "55", "--machine", "m"] + runs[-2:]) == 0
+    assert "layers" not in json.loads(out.read_text())
+
+
+def test_traced_and_untraced_runs_do_not_pair(tmp_path):
+    runs = [write_trace_run(tmp_path / "p", "classify", 4, 0.2, 1.0),
+            write_run(tmp_path / "c", "classify", 4, 2.0, 1.0)]
+    with pytest.raises(ValueError):
+        fold_bench.fold(runs, METRICS)

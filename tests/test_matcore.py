@@ -203,6 +203,18 @@ class TestExpGenerator:
                 np.testing.assert_array_equal(got, exp_gen(float(tau)))
             assert exp_gen(np.array([])).shape == (0,) + m.shape
 
+    def test_eigenvalues_are_those_of_eig(self):
+        """On both routes, the callable carries np.linalg.eig's eigenvalues."""
+        rng = np.random.default_rng(28)
+        cases = [random_gkls_family(rng, d).generator_matrix(0.0) for d in (2, 3, 4)]
+        for m in cases + [JORDAN, np.zeros((2, 2))]:
+            got = matcore.exp_generator(m).eigenvalues
+            want = np.linalg.eig(np.asarray(m, dtype=complex))[0]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_eigenvalues_are_none_when_eig_fails(self):
+        assert matcore.exp_generator(np.array([[np.nan, 0.0], [0.0, 1.0]])).eigenvalues is None
+
     def test_group_law(self):
         rng = np.random.default_rng(26)
         exp_gen = matcore.exp_generator(random_gkls_family(rng, 3).generator_matrix(0.0))

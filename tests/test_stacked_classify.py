@@ -396,6 +396,15 @@ def test_one_off_pattern_entry_sends_only_that_map_down_the_dense_path(monkeypat
         assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
 
 
+@pytest.mark.parametrize("entry, routed", [(-0.0, True), (complex(-0.0, -0.0), True),
+                                           (np.inf, False), (complex(0.0, np.nan), False)])
+def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(entry, routed):
+    d = 5
+    choi = superop._choi_shuffle(covariant_stack(np.random.default_rng(41), d), d).copy()
+    choi[2, 1, 7] = entry  # |01><12|: off the block and the diagonal
+    assert list(classify._covariant_maps(choi, d)) == [True, True, routed, True]
+
+
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_mixed_stack_gives_each_map_its_stack_of_one_floors(d):
     rng = np.random.default_rng(50 + d)

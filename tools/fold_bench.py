@@ -12,6 +12,11 @@ holds each side's median and interquartile range over the pairs, the number
 of pairs, the number the change won (ties count for neither side) and a
 verdict (see :func:`verdict`).
 
+Pairs of ``--trace 1`` runs may be mixed in as well.  Their per-layer
+metrics (those BENCHMARK.json lists, per traced pass) are folded the same
+way into the record's ``layers`` section, without a verdict: per-layer
+metrics have no bound.
+
     python3 tools/fold_bench.py --out BENCH_6.json --seconds 55 \\
         --machine "2-core x86-64 VM, Python 3.11, BLAS on one thread" \\
         parent_s1.txt change_s1.txt parent_s2.txt change_s2.txt ...
@@ -38,6 +43,11 @@ def read_run(path):
     if match is None:
         raise ValueError(f"{path}: first line does not name a workload and a seed")
     return match.group(1), int(match.group(2)), json.loads(lines[-1])
+
+
+def is_traced(result):
+    """Whether a run was made with ``--trace 1``: it reports per-layer metrics."""
+    return "trace.overhead_s" in result["metrics"]
 
 
 def summary(values):
@@ -73,8 +83,13 @@ def verdict(parent, change, wins, pairs, better, bound):
     return "within_bound"
 
 
-def fold(paths, metrics):
-    """Rows of the record from run files in (parent, change) order."""
+def fold(paths, metrics, traced=False):
+    """Rows of the record from run files in (parent, change) order.
+
+    The rows fold the untraced pairs over the end-to-end ``metrics``, or with
+    ``traced`` the ``--trace 1`` pairs over the per-layer ``metrics``; rows of
+    per-layer metrics carry no verdict.
+    """
     if len(paths) % 2:
         raise ValueError("runs come in pairs: parent, then change")
     pairs = {}
@@ -82,7 +97,10 @@ def fold(paths, metrics):
         parent, change = read_run(parent_path), read_run(change_path)
         if parent[:2] != change[:2]:
             raise ValueError(f"{parent_path} and {change_path} differ in workload or seed")
-        pairs.setdefault(parent[0], []).append((parent[1], parent[2], change[2]))
+        if is_traced(parent[2]) != is_traced(change[2]):
+            raise ValueError(f"{parent_path} and {change_path}: one run is traced, one is not")
+        if is_traced(parent[2]) == traced:
+            pairs.setdefault(parent[0], []).append((parent[1], parent[2], change[2]))
     rows = []
     for workload, runs in pairs.items():
         for metric in metrics:
@@ -91,7 +109,7 @@ def fold(paths, metrics):
             after = [c["metrics"][name]["value"] for _, _, c in runs]
             parent, change = summary(before), summary(after)
             wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
-            rows.append({
+            row = {
                 "workload": workload,
                 "metric": name,
                 "unit": metric["unit"],
@@ -100,11 +118,13 @@ def fold(paths, metrics):
                 "change": change,
                 "pairs": len(runs),
                 "wins": wins,
-                "verdict": verdict(parent, change, wins, len(runs), metric["better"],
-                                   metric["bound"]),
                 "seeds": [seed for seed, _, _ in runs],
                 "correct": all(p["correct"] and c["correct"] for _, p, c in runs),
-            })
+            }
+            if not traced:
+                row["verdict"] = verdict(parent, change, wins, len(runs), metric["better"],
+                                         metric["bound"])
+            rows.append(row)
     return rows
 
 
@@ -117,21 +137,24 @@ def main(argv=None):
     parser.add_argument("runs", nargs="+", help="run outputs: parent, change, parent, ...")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
     try:
-        rows = fold(args.runs, metrics)
+        rows = fold(args.runs, benchmark["end_to_end"])
+        layers = fold(args.runs, benchmark["per_layer"], traced=True)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     record = {"run_seconds": args.seconds, "machine": args.machine, "results": rows}
+    if layers:
+        record["layers"] = layers
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    for row in rows:
+    for row in rows + layers:
         p, c = row["parent"], row["change"]
         print(f"{row['workload']:<13} {row['metric']:<16} parent {p['median']:.4g} "
               f"(IQR {p['iqr']:.3g})  change {c['median']:.4g} (IQR {c['iqr']:.3g})  "
-              f"wins {row['wins']}/{row['pairs']}  {row['verdict']}")
+              f"wins {row['wins']}/{row['pairs']}  {row.get('verdict', 'per layer')}")
     return 0
 
 
