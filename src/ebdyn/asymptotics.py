@@ -18,7 +18,7 @@ evolution into the interior of the EB cone in finite time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 CONES = ("P", "CP", "coCP", "PPT", "EB")
+# the witness each cone is scanned with: EB has the PPT witness (exact for
+# d = 2, a lower bound beyond), so a scan for EB is the scan for PPT
+_WITNESS_KIND = {"P": "P", "CP": "CP", "coCP": "coCP", "PPT": "PPT", "EB": "PPT"}
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +76,24 @@ def cone_witnesses(stack, d, cone) -> np.ndarray:
     Entry k is the witness of the map with matrix ``stack[k]``; nonnegative
     means inside.  The Choi permutation, the partial transpose and the
     eigensolves run once over the whole stack (:func:`classify.choi_floors`),
-    one eigensolve for CP and coCP, two for PPT and EB.  For EB with d > 2 this is
-    the PPT witness, a necessary condition only (callers flag the result as
-    a lower bound).  The P witness is a see-saw search over product vectors,
-    run map by map: sound for refutation, heuristic for membership.
+    one eigensolve for CP and coCP, two for PPT and EB.  EB has the PPT
+    witness (``_WITNESS_KIND``): exact for d = 2, for d > 2 a necessary
+    condition only (callers flag the result as a lower bound).  The P
+    witness is a see-saw search over product vectors, run map by map: sound
+    for refutation, heuristic for membership.
     """
     if cone == "P":
         return np.array([
             classify.positivity_witness(superop.Superoperator(m, d), restarts=4, iters=50)
             for m in stack
         ])
-    if cone not in CONES:
+    kind = _WITNESS_KIND.get(cone)
+    if kind is None:
         raise ValueError(f"unknown cone {cone!r}")
-    _, min_c, min_pt = classify.choi_floors(stack, d, cp=cone != "coCP", cocp=cone != "CP")
-    if cone == "CP":
+    _, min_c, min_pt = classify.choi_floors(stack, d, cp=kind != "coCP", cocp=kind != "CP")
+    if kind == "CP":
         return min_c
-    if cone == "coCP":
+    if kind == "coCP":
         return min_pt
     return np.where(min_pt < min_c, min_pt, min_c)  # min(min_c, min_pt) per map
 
@@ -279,14 +284,20 @@ class ArrivalResult:
     grid_witness: np.ndarray = field(repr=False)
 
 
+def _pointwise(handle):
+    """Whether the handle computes each time of a grid on its own (closed forms,
+    constant generators), not by one integration from 0 (``ode``, time-dependent
+    ``commuting_exp``): then every part of a grid is bitwise those points of
+    the whole grid, and a stack costs about one point."""
+    return handle.solver == "closed_form" or (
+        handle.solver == "commuting_exp" and handle.family.constant)
+
+
 def _round_levels(handle, cone):
     """Halvings per bisection round: one (the serial bisection) where each
-    point costs its own integration (``ode``, time-dependent ``commuting_exp``)
-    or see-saw search (P), three where a stack costs about one point."""
-    if cone == "P" or handle.solver == "ode" or (
-            handle.solver == "commuting_exp" and not handle.family.constant):
-        return 1
-    return 3
+    point costs its own integration or see-saw search (P), three where a
+    stack costs about one point."""
+    return 3 if cone != "P" and _pointwise(handle) else 1
 
 
 def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
@@ -319,10 +330,23 @@ def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
     return 0.5 * (lo + hi)
 
 
-def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels):
+def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels, head=None):
     """``(tau, bracket, ws)``: grid witnesses, then the last crossing bisected,
-    with one stacked witness function for the grid and the rounds."""
-    ws = witnesses(ts.tolist())
+    with one stacked witness function for the grid and the rounds.
+
+    With ``head``, the first ``head`` grid points are evaluated alone, and the
+    scan keeps to them when one of their witnesses is > ``tol``; that is sound
+    only where no later point can be outside (a CP-divisible family), and then
+    ``tau`` and ``bracket`` are those of the whole grid, and ``ws`` its prefix.
+    """
+    if head is not None and len(ts) > head:
+        ws = witnesses(ts[:head].tolist())
+        if (ws > tol).any():
+            ts = ts[:head]
+        else:
+            ws = np.concatenate([ws, witnesses(ts[head:].tolist())])
+    else:
+        ws = witnesses(ts.tolist())
     neg = ws < -tol
     if neg[-1]:
         raise NotReachedError(ts[-1], ws[-1], cone=cone)
@@ -364,17 +388,32 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
     Scans the witness over ``search.grid_n`` points up to ``search.t_max``,
     bisects the last crossing and certifies the tail.  Raises
     :class:`NotReachedError` when the witness is still negative at the
-    horizon and :class:`NoRetentionCertificateError` when a crossing exists
-    but the asymptotic witness is provably negative.
+    horizon.  A crossing whose asymptotic witness is provably negative is
+    transient: ``tau`` is None and the certificate ``"none"``.
+
+    A handle answers once per witness kind, search and tolerance: EB reads
+    the PPT result, with its own ``cone`` and ``eb_lower_bound``.  Its grid
+    arrays are read-only, as they are shared.
     """
     handle = evolve._as_handle(handle_or_family)
-    family = handle.family
     if cone not in CONES:
         raise ValueError(f"unknown cone {cone!r}")
     if tol is None:
         tol = tolerances.PSD_TOL
     if search is None:
         search = default_search(handle)
+    result = handle._scan_result(
+        ("arrival", _WITNESS_KIND[cone], None, search, tol),
+        lambda: _arrival(handle, cone, search, tol),
+    )
+    if result.cone != cone:
+        result = replace(
+            result, cone=cone, eb_lower_bound=cone == "EB" and handle.family.d > 2)
+    return result
+
+
+def _arrival(handle, cone, search, tol):
+    family = handle.family
     ts = np.linspace(0.0, search.t_max, search.grid_n)
 
     def witnesses(times):
@@ -391,6 +430,7 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
         certificate = "none"
     if certificate == "none":
         tau = None
+    ts.flags.writeable = ws.flags.writeable = False
     return ArrivalResult(
         cone=cone,
         tau=tau,

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 from .errors import (
@@ -251,7 +252,12 @@ def _build_family(section):
     if not 2 <= family.d <= 8:
         raise ConfigError(f"dimension d={family.d} outside the supported "
                           "range 2..8")
-    if not np.isfinite(family.generator_matrix(0.0)).all():
+    try:
+        with np.errstate(over="raise"):
+            finite = np.isfinite(family.generator_matrix(0.0)).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
         raise ConfigError(f"{kind}: the generator overflows the float range")
     return family
 
@@ -387,8 +393,13 @@ def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # written over the old bytes and cut to length: truncating to zero
+        # first costs more than the write; only a regular file can be cut
+        data = text.encode("utf-8")
+        with os.fdopen(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

@@ -9,7 +9,10 @@ has V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT and EB
 witnesses are those of e^{(t-s)X}, so its core is scanned once; and for a
 CP-divisible family one instant inside the cone keeps all later propagators
 inside, because composing with completely positive maps preserves every cone
-in the hierarchy.
+in the hierarchy, so the sweep of such a family stops after the first chunk
+of its grid with a point inside.  With the shortcuts, a handle answers each
+scan once per witness kind (EB reads the PPT scan) and keeps one handle of a
+Floquet core.
 
 Refutation is by witness limits: when the propagator's asymptotic witness at
 some fixed s is strictly negative, no Delta(s) exists and eventual
@@ -86,11 +89,11 @@ def scan_divisibility(
     if use_shortcuts and family.constant:
         return _semigroup_scan(handle, cone, s_grid, search, tol)
 
-    core = family.params.get("core") if use_shortcuts and cone != "P" else None
-    if core is not None:
-        deltas, certs, details = _core_scan(handle, core, cone, s_grid, search, tol)
+    if use_shortcuts and cone != "P" and "core" in family.params:
+        deltas, certs, details = _core_scan(handle, cone, s_grid, search, tol)
     else:
-        arrivals = [_arrival_at_start(handle, cone, s, search, tol) for s in s_grid]
+        arrivals = [_arrival_at_start(handle, cone, s, search, tol, use_shortcuts)
+                    for s in s_grid]
         deltas = [delta for delta, _ in arrivals]
         certs = [cert for _, cert in arrivals]
         details = {}
@@ -119,7 +122,7 @@ def scan_divisibility(
     )
 
 
-def _core_scan(handle, core, cone, s_grid, search, tol):
+def _core_scan(handle, cone, s_grid, search, tol):
     """Deltas and certificates of a family P_t o e^{tX} from its core e^{tX}.
 
     P_t is a unitary conjugation, so V_{t,s} and e^{(t-s)X} differ by local
@@ -129,20 +132,13 @@ def _core_scan(handle, core, cone, s_grid, search, tol):
     preserving Lambda_s^-1, which leaves that rank-one phase unchanged, and
     the phases are unitary conjugates of one another, so phase 0 gives the
     tail witness for every s.  The certificates follow the generic rules of
-    :func:`_arrival_at_start`.
+    :func:`_arrival_at_start`.  None of this depends on s: the handle
+    answers once per witness kind, and scans the core on one core handle.
     """
-    family = handle.family
-    cycle = family.closed_form.limit_cycle
-    tail = None if cycle is None else asymptotics.cone_witness(cycle(0.0), cone)
-    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
-        core_delta, cert = math.inf, "refuted_tail"
-    else:
-        try:
-            core_delta = _grid_delta(evolve.EvolutionHandle(core), cone, 0.0, search, tol)
-        except NotReachedError:
-            core_delta, cert = None, "not_reached"
-        else:
-            cert = _certificate(family, tail, "asymptotic_interior", tol)
+    core_delta, cert, tail = handle._scan_result(
+        ("core", asymptotics._WITNESS_KIND[cone], None, search, tol),
+        lambda: _core_arrival(handle, cone, search, tol),
+    )
     details = {
         "reduction": "local_unitary_core",
         "core_delta": core_delta,
@@ -151,6 +147,20 @@ def _core_scan(handle, core, cone, s_grid, search, tol):
     }
     deltas = [None if core_delta is None else s + core_delta for s in s_grid]
     return deltas, [cert for _ in s_grid], details
+
+
+def _core_arrival(handle, cone, search, tol):
+    """``(Delta_core, certificate, tail witness)`` of :func:`_core_scan`."""
+    family = handle.family
+    cycle = family.closed_form.limit_cycle
+    tail = None if cycle is None else asymptotics.cone_witness(cycle(0.0), cone)
+    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
+        return math.inf, "refuted_tail", tail
+    try:
+        core_delta = _grid_delta(handle._core_handle(), cone, 0.0, search, tol, chunked=True)
+    except NotReachedError:
+        return None, "not_reached", tail
+    return core_delta, _certificate(family, tail, "asymptotic_interior", tol), tail
 
 
 def _semigroup_scan(handle, cone, s_grid, search, tol):
@@ -224,20 +234,35 @@ def _propagator_tail(handle, cone, s, search, tol):
     return float(w), "asymptotic_interior"
 
 
-def _grid_delta(handle, cone, s, search, tol):
+# grid points evaluated before the rest of a chunked sweep
+_CHUNK = 16
+
+
+def _grid_delta(handle, cone, s, search, tol, chunked=False):
     """Delta(s) from the propagator grid and the bisection of its last crossing.
 
     Raises :class:`NotReachedError` when the grid ends outside the cone and
     :class:`SingularMapError` when Lambda_s cannot be inverted.
+
+    ``chunked`` evaluates the first ``_CHUNK`` points of the grid alone and
+    stops there when one of them is inside by more than ``tol``, where the
+    family is CP-divisible and the handle computes each point on its own
+    (not for P, whose see-saw witness only suggests membership): every later
+    V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map with a map inside the
+    cone, so it is inside too and no later point can be the last one outside
+    (``tol`` covers the rounding).  Delta is then bitwise that of the whole
+    grid; only an error that a later point would raise is not raised.
     """
     ts = np.linspace(s, s + search.t_max, search.grid_n)
 
     def witnesses(times):
         return asymptotics.cone_witnesses(handle._propagator_grid(times, s), handle.family.d, cone)
 
+    head = _CHUNK if (chunked and cone != "P" and handle.family.cp_divisible
+                      and asymptotics._pointwise(handle)) else None
     delta, _bracket, _ws = asymptotics._scan_for_arrival(
         ts, witnesses, tol, search.resolved_bisect_tol(), cone,
-        asymptotics._round_levels(handle, cone),
+        asymptotics._round_levels(handle, cone), head,
     )
     return max(float(delta), s)  # the scan reports 0.0 when never negative
 
@@ -251,13 +276,23 @@ def _certificate(family, tail, tail_kind, tol):
     return "sampled_grid"
 
 
-def _arrival_at_start(handle, cone, s, search, tol):
-    """Delta(s) and its certificate for one start time."""
+def _arrival_at_start(handle, cone, s, search, tol, use_shortcuts=False):
+    """Delta(s) and its certificate for one start time; with the shortcuts, the
+    grid is chunked and the handle answers once per witness kind."""
+    if not use_shortcuts:
+        return _start_arrival(handle, cone, s, search, tol, chunked=False)
+    return handle._scan_result(
+        ("start", asymptotics._WITNESS_KIND[cone], s, search, tol),
+        lambda: _start_arrival(handle, cone, s, search, tol, chunked=True),
+    )
+
+
+def _start_arrival(handle, cone, s, search, tol, chunked):
     tail, tail_kind = _propagator_tail(handle, cone, s, search, tol)
     if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
         return math.inf, "refuted_tail"
     try:
-        delta = _grid_delta(handle, cone, s, search, tol)
+        delta = _grid_delta(handle, cone, s, search, tol, chunked)
     except SingularMapError:
         return None, "singular"
     except NotReachedError:

@@ -31,8 +31,13 @@ _SOLVERS = ("closed_form", "commuting_exp", "ode")
 
 
 class EvolutionHandle:
-    """Evolved maps of one family under one solver choice; per time, the handle
-    keeps the coefficient row of a spectral closed form, else the solved map."""
+    """Evolved maps of one family under one solver choice.
+
+    For the life of the handle it keeps, per time, the coefficient row of a
+    spectral closed form, else the solved map; the handle of a Floquet
+    family's constant core; and the answer to each grid scan it was asked,
+    keyed by witness kind (see :meth:`_scan_result`).
+    """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
         if solver is None:
@@ -52,6 +57,8 @@ class EvolutionHandle:
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {}
         self._exp_l = None  # see _generator_exponential
+        self._core = None  # see _core_handle
+        self._scans = {}  # see _scan_result
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
 
     # -- single time ------------------------------------------------------
@@ -104,6 +111,25 @@ class EvolutionHandle:
         return [superop.Superoperator(m, self.family.d) for m in self._propagator_grid(ts, s)]
 
     # -- internals ----------------------------------------------------------
+
+    def _scan_result(self, key, compute):
+        """``compute()``, computed once per ``key`` on this handle.
+
+        Scans key their answers by (scan, witness kind, start time or None,
+        search, tol): cones that share a witness share the answer.  Only a
+        returned result is kept; an exception propagates, and the next call
+        with that key computes again.
+        """
+        if key not in self._scans:
+            self._scans[key] = compute()
+        return self._scans[key]
+
+    def _core_handle(self):
+        """The handle of the constant core ``family.params["core"]`` of a Floquet
+        family, built on first use, so the core is diagonalized once per handle."""
+        if self._core is None:
+            self._core = EvolutionHandle(self.family.params["core"])
+        return self._core
 
     def _solve_grid(self, ts):
         """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.

@@ -5,13 +5,17 @@ non-finite values, random extra keys and sections, and random bytes that
 are not UTF-8.  Every run must return exit code 0, 1 or 2 from ``cli.main``
 without raising; a nonzero code comes with a message on stderr.  Inputs that
 are invalid by construction (non-finite numbers, a generator that overflows,
-bytes that are not UTF-8) must give exit code 1.
+bytes that are not UTF-8) must give exit code 1.  A numpy RuntimeWarning (an
+overflow left to produce inf or nan) fails the test: bad input must end in an
+error, not in a warning.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ebdyn import cli
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 NUMBERS = st.one_of(
     st.floats(-3.0, 3.0, allow_nan=False).map(repr),
