@@ -29,7 +29,6 @@ import functools
 import json
 import math
 import os
-import stat
 import sys
 
 from .errors import (
@@ -393,13 +392,8 @@ def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        # written over the old bytes and cut to length: truncating to zero
-        # first costs more than the write; only a regular file can be cut
-        data = text.encode("utf-8")
-        with os.fdopen(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(data)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

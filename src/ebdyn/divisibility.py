@@ -11,8 +11,7 @@ CP-divisible family one instant inside the cone keeps all later propagators
 inside, because composing with completely positive maps preserves every cone
 in the hierarchy, so the sweep of such a family stops after the first chunk
 of its grid with a point inside.  With the shortcuts, a handle answers each
-scan once per witness kind (EB reads the PPT scan) and keeps one handle of a
-Floquet core.
+scan once per witness kind (EB reads the PPT scan).
 
 Refutation is by witness limits: when the propagator's asymptotic witness at
 some fixed s is strictly negative, no Delta(s) exists and eventual
@@ -133,7 +132,7 @@ def _core_scan(handle, cone, s_grid, search, tol):
     the phases are unitary conjugates of one another, so phase 0 gives the
     tail witness for every s.  The certificates follow the generic rules of
     :func:`_arrival_at_start`.  None of this depends on s: the handle
-    answers once per witness kind, and scans the core on one core handle.
+    answers once per witness kind.
     """
     core_delta, cert, tail = handle._scan_result(
         ("core", asymptotics._WITNESS_KIND[cone], None, search, tol),
@@ -156,8 +155,9 @@ def _core_arrival(handle, cone, search, tol):
     tail = None if cycle is None else asymptotics.cone_witness(cycle(0.0), cone)
     if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
         return math.inf, "refuted_tail", tail
+    core = evolve.EvolutionHandle(family.params["core"])
     try:
-        core_delta = _grid_delta(handle._core_handle(), cone, 0.0, search, tol, chunked=True)
+        core_delta = _grid_delta(core, cone, 0.0, search, tol, chunked=True)
     except NotReachedError:
         return None, "not_reached", tail
     return core_delta, _certificate(family, tail, "asymptotic_interior", tol), tail
@@ -235,7 +235,7 @@ def _propagator_tail(handle, cone, s, search, tol):
 
 
 # grid points evaluated before the rest of a chunked sweep
-_CHUNK = 16
+_CHUNK = 8
 
 
 def _grid_delta(handle, cone, s, search, tol, chunked=False):

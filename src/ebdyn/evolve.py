@@ -34,9 +34,8 @@ class EvolutionHandle:
     """Evolved maps of one family under one solver choice.
 
     For the life of the handle it keeps, per time, the coefficient row of a
-    spectral closed form, else the solved map; the handle of a Floquet
-    family's constant core; and the answer to each grid scan it was asked,
-    keyed by witness kind (see :meth:`_scan_result`).
+    spectral closed form, else the solved map, and the answer to each grid
+    scan it was asked, keyed by witness kind (see :meth:`_scan_result`).
     """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
@@ -57,7 +56,6 @@ class EvolutionHandle:
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {}
         self._exp_l = None  # see _generator_exponential
-        self._core = None  # see _core_handle
         self._scans = {}  # see _scan_result
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
 
@@ -123,13 +121,6 @@ class EvolutionHandle:
         if key not in self._scans:
             self._scans[key] = compute()
         return self._scans[key]
-
-    def _core_handle(self):
-        """The handle of the constant core ``family.params["core"]`` of a Floquet
-        family, built on first use, so the core is diagonalized once per handle."""
-        if self._core is None:
-            self._core = EvolutionHandle(self.family.params["core"])
-        return self._core
 
     def _solve_grid(self, ts):
         """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.

@@ -424,59 +424,5 @@ def test_out_file_is_replaced_exactly(tmp_path, capsys):
     fresh = tmp_path / "fresh.json"
     assert cli.main(["classify", "--config", str(config), "--out", str(fresh)]) == 0
     assert fresh.read_text() == out.read_text()
-    # not a regular file: nothing to cut
+    # not a regular file
     assert cli.main(["classify", "--config", str(config), "--out", os.devnull]) == 0
-
-
-def test_shorter_out_over_longer_output_keeps_only_the_new_bytes(tmp_path, capsys):
-    """--out writes over the old bytes and cuts the file to the new length."""
-    config = tmp_path / "model.ini"
-    config.write_text(DEPOLARIZING_QUBIT)
-    out = tmp_path / "out.json"
-    long_times = " ".join(str(0.1 * k) for k in range(40))
-    assert cli.main(["classify", "--config", str(config), "--times", long_times,
-                     "--out", str(out)]) == 0
-    long_size = out.stat().st_size
-    inode = out.stat().st_ino
-    out.chmod(0o600)
-    assert cli.main(["classify", "--config", str(config), "--times", "0 1"]) == 0
-    want = capsys.readouterr().out.encode("utf-8")
-    assert cli.main(["classify", "--config", str(config), "--times", "0 1",
-                     "--out", str(out)]) == 0
-    assert len(want) < long_size
-    assert out.read_bytes() == want
-    # the same file, rewritten in place with its mode kept
-    assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o600
-
-
-def test_new_out_file_has_the_mode_of_a_plain_open(tmp_path):
-    config = tmp_path / "model.ini"
-    config.write_text(DEPOLARIZING_QUBIT)
-    reference = tmp_path / "reference"
-    with open(reference, "w"):
-        pass
-    out = tmp_path / "out.json"
-    assert cli.main(["classify", "--config", str(config), "--out", str(out)]) == 0
-    assert out.stat().st_mode == reference.stat().st_mode
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_out_dev_null_and_fifo(tmp_path, capsys):
-    """Files that cannot be cut to length take the output as a stream."""
-    import threading
-
-    config = tmp_path / "model.ini"
-    config.write_text(DEPOLARIZING_QUBIT)
-    assert cli.main(["classify", "--config", str(config), "--out", os.devnull]) == 0
-    assert cli.main(["classify", "--config", str(config)]) == 0
-    want = capsys.readouterr().out.encode("utf-8")
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    try:
-        assert cli.main(["classify", "--config", str(config), "--out", str(fifo)]) == 0
-    finally:
-        reader.join(timeout=30)
-    assert not reader.is_alive() and got == [want]

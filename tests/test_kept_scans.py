@@ -1,4 +1,4 @@
-"""Scan answers kept on the handle, the Floquet core handle and chunked grids.
+"""Scan answers kept on the handle and chunked grids.
 
 A handle answers each scan question once per witness kind: EB has the PPT
 witness, so its arrival and divisibility scans read the PPT ones.  These
@@ -194,7 +194,8 @@ def test_an_exception_is_not_kept(monkeypatch):
         assert info.value.cone == "EB" and counter.calls > 0
 
 
-def test_floquet_core_is_diagonalized_once(monkeypatch):
+def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
+    """5 start times x 3 cones: one core scan for CP, one for PPT and EB."""
     fam = rotating_floquet()
     handle = evolve.EvolutionHandle(fam)
     search = asymptotics.default_search(handle, grid_n=100)
@@ -212,9 +213,8 @@ def test_floquet_core_is_diagonalized_once(monkeypatch):
         for i in (0, 4, 8, 12, 15)
         for cone in ("CP", "PPT", "EB")
     ]
-    assert len(eig_calls) == 1
+    assert len(eig_calls) == 2
     assert all(rep.details["reduction"] == "local_unitary_core" for rep in reports)
-    assert handle._core_handle() is handle._core_handle()
 
 
 # ---------------------------------------------------------------------------
