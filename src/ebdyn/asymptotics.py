@@ -197,11 +197,21 @@ def asymptotic_map(family, handle=None, horizon=None):
     Returns a :class:`~ebdyn.superop.Superoperator`, or a
     :class:`PeriodicMap` for families that settle into a limit cycle.
 
+    Given the ``handle`` of ``family``, the map is computed once per handle
+    and horizon and kept on the handle; a :class:`NoLimitError` is not kept.
+
     Raises
     ------
     NoLimitError
         When some spectral trajectory diverges or keeps oscillating.
     """
+    if handle is not None:
+        return handle._scan_result(("limit", horizon),
+                                   lambda: _limit(family, handle, horizon))
+    return _limit(family, handle, horizon)
+
+
+def _limit(family, handle, horizon):
     cf = family.closed_form
     if cf is not None:
         if cf.limit_cycle is not None:
@@ -286,17 +296,24 @@ class ArrivalResult:
 
 def _pointwise(handle):
     """Whether the handle computes each time of a grid on its own (closed forms,
-    constant generators), not by one integration from 0 (``ode``, time-dependent
-    ``commuting_exp``): then every part of a grid is bitwise those points of
-    the whole grid, and a stack costs about one point."""
+    constant generators): then every part of a grid is bitwise those points of
+    the whole grid, and a stack costs about one point.  Not so for a
+    time-dependent ``commuting_exp``, which integrates the generator across
+    the grid.  An ``ode`` handle reads every time from its one trajectory, so
+    its parts are bitwise the whole grid too, and a point past the steps
+    taken costs the steps up to it, one inside them an interpolation; it
+    still answers False, so ``ode`` keeps the full sweep and the serial
+    bisection, which have not been measured against the alternatives there."""
     return handle.solver == "closed_form" or (
         handle.solver == "commuting_exp" and handle.family.constant)
 
 
 def _round_levels(handle, cone):
-    """Halvings per bisection round: one (the serial bisection) where each
-    point costs its own integration or see-saw search (P), three where a
-    stack costs about one point."""
+    """Halvings per bisection round: three where a stack costs about one point
+    (:func:`_pointwise`), else one (the serial bisection): for P, whose
+    see-saw search runs map by map, for a time-dependent ``commuting_exp``,
+    whose stack integrates between its points, and for ``ode`` (see
+    :func:`_pointwise`)."""
     return 3 if cone != "P" and _pointwise(handle) else 1
 
 

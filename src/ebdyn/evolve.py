@@ -10,9 +10,10 @@ form sum_k c_k(t) Q_k sums one array of coefficient rows (its propagators from
 s have the rows c(t) / c(s)), the commuting path accumulates the generator
 antiderivative incrementally across the grid (a constant generator is
 diagonalized once per handle, and a whole grid is one batched exponential),
-and the direct path integrates the equation once with dense evaluation
-points.  Grids are stacks ``(N, d^2, d^2)``; any other propagator grid at one
-start time s applies Lambda_s^-1 to the whole stack with one solve.
+and the direct path integrates the equation once per handle, reading every
+time from the steps of that one trajectory.  Grids are stacks
+``(N, d^2, d^2)``; any other propagator grid at one start time s applies
+Lambda_s^-1 to the whole stack with one solve.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ class EvolutionHandle:
     """Evolved maps of one family under one solver choice.
 
     For the life of the handle it keeps, per time, the coefficient row of a
-    spectral closed form, else the solved map, and the answer to each grid
-    scan it was asked, keyed by witness kind (see :meth:`_scan_result`).
+    spectral closed form, else the solved map; for ``ode``, the one
+    trajectory every Lambda_t is read from (:class:`_Trajectory`); and the
+    answer to each grid scan it was asked, keyed by witness kind, and its
+    asymptotic map per horizon (see :meth:`_scan_result`).
     """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
@@ -56,6 +59,7 @@ class EvolutionHandle:
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {}
         self._exp_l = None  # see _generator_exponential
+        self._trajectory = None  # see _ode_many
         self._scans = {}  # see _scan_result
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
 
@@ -114,7 +118,8 @@ class EvolutionHandle:
         """``compute()``, computed once per ``key`` on this handle.
 
         Scans key their answers by (scan, witness kind, start time or None,
-        search, tol): cones that share a witness share the answer.  Only a
+        search, tol): cones that share a witness share the answer; the
+        asymptotic map is keyed by ("limit", horizon).  Only a
         returned result is kept; an exception propagates, and the next call
         with that key computes again.
         """
@@ -127,7 +132,7 @@ class EvolutionHandle:
 
         A spectral closed form sums its coefficient rows; other closed forms
         and a single time go through :meth:`solve` and its cache; other grids
-        are one batched exponential or one dense integration.
+        are one batched exponential or read from the handle's trajectory.
         """
         if self._spectral:
             return self._spectral_sum(self._rows(ts), ts, 0.0)
@@ -139,8 +144,8 @@ class EvolutionHandle:
 
     def _propagator_grid(self, ts, s):
         """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``, each
-        bitwise ``propagator(t, s)`` but on dense ``ode`` or time-dependent
-        ``commuting_exp`` grids and for V_{s,s} on the inversion route."""
+        bitwise ``propagator(t, s)`` but on time-dependent ``commuting_exp``
+        grids and for V_{s,s} on the inversion route."""
         cf = self.family.closed_form
         if self.family.constant:
             return self._solve_grid([t - s for t in ts])
@@ -219,29 +224,20 @@ class EvolutionHandle:
         return out
 
     def _ode_many(self, ts):
+        """The stack of Lambda_t for the floats ``ts >= 0``, read from the
+        handle's one trajectory (:class:`_Trajectory`), built on first use."""
         d2 = self.family.d ** 2
         eye = np.eye(d2, dtype=complex)
         uniq = sorted({t for t in ts if t > 0.0})
         if not uniq:
             return np.tile(eye, (len(ts), 1, 1))
-
-        def rhs(t, y):
-            return (self._generator(t) @ y.reshape(d2, d2)).ravel()
-
-        y0 = eye.ravel()
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            (0.0, uniq[-1]),
-            y0,
-            method="DOP853",
-            t_eval=uniq,
-            rtol=self.rtol,
-            atol=self.atol,
-        )
-        if not sol.success:
-            raise IntegrationFailureError(f"solve_ivp failed: {sol.message}")
-        table = {t: sol.y[:, k].reshape(d2, d2) for k, t in enumerate(uniq)}
-        return _stack([eye if t == 0.0 else table[t] for t in ts], d2)
+        if self._trajectory is None:
+            # the family's callable, not a method of the handle: the solver
+            # refers to itself, and through a bound method that cycle would
+            # keep the handle and every step alive until a cycle collection
+            self._trajectory = _Trajectory(self.family.generator_matrix, d2, self.rtol, self.atol)
+        table = dict(zip(uniq, self._trajectory.at(uniq)))
+        return _stack([eye if t == 0.0 else table[t].reshape(d2, d2) for t in ts], d2)
 
     def _invert_onto(self, lam_ts, s):
         """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t."""
@@ -252,6 +248,56 @@ class EvolutionHandle:
         n_t, n, _ = lam_ts.shape
         v_t = np.linalg.solve(lam_s.T, lam_ts.transpose(2, 0, 1).reshape(n, n_t * n))
         return v_t.reshape(n, n_t, n).transpose(1, 2, 0)
+
+
+class _Trajectory:
+    """One integration of d Lambda / dt = L_t Lambda from Lambda_0 = I with DOP853.
+
+    The solver takes its natural steps towards t = inf, as far as the latest
+    time asked for; each step keeps its end state and its interpolant.  A time
+    on a step end reads the state, any other time the interpolant of its step.
+    The steps do not depend on which times were asked, or in which order, so
+    every Lambda_t is a function of t alone.
+    """
+
+    def __init__(self, generator, d2, rtol, atol):
+        def rhs(t, y):
+            return (generator(t) @ y.reshape(d2, d2)).ravel()
+
+        self._solver = scipy.integrate.DOP853(
+            rhs, 0.0, np.eye(d2, dtype=complex).ravel(), t_bound=np.inf,
+            rtol=rtol, atol=atol)
+        self._ends = []  # end time of each step; step k covers (ends[k-1], ends[k]]
+        self._states = []  # vec Lambda at each step end
+        self._interps = []  # the dense output of each step
+        self._failure = None  # the message of the step that failed
+
+    def _cover(self, t):
+        """Step until the trajectory reaches ``t``; IntegrationFailureError if a step fails."""
+        solver = self._solver
+        while solver.t < t:
+            message = solver.step() if solver.status == "running" else self._failure
+            if solver.status == "failed":
+                self._failure = message
+                raise IntegrationFailureError(f"DOP853 failed at t={solver.t:g}: {message}")
+            self._ends.append(solver.t)
+            self._states.append(solver.y)
+            self._interps.append(solver.dense_output())
+
+    def at(self, times):
+        """vec Lambda_t, one row per float of the ascending list ``times > 0``."""
+        self._cover(times[-1])
+        ts = np.array(times)
+        steps = np.searchsorted(self._ends, ts)
+        out = np.empty((len(ts), self._solver.n), dtype=complex)
+        for rows in np.split(np.arange(len(ts)), np.flatnonzero(np.diff(steps)) + 1):
+            k = steps[rows[0]]
+            if ts[rows[-1]] == self._ends[k]:  # only the last time of a step can end it
+                out[rows[-1]] = self._states[k]
+                rows = rows[:-1]
+            if len(rows):
+                out[rows] = self._interps[k](ts[rows]).T
+        return out
 
 
 def _check_invertible(cond, s):

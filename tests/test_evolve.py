@@ -1,16 +1,21 @@
 """Solver routes and propagator identities."""
 
+import functools
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from ebdyn import cli, evolve, families, matcore, superop
-from ebdyn.errors import EbdynError, SingularMapError
+from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore, superop
+from ebdyn.errors import EbdynError, IntegrationFailureError, SingularMapError
 
-from helpers import (ginibre, inversion_atol, oscillating_pauli, random_hermitian,
-                     shipped_family)
+from helpers import (ginibre, inversion_atol, oscillating_pauli, random_gkls_family,
+                     random_hermitian, shipped_family)
 
 
 def catalog(rng):
@@ -285,3 +290,137 @@ def test_floquet_ode_agreement():
         np.testing.assert_allclose(
             ode.solve(t).matrix, fam.closed_form.map_at(t).matrix, atol=1e-7
         )
+
+
+def oscillating_gkls():
+    """Non-commuting GKLS with one oscillating rate: evolved by ``ode``."""
+    rng = np.random.default_rng(0)
+    return families.gkls(random_hermitian(rng, 2, 0.5), [
+        (ginibre(rng, 2) / 2, 0.6),
+        (ginibre(rng, 2) / 2, lambda t: 0.5 * (1.0 + 0.5 * np.sin(t))),
+    ])
+
+
+def step_ends(handle):
+    """The step ends of the handle's trajectory, [] before its first ``ode`` read."""
+    return [] if handle._trajectory is None else handle._trajectory._ends
+
+
+@functools.cache
+def oscillating_gkls_ends_to_6():
+    """The step ends up to t = 6, where a read takes the stored state instead
+    of the interpolant."""
+    handle = evolve.EvolutionHandle(oscillating_gkls())
+    handle.solve(6.0)
+    return [t for t in step_ends(handle) if t <= 6.0]
+
+
+class TestTrajectory:
+    """``ode`` reads every Lambda_t from one DOP853 trajectory per handle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reads_are_bitwise_independent_of_order_and_grouping(self, data):
+        ends = oscillating_gkls_ends_to_6()
+        times = data.draw(st.lists(
+            st.one_of(st.floats(0.0, 6.0), st.sampled_from(ends), st.just(0.0)),
+            min_size=1, max_size=12))
+        fam = oscillating_gkls()
+        alone = evolve.EvolutionHandle(fam)
+        want = {t: alone.solve(t).matrix for t in sorted(set(times))}
+        order = data.draw(st.permutations(times))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(order)), max_size=4)))
+        handle = evolve.EvolutionHandle(fam)
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            part = order[lo:hi]
+            for t, got in zip(part, handle._solve_grid(part)):
+                np.testing.assert_array_equal(got, want[t])
+        # the same steps, whatever the order: each ends at the latest time read
+        assert step_ends(handle) == step_ends(alone)
+
+    def test_a_step_end_reads_the_stored_state(self):
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        handle.solve(3.0)
+        traj = handle._trajectory
+        for k in (0, len(traj._ends) // 2, len(traj._ends) - 1):
+            t = traj._ends[k]
+            np.testing.assert_array_equal(handle.solve(t).matrix.ravel(), traj._states[k])
+            # the interpolant at its own end agrees to rounding
+            np.testing.assert_allclose(traj._interps[k](t), traj._states[k], rtol=0, atol=1e-12)
+
+    def test_a_trajectory_is_freed_with_its_handle_by_reference_counting(self):
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        handle.solve(3.0)
+        kept = weakref.ref(handle._trajectory)
+        gc.disable()
+        try:
+            del handle
+            assert kept() is None
+        finally:
+            gc.enable()
+
+    def test_propagator_grid_is_bitwise_propagator(self):
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        assert handle.solver == "ode"
+        for s in (0.0, 0.7, 2.5):
+            ts = np.linspace(s, s + 6.0, 25)[1:].tolist()
+            grid = handle._propagator_grid(ts, s)
+            fresh = evolve.EvolutionHandle(handle.family)
+            for t, got in zip(ts, grid):
+                np.testing.assert_array_equal(got, handle.propagator(t, s).matrix)
+                np.testing.assert_array_equal(got, fresh.propagator(t, s).matrix)
+
+    @pytest.mark.parametrize("case", ["eternal_nm", "constant_gkls"])
+    def test_agrees_with_exact_maps_on_a_long_horizon(self, case):
+        if case == "eternal_nm":
+            fam = families.eternal_nm(1.0)
+
+            def exact(t):
+                return fam.closed_form.map_at(t).matrix
+        else:
+            fam = random_gkls_family(np.random.default_rng(3), 3)
+            gen = fam.generator_matrix(0.0)
+
+            def exact(t):
+                return scipy.linalg.expm(t * gen)
+        handle = evolve.EvolutionHandle(fam, solver="ode")
+        ts = np.linspace(0.0, 50.0, 201).tolist()
+        for t, got in zip(ts, handle._solve_grid(ts)):
+            np.testing.assert_allclose(got, exact(t), rtol=0, atol=1e-8)
+        # off the grid, between step ends, through the interpolants
+        for t in (0.013, 17.77, 49.99):
+            np.testing.assert_allclose(handle.solve(t).matrix, exact(t), rtol=0, atol=1e-8)
+
+    def test_one_integration_per_handle_across_a_divisibility_group(self, monkeypatch):
+        built = []
+
+        class CountedDOP853(scipy.integrate.DOP853):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "DOP853", CountedDOP853)
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        search = asymptotics.Search(t_max=10.0, grid_n=40)
+        for s in (0.0, 1.0, 2.0, 3.0, 5.0):
+            for cone in ("CP", "PPT", "EB"):
+                report = divisibility.scan_divisibility(handle, cone, s_grid=[s], search=search)
+                assert report.verdict == "certified"
+        assert len(built) == 1
+        # the numeric limit reads 2 t_max = 20, the furthest time asked
+        assert built[0].t >= 20.0 > handle._trajectory._ends[-2]
+
+    def test_a_nan_generator_ends_in_integration_failure(self):
+        fam = families.gkls(np.diag([0.0, 1.0]), [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), lambda t: 1.0 if t < 5.0 else np.nan)])
+        handle = evolve.EvolutionHandle(fam, solver="ode")
+        before = handle.solve(4.0).matrix
+        assert np.isfinite(before).all()
+        with np.errstate(invalid="ignore"):
+            for call in (lambda: handle.solve(6.0), lambda: handle._solve_grid([1.0, 7.0]),
+                         lambda: handle.solve(8.0)):
+                with pytest.raises(IntegrationFailureError, match="DOP853 failed"):
+                    call()
+        # what was integrated before the failure still reads
+        np.testing.assert_array_equal(
+            evolve.EvolutionHandle(fam, solver="ode").solve(4.5).matrix, handle.solve(4.5).matrix)

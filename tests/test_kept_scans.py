@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, divisibility, evolve, families
+from ebdyn import asymptotics, classify, divisibility, evolve, families, superop
 from ebdyn.errors import NotReachedError
 
 from helpers import random_gkls_family, shipped_family
 from test_divisibility import random_floquet
+from test_evolve import oscillating_gkls
 
 SHIPPED_CONFIGS = (
     "depolarizing_qutrit", "detailed_balance_ladder", "diagonally_covariant",
@@ -215,6 +216,56 @@ def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
     ]
     assert len(eig_calls) == 2
     assert all(rep.details["reduction"] == "local_unitary_core" for rep in reports)
+
+
+class SpectrumCounter:
+    """Counts ``superop.map_spectrum`` calls: a numeric limit makes two."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        spectrum = superop.map_spectrum
+
+        def counted(phi):
+            self.calls += 1
+            return spectrum(phi)
+
+        monkeypatch.setattr(superop, "map_spectrum", counted)
+
+
+def test_numeric_limit_is_computed_once_per_handle_and_horizon(monkeypatch):
+    """5 start times x 3 cones on one time-dependent GKLS: one limit, two spectra."""
+    fam = oscillating_gkls()
+    handle = evolve.EvolutionHandle(fam)
+    assert handle.solver == "ode" and fam.closed_form is None
+    search = asymptotics.Search(t_max=20.0, grid_n=40)  # a limit by 2 t_max
+    counter = SpectrumCounter(monkeypatch)
+    reports = [divisibility.scan_divisibility(handle, cone, s_grid=[s], search=search)
+               for s in (0.0, 1.0, 2.0, 3.0, 5.0) for cone in ("CP", "PPT", "EB")]
+    assert counter.calls == 2
+    assert all(rep.verdict == "certified" for rep in reports)
+    kept = asymptotics.asymptotic_map(fam, handle=handle, horizon=20.0)
+    assert counter.calls == 2
+    np.testing.assert_array_equal(
+        kept.matrix, asymptotics.asymptotic_map(fam, horizon=20.0).matrix)
+    assert counter.calls == 4
+    asymptotics.asymptotic_map(fam, handle=handle, horizon=25.0)
+    assert counter.calls == 6
+
+
+def test_not_reached_semigroup_scans_share_the_limit(monkeypatch):
+    """A dephased qubit's coherence e^{-t} keeps the PPT witness below -tol up to
+    t = 12, while its numeric limit (the full dephasing) is settled by t = 24:
+    PPT and EB end in not_reached and read one kept limit."""
+    fam = families.gkls(np.zeros((2, 2)), [(np.diag([1.0, -1.0]), 0.5)])
+    handle = evolve.EvolutionHandle(fam)
+    search = asymptotics.Search(t_max=12.0, grid_n=60)
+    counter = SpectrumCounter(monkeypatch)
+    reports = [divisibility.scan_divisibility(handle, cone, s_grid=[0.0, 1.0], search=search)
+               for cone in ("PPT", "EB", "PPT")]
+    for rep in reports:
+        assert rep.details["arrival"] == "not_reached" and rep.verdict == "undetermined"
+        assert abs(rep.details["asymptotic_witness"]) < 1e-9
+    assert counter.calls == 2
 
 
 # ---------------------------------------------------------------------------
