@@ -138,7 +138,7 @@ def _spectral_gap(handle_or_family) -> float | None:
     family = handle_or_family if handle is None else handle.family
     for m, scale in _reference_generators(family):
         w = None
-        if handle is not None and family.constant and handle.solver == "commuting_exp":
+        if handle is not None and handle.solver == "commuting_exp":
             w = handle._generator_exponential().eigenvalues
         re = np.abs((np.linalg.eigvals(m) if w is None else w).real)
         nonzero = re[re > 1e-9 * scale]
@@ -294,50 +294,36 @@ class ArrivalResult:
     grid_witness: np.ndarray = field(repr=False)
 
 
-def _pointwise(handle):
-    """Whether the handle computes each time of a grid on its own (closed forms,
-    constant generators): then every part of a grid is bitwise those points of
-    the whole grid, and a stack costs about one point.  Not so for a
-    time-dependent ``commuting_exp``, which integrates the generator across
-    the grid.  An ``ode`` handle reads every time from its one trajectory, so
-    its parts are bitwise the whole grid too, and a point past the steps
-    taken costs the steps up to it, one inside them an interpolation; it
-    still answers False, so ``ode`` keeps the full sweep and the serial
-    bisection, which have not been measured against the alternatives there."""
-    return handle.solver == "closed_form" or (
-        handle.solver == "commuting_exp" and handle.family.constant)
-
-
-def _round_levels(handle, cone):
-    """Halvings per bisection round: three where a stack costs about one point
-    (:func:`_pointwise`), else one (the serial bisection): for P, whose
-    see-saw search runs map by map, for a time-dependent ``commuting_exp``,
-    whose stack integrates between its points, and for ``ode`` (see
-    :func:`_pointwise`)."""
-    return 3 if cone != "P" and _pointwise(handle) else 1
+def _round_levels(cone):
+    """Halvings per bisection round: three, as every route computes each time
+    on its own and a stack costs about one point; one (the serial bisection)
+    for P, whose see-saw search runs map by map."""
+    return 1 if cone == "P" else 3
 
 
 def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
     """Halve [lo, hi] to ``tol_t``; ``witnesses`` maps a list of times to witnesses.
 
     A round evaluates in one call the midpoints that the next ``levels``
-    halvings can reach (breadth first, skipping brackets within ``tol_t``) and
-    walks down the tree: the same floats as one halving per call, so the same
-    result bitwise.
+    halvings can reach (breadth first, skipping closed brackets) and walks
+    down the tree: the same floats as one halving per call, so the same
+    result bitwise.  A bracket is closed once it is within ``tol_t`` or its
+    midpoint is no float strictly inside it, so a ``tol_t`` below the float
+    spacing ends too.
     """
-    while hi - lo > tol_t:
+    while _splits(lo, hi, tol_t):
         brackets, points = [(lo, hi)], []
         for _ in range(levels):
             reached = []
             for a, b in brackets:
-                if b - a > tol_t:
+                if _splits(a, b, tol_t):
                     mid = 0.5 * (a + b)
                     points.append(mid)
                     reached += [(a, mid), (mid, b)]
             brackets = reached
         ws = dict(zip(points, witnesses(points)))
         for _ in range(levels):
-            if hi - lo <= tol_t:
+            if not _splits(lo, hi, tol_t):
                 break
             mid = 0.5 * (lo + hi)
             if ws[mid] < target:
@@ -345,6 +331,12 @@ def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
             else:
                 hi = mid
     return 0.5 * (lo + hi)
+
+
+def _splits(lo, hi, tol_t):
+    """Whether the bracket [lo, hi] is still open: wider than ``tol_t``, with
+    its midpoint strictly inside."""
+    return hi - lo > tol_t and lo < 0.5 * (lo + hi) < hi
 
 
 def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels, head=None):
@@ -438,7 +430,7 @@ def _arrival(handle, cone, search, tol):
 
     tau, bracket, ws = _scan_for_arrival(
         ts, witnesses, tol, search.resolved_bisect_tol(), cone,
-        _round_levels(handle, cone),
+        _round_levels(cone),
     )
     try:
         certificate = _retention_certificate(family, handle, cone, search, tol)

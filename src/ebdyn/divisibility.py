@@ -225,12 +225,14 @@ def _propagator_tail(handle, cone, s, search, tol):
         limit = asymptotics.asymptotic_map(family, handle=handle, horizon=search.t_max)
     except NoLimitError:
         return None, None
+    lam_s = handle.solve(s).matrix
     try:
-        lam_s_inv = np.linalg.inv(handle.solve(s).matrix)
-    except np.linalg.LinAlgError:
+        # as on the inversion route: no tail from a Lambda_s that counts as singular
+        evolve._check_invertible(np.linalg.cond(lam_s), s)
+    except (SingularMapError, np.linalg.LinAlgError):
         return None, None
     # V_{inf,s} = Lambda_inf o Lambda_s^-1 (one phase of a limit cycle)
-    tail = asymptotics._one_phase(limit).matrix @ lam_s_inv
+    tail = asymptotics._one_phase(limit).matrix @ np.linalg.inv(lam_s)
     w = asymptotics.cone_witnesses(tail[None], family.d, cone)[0]
     return float(w), "asymptotic_interior"
 
@@ -247,23 +249,22 @@ def _grid_delta(handle, cone, s, search, tol, chunked=False):
 
     ``chunked`` evaluates the first ``_CHUNK`` points of the grid alone and
     stops there when one of them is inside by more than ``tol``, where the
-    family is CP-divisible and the handle computes each point on its own
-    (not for P, whose see-saw witness only suggests membership): every later
-    V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map with a map inside the
-    cone, so it is inside too and no later point can be the last one outside
-    (``tol`` covers the rounding).  Delta is then bitwise that of the whole
-    grid; only an error that a later point would raise is not raised.
+    family is CP-divisible (not for P, whose see-saw witness only suggests
+    membership): every later V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map
+    with a map inside the cone, so it is inside too and no later point can be
+    the last one outside (``tol`` covers the rounding).  Delta is then
+    bitwise that of the whole grid, as every route computes each point on
+    its own; only an error that a later point would raise is not raised.
     """
     ts = np.linspace(s, s + search.t_max, search.grid_n)
 
     def witnesses(times):
         return asymptotics.cone_witnesses(handle._propagator_grid(times, s), handle.family.d, cone)
 
-    head = _CHUNK if (chunked and cone != "P" and handle.family.cp_divisible
-                      and asymptotics._pointwise(handle)) else None
+    head = _CHUNK if chunked and cone != "P" and handle.family.cp_divisible else None
     delta, _bracket, _ws = asymptotics._scan_for_arrival(
         ts, witnesses, tol, search.resolved_bisect_tol(), cone,
-        asymptotics._round_levels(handle, cone), head,
+        asymptotics._round_levels(cone), head,
     )
     return max(float(delta), s)  # the scan reports 0.0 when never negative
 

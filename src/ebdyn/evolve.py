@@ -1,19 +1,19 @@
 """Solving for the evolved maps Lambda_t and the propagators V_{t,s}.
 
 Solver choice follows the family's structure: a closed form is used when the
-family carries one; commuting generators go through the exponential of the
-integrated generator; everything else integrates the matrix equation
-d Lambda / dt = L_t Lambda with a high-order adaptive scheme.
+family carries one; a constant generator goes through its exponential;
+everything else integrates the matrix equation d Lambda / dt = L_t Lambda
+with a high-order adaptive scheme.  Every route computes Lambda_t as a
+function of t alone, whichever other times were asked.
 
 ``solve_many`` exists because sweeps dominate the workload: a spectral closed
 form sum_k c_k(t) Q_k sums one array of coefficient rows (its propagators from
-s have the rows c(t) / c(s)), the commuting path accumulates the generator
-antiderivative incrementally across the grid (a constant generator is
-diagonalized once per handle, and a whole grid is one batched exponential),
-and the direct path integrates the equation once per handle, reading every
-time from the steps of that one trajectory.  Grids are stacks
-``(N, d^2, d^2)``; any other propagator grid at one start time s applies
-Lambda_s^-1 to the whole stack with one solve.
+s have the rows c(t) / c(s)), a constant generator is diagonalized once per
+handle and a whole grid is one batched exponential, and the direct path
+integrates the equation once per handle, reading every time from the steps
+of that one trajectory.  Grids are stacks ``(N, d^2, d^2)``; any other
+propagator grid at one start time s applies Lambda_s^-1 to the whole stack
+with one solve.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class EvolutionHandle:
         if solver is None:
             if family.closed_form is not None:
                 solver = "closed_form"
-            elif family.commutative:
+            elif family.constant:
                 solver = "commuting_exp"
             else:
                 solver = "ode"
@@ -53,6 +53,8 @@ class EvolutionHandle:
             raise EbdynError(f"unknown solver {solver!r}")
         if solver == "closed_form" and family.closed_form is None:
             raise EbdynError("family has no closed form")
+        if solver == "commuting_exp" and not family.constant:
+            raise EbdynError("commuting_exp needs a constant generator")
         self.family = family
         self.solver = solver
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
@@ -80,7 +82,7 @@ class EvolutionHandle:
         if self.solver == "closed_form":
             result = self.family.closed_form.map_at(t)
         elif self.solver == "commuting_exp":
-            result = superop.Superoperator(self._commuting_many([t])[0], self.family.d)
+            result = superop.Superoperator(self._exponential_many([t])[0], self.family.d)
         else:
             result = superop.Superoperator(self._ode_many([t])[0], self.family.d)
         self._cache[t] = result
@@ -139,13 +141,12 @@ class EvolutionHandle:
         if self.solver == "closed_form" or len(ts) == 1:
             return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
         if self.solver == "commuting_exp":
-            return self._commuting_many(ts)
+            return self._exponential_many(ts)
         return self._ode_many(ts)
 
     def _propagator_grid(self, ts, s):
         """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``, each
-        bitwise ``propagator(t, s)`` but on time-dependent ``commuting_exp``
-        grids and for V_{s,s} on the inversion route."""
+        bitwise ``propagator(t, s)`` but for V_{s,s} on the inversion route."""
         cf = self.family.closed_form
         if self.family.constant:
             return self._solve_grid([t - s for t in ts])
@@ -182,45 +183,17 @@ class EvolutionHandle:
             out[np.asarray(ts) == start] = np.eye(d * d)
         return out
 
-    def _generator(self, t):
-        return self.family.generator_matrix(t)
-
-    def _commuting_antiderivative_steps(self, ts_sorted):
-        """Integral of the generator from 0 to each grid time, incrementally."""
-        d2 = self.family.d ** 2
-        out = []
-        acc = np.zeros((d2, d2), dtype=complex)
-        prev = 0.0
-        for t in ts_sorted:
-            if t > prev:
-                step, _ = scipy.integrate.quad_vec(
-                    lambda u: self._generator(u).ravel(),
-                    prev,
-                    t,
-                    epsabs=tolerances.QUAD_ABS_TOL,
-                    epsrel=1e-10,
-                )
-                acc = acc + step.reshape(d2, d2)
-                prev = t
-            out.append(acc.copy())
-        return out
-
     def _generator_exponential(self):
         """tau -> expm(tau L) of a constant generator, with the eigenvalues of L;
         diagonalized on first use, once per handle."""
         if self._exp_l is None:
-            self._exp_l = matcore.exp_generator(self._generator(0.0))
+            self._exp_l = matcore.exp_generator(self.family.generator_matrix(0.0))
         return self._exp_l
 
-    def _commuting_many(self, ts):
-        d2 = self.family.d ** 2
-        if self.family.constant:
-            out = self._generator_exponential()(np.array(ts, dtype=float))
-        else:
-            ts_sorted = sorted(ts)
-            anti = dict(zip(ts_sorted, self._commuting_antiderivative_steps(ts_sorted)))
-            out = _stack([matcore.expm(anti[t]) for t in ts], d2)
-        out[np.array(ts) == 0.0] = np.eye(d2)  # t = 0 is the exact identity
+    def _exponential_many(self, ts):
+        """The stack of expm(t L) of the constant generator for the floats ``ts >= 0``."""
+        out = self._generator_exponential()(np.array(ts, dtype=float))
+        out[np.array(ts) == 0.0] = np.eye(self.family.d ** 2)  # t = 0 is the exact identity
         return out
 
     def _ode_many(self, ts):

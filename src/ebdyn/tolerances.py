@@ -32,9 +32,6 @@ SINGULAR_COND_LIMIT = 1e12
 # well-conditioned; otherwise it falls back to scaling-and-squaring.
 EXPM_EIG_COND_LIMIT = 1e6
 
-# Quadrature of rate functions and generator antiderivatives.
-QUAD_ABS_TOL = 1e-10
-
 # Direct integration of the evolution equation.
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-12

@@ -150,6 +150,17 @@ class TestArrivalTime:
         assert res.tau == pytest.approx(math.log(4.0), abs=1e-8)
         assert res.eb_lower_bound
 
+    @pytest.mark.parametrize("bisect_tol", [0.0, 1e-300])
+    def test_bisect_tol_below_float_spacing_ends(self, bisect_tol):
+        """The last bracket has no float strictly inside: tau is the crossing
+        to within the float spacing."""
+        fam = families.depolarizing(1.0, np.eye(3) / 3)
+        search = asymptotics.Search(t_max=8.0, bisect_tol=bisect_tol)
+        res = asymptotics.arrival_time(fam, "PPT", search=search)
+        lo, hi = res.bracket
+        assert abs(res.tau - math.log(4.0)) <= 2 * math.ulp(math.log(4.0))
+        assert lo <= res.tau <= hi
+
     def test_inside_from_start(self):
         fam = families.depolarizing(1.0, np.eye(2) / 2)
         res = asymptotics.arrival_time(fam, "CP")

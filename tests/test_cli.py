@@ -199,6 +199,24 @@ class TestArrival:
         assert row["witness_at_horizon"] < 0
 
 
+    def test_bisect_tol_below_float_spacing_ends(self, tmp_path):
+        """The bisection stops once a midpoint is no float inside its bracket:
+        tau is then ln 4 to the last bits, in a subprocess that cannot hang
+        the suite."""
+        with open(os.path.join(REPO, "configs", "depolarizing_qutrit.ini"),
+                  encoding="utf-8") as fh:
+            config = write_config(tmp_path, fh.read() + "bisect_tol = 1e-300\n")
+        out = tmp_path / "arrival.json"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebdyn", "arrival", "--config", config, "--cones", "PPT",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        tau = json.loads(out.read_text())["rows"][0]["tau"]
+        assert abs(tau - math.log(4.0)) <= 2 * math.ulp(math.log(4.0))
+
+
 class TestDivisibility:
     def test_semigroup_chain(self, tmp_path):
         config = write_config(tmp_path, DEPOLARIZING_QUBIT)

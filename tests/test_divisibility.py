@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore
+from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore, tolerances
 
 from helpers import random_gkls_family, random_unitary
+from test_evolve import oscillating_gkls
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -295,6 +296,33 @@ class TestImplicationChain:
             "CP": self.report("CP", "undetermined", (None, 5.0)),
         }
         assert divisibility.check_implication_chain(reports).consistent
+
+
+class TestPropagatorTail:
+    def test_no_tail_from_a_start_that_counts_as_singular(self):
+        """A decayed ``ode`` Lambda_s is not exactly singular, so a bare inverse
+        would give a tail; past SINGULAR_COND_LIMIT, as on the inversion route,
+        there is none, and the start time scans as singular."""
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        search = asymptotics.Search(t_max=120.0)
+        s = 40.0
+        assert handle.solver == "ode"
+        assert np.linalg.cond(handle.solve(s).matrix) > tolerances.SINGULAR_COND_LIMIT
+        assert divisibility._propagator_tail(handle, "PPT", s, search, 1e-9) == (None, None)
+        assert divisibility._start_arrival(handle, "PPT", s, search, 1e-9, True) == (
+            None, "singular")
+
+    def test_an_invertible_start_keeps_the_inverse(self):
+        fam, _ = cli.load_config(os.path.join(CONFIG_DIR, "detailed_balance_ladder.ini"))
+        handle = evolve.EvolutionHandle(fam)
+        search = asymptotics.default_search(handle)
+        limit = asymptotics._one_phase(
+            asymptotics.asymptotic_map(fam, handle=handle, horizon=search.t_max))
+        for s in (0.0, 0.8, 3.0):
+            tail = limit.matrix @ np.linalg.inv(handle.solve(s).matrix)
+            want = float(asymptotics.cone_witnesses(tail[None], 3, "PPT")[0])
+            assert divisibility._propagator_tail(handle, "PPT", s, search, 1e-9) == (
+                want, "asymptotic_interior")
 
 
 def test_depolarizing_chain_consistency_end_to_end():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore, superop
@@ -46,15 +47,25 @@ class TestSolverRoutes:
         with pytest.raises(EbdynError):
             evolve.EvolutionHandle(gk, solver="closed_form")
 
+    def test_commuting_exp_requires_constant_generator(self):
+        """A time-dependent generator has no exponential route, even where its
+        samples commute: the default is the closed form or the ODE."""
+        for fam in (oscillating_pauli(), oscillating_gkls(), looks_commutative_gkls()):
+            assert not fam.constant
+            with pytest.raises(EbdynError, match="constant generator"):
+                evolve.EvolutionHandle(fam, solver="commuting_exp")
+        assert evolve.EvolutionHandle(looks_commutative_gkls()).solver == "ode"
+
     def test_routes_agree(self):
-        """Closed form, commuting quadrature and the ODE integrator coincide."""
+        """Closed form, the constant generator's exponential and the ODE
+        integrator coincide."""
         rng = np.random.default_rng(3)
         ts = np.linspace(0.0, 6.0, 7)
         for fam in catalog(rng):
             handles = [evolve.EvolutionHandle(fam, solver="ode", rtol=1e-11, atol=1e-13)]
             if fam.closed_form is not None:
                 handles.append(evolve.EvolutionHandle(fam, solver="closed_form"))
-            if fam.commutative or fam.constant:
+            if fam.constant:
                 handles.append(evolve.EvolutionHandle(fam, solver="commuting_exp"))
             sols = [h.solve_many(ts) for h in handles]
             for other in sols[1:]:
@@ -299,6 +310,38 @@ def oscillating_gkls():
         (ginibre(rng, 2) / 2, 0.6),
         (ginibre(rng, 2) / 2, lambda t: 0.5 * (1.0 + 0.5 * np.sin(t))),
     ])
+
+
+def looks_commutative_gkls():
+    """Qubit GKLS whose second jump switches on at t = 3: its generators commute
+    at the sampled times, all before t = 3, but not across t = 3."""
+    lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return families.gkls(np.zeros((2, 2)), [
+        (lower, 1.0),
+        (np.diag([1.0, -1.0]) + lower.T, lambda t: 0.0 if t < 3.0 else 0.8),
+    ])
+
+
+def test_a_family_that_only_looks_commutative_runs_on_the_trajectory():
+    """Lambda_6 is the time-ordered product expm(3 L(4)) expm(3 L(1)), not the
+    exponential of the integrated generator (off by 8.4e-2, PPT arrival 3.165)."""
+    fam = looks_commutative_gkls()
+    gen = fam.generator_matrix
+    assert fam.commutative and not fam.constant
+    assert np.abs(gen(4.0) @ gen(1.0) - gen(1.0) @ gen(4.0)).max() > 0.1
+    handle = evolve.EvolutionHandle(fam)
+    assert handle.solver == "ode"
+
+    def exact(t):  # for t >= 3
+        return scipy.linalg.expm((t - 3.0) * gen(4.0)) @ scipy.linalg.expm(3.0 * gen(1.0))
+
+    np.testing.assert_allclose(handle.solve(6.0).matrix, exact(6.0), rtol=0, atol=1e-9)
+    # the PPT witness of the exact maps changes sign once, at 3.0681
+    tau = scipy.optimize.brentq(
+        lambda t: asymptotics.cone_witness(superop.Superoperator(exact(t), 2), "PPT"),
+        3.0, 4.0, xtol=1e-13)
+    res = asymptotics.arrival_time(handle, "PPT", search=asymptotics.Search(12.0, 400))
+    assert res.tau == pytest.approx(tau, abs=1e-8)
 
 
 def step_ends(handle):

@@ -357,6 +357,31 @@ def test_chunked_sweep_stops_after_the_first_chunk(monkeypatch):
     assert sizes[0] == search.grid_n and full == chunked
 
 
+@pytest.mark.parametrize("cone", ["CP", "PPT"])
+def test_chunked_ode_scan_is_the_full_sweep(monkeypatch, cone):
+    """An ``ode`` handle reads each Lambda_t from its trajectory, a function of
+    t alone: the chunked scan gives the full sweep's Delta and certificates
+    bit for bit, and for CP it stops after the first chunk."""
+    fam = oscillating_gkls()
+    assert fam.cp_divisible and evolve.EvolutionHandle(fam).solver == "ode"
+    search = asymptotics.Search(t_max=12.0, grid_n=300)
+    sizes = []
+    witnesses = asymptotics.cone_witnesses
+
+    def recorded(stack, d, cone):
+        sizes.append(len(stack))
+        return witnesses(stack, d, cone)
+
+    monkeypatch.setattr(asymptotics, "cone_witnesses", recorded)
+    chunked = divisibility.scan_divisibility(fam, cone, search=search)
+    chunk_sizes, sizes[:] = list(sizes), []
+    full = divisibility.scan_divisibility(fam, cone, search=search, use_shortcuts=False)
+    assert chunked.delta == full.delta and chunked.certificates == full.certificates
+    assert chunked.verdict == full.verdict
+    assert max(sizes) == search.grid_n
+    assert (max(chunk_sizes) == divisibility._CHUNK) == (cone == "CP")
+
+
 def test_a_family_that_is_not_cp_divisible_keeps_the_full_sweep():
     """Inside early and outside late: only the full sweep sees the late exit."""
     fam = families.pauli_channel(
