@@ -402,7 +402,8 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
 
     A handle answers once per witness kind, search and tolerance: EB reads
     the PPT result, with its own ``cone`` and ``eb_lower_bound``.  Its grid
-    arrays are read-only, as they are shared.
+    arrays are read-only, as they are shared.  A ``NotReachedError`` is such
+    an answer too: each call raises a fresh one with its own ``cone``.
     """
     handle = evolve._as_handle(handle_or_family)
     if cone not in CONES:
@@ -413,12 +414,23 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
         search = default_search(handle)
     result = handle._scan_result(
         ("arrival", _WITNESS_KIND[cone], None, search, tol),
-        lambda: _arrival(handle, cone, search, tol),
+        lambda: _arrival_or_not_reached(handle, cone, search, tol),
     )
+    if isinstance(result, NotReachedError):
+        raise NotReachedError(result.t_max, result.witness, cone=cone)
     if result.cone != cone:
         result = replace(
             result, cone=cone, eb_lower_bound=cone == "EB" and handle.family.d > 2)
     return result
+
+
+def _arrival_or_not_reached(handle, cone, search, tol):
+    """:func:`_arrival`, or the NotReachedError it raises, returned as the
+    answer without its traceback (whose frames would hold the handle)."""
+    try:
+        return _arrival(handle, cone, search, tol)
+    except NotReachedError as exc:
+        return exc.with_traceback(None)
 
 
 def _arrival(handle, cone, search, tol):

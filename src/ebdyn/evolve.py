@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.integrate
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER as _INTERPOLATOR_POWER
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from . import matcore, superop, tolerances
 from .errors import EbdynError, IntegrationFailureError, SingularMapError
@@ -123,7 +125,8 @@ class EvolutionHandle:
         search, tol): cones that share a witness share the answer; the
         asymptotic map is keyed by ("limit", horizon).  Only a
         returned result is kept; an exception propagates, and the next call
-        with that key computes again.
+        with that key computes again (an arrival scan returns its
+        not-reached outcome, see ``asymptotics.arrival_time``).
         """
         if key not in self._scans:
             self._scans[key] = compute()
@@ -227,10 +230,12 @@ class _Trajectory:
     """One integration of d Lambda / dt = L_t Lambda from Lambda_0 = I with DOP853.
 
     The solver takes its natural steps towards t = inf, as far as the latest
-    time asked for; each step keeps its end state and its interpolant.  A time
-    on a step end reads the state, any other time the interpolant of its step.
-    The steps do not depend on which times were asked, or in which order, so
-    every Lambda_t is a function of t alone.
+    time asked for.  Each step keeps its end state and, until a time inside
+    it is first read, its stage block; that read builds the step's
+    interpolant (:meth:`_interpolant`), which the step keeps instead.  A time
+    on a step end reads the state, any other time the interpolant of its
+    step.  The steps do not depend on which times were asked, or in which
+    order, so every Lambda_t is a function of t alone.
     """
 
     def __init__(self, generator, d2, rtol, atol):
@@ -242,7 +247,7 @@ class _Trajectory:
             rtol=rtol, atol=atol)
         self._ends = []  # end time of each step; step k covers (ends[k-1], ends[k]]
         self._states = []  # vec Lambda at each step end
-        self._interps = []  # the dense output of each step
+        self._steps = []  # per step, (t_old, h, y_old, stages) until read, then its interpolant
         self._failure = None  # the message of the step that failed
 
     def _cover(self, t):
@@ -255,7 +260,36 @@ class _Trajectory:
                 raise IntegrationFailureError(f"DOP853 failed at t={solver.t:g}: {message}")
             self._ends.append(solver.t)
             self._states.append(solver.y)
-            self._interps.append(solver.dense_output())
+            # a copy: the solver overwrites its stages on the next step
+            self._steps.append((solver.t_old, solver.h_previous, solver.y_old, solver.K.copy()))
+
+    def _interpolant(self, k):
+        """The dense output of step ``k``, built on first use and kept.
+
+        The arithmetic is that of ``DOP853.dense_output()`` at the end of the
+        step (three extra stages, then the coefficients F), so the result is
+        bitwise the same.
+        """
+        step = self._steps[k]
+        if not isinstance(step, tuple):
+            return step
+        t_old, h, y_old, stages = step
+        solver = self._solver
+        y = self._states[k]
+        kx = np.empty_like(solver.K_extended)
+        kx[:len(stages)] = stages
+        for s, (a, c) in enumerate(zip(solver.A_EXTRA, solver.C_EXTRA), start=len(stages)):
+            dy = np.dot(kx[:s].T, a[:s]) * h
+            kx[s] = solver.fun(t_old + c * h, y_old + dy)
+        f = np.empty((_INTERPOLATOR_POWER, solver.n), dtype=y.dtype)
+        f_old = kx[0]
+        delta_y = y - y_old
+        f[0] = delta_y
+        f[1] = h * f_old - delta_y
+        f[2] = 2 * delta_y - h * (kx[solver.n_stages] + f_old)
+        f[3:] = h * np.dot(solver.D, kx)
+        step = self._steps[k] = Dop853DenseOutput(t_old, self._ends[k], y_old, f)
+        return step
 
     def at(self, times):
         """vec Lambda_t, one row per float of the ascending list ``times > 0``."""
@@ -269,7 +303,7 @@ class _Trajectory:
                 out[rows[-1]] = self._states[k]
                 rows = rows[:-1]
             if len(rows):
-                out[rows] = self._interps[k](ts[rows]).T
+                out[rows] = self._interpolant(k)(ts[rows]).T
         return out
 
 

@@ -245,18 +245,29 @@ def gkls(hamiltonian, lindblads) -> GeneratorFamily:
             raise DimensionMismatchError("jump operator dimension mismatch")
         ops.append(v)
         rates.append(_Rate(g))
-    ham_part = _hamiltonian_part(h)
     diss = _dissipators(ops, d)
-    constant = all(r.constant is not None for r in rates)
-
-    def gen(t):
-        m = ham_part.copy()
-        for r, dmat in zip(rates, diss):
-            m += r(t) * dmat
-        return m
-
+    # the leading run of constant rates is summed into the Hamiltonian part
+    # once, in the order of the terms
+    lead = next((k for k, r in enumerate(rates) if r.constant is None), len(rates))
+    base = _hamiltonian_part(h)
+    for r, dmat in zip(rates[:lead], diss[:lead]):
+        base += r.constant * dmat
+    constant = lead == len(rates)
     if constant:
-        gen = _built_once(gen(0.0))
+        gen = _built_once(base)
+    else:
+        first, first_mat = rates[lead], diss[lead]
+        rest = list(zip(rates[lead + 1:], diss[lead + 1:]))
+
+        def gen(t):
+            # first term plus the sum so far: IEEE addition commutes, so this
+            # is bitwise the sum so far plus the first term
+            m = first(t) * first_mat
+            m += base
+            for r, dmat in rest:
+                m += r(t) * dmat
+            return m
+
     _check_trace_annihilating(gen, d, constant)
     if constant:
         commutative = True

@@ -1,5 +1,6 @@
 """Solver routes and propagator identities."""
 
+import dataclasses
 import functools
 import gc
 import os
@@ -358,6 +359,24 @@ def oscillating_gkls_ends_to_6():
     return [t for t in step_ends(handle) if t <= 6.0]
 
 
+@functools.cache
+def oscillating_gkls_dense_outputs_to_6():
+    """The step ends up to t = 6 and the ``dense_output()`` of each step, from
+    a DOP853 on the handle's equation that builds every interpolant."""
+    fam = oscillating_gkls()
+    d2 = fam.d ** 2
+    handle = evolve.EvolutionHandle(fam)
+    solver = scipy.integrate.DOP853(
+        lambda t, y: (fam.generator_matrix(t) @ y.reshape(d2, d2)).ravel(), 0.0,
+        np.eye(d2, dtype=complex).ravel(), t_bound=np.inf, rtol=handle.rtol, atol=handle.atol)
+    ends, dense = [], []
+    while solver.t < 6.0:
+        solver.step()
+        ends.append(solver.t)
+        dense.append(solver.dense_output())
+    return ends, dense
+
+
 class TestTrajectory:
     """``ode`` reads every Lambda_t from one DOP853 trajectory per handle."""
 
@@ -389,7 +408,55 @@ class TestTrajectory:
             t = traj._ends[k]
             np.testing.assert_array_equal(handle.solve(t).matrix.ravel(), traj._states[k])
             # the interpolant at its own end agrees to rounding
-            np.testing.assert_allclose(traj._interps[k](t), traj._states[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj._interpolant(k)(t), traj._states[k],
+                                       rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_lazy_interpolant_is_bitwise_the_dense_output(self, data):
+        """Built on first read, in any order of steps, each interpolant is that
+        of a DOP853 that called ``dense_output()`` after every step."""
+        ends, reference = oscillating_gkls_dense_outputs_to_6()
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        handle.solve(ends[-1])
+        traj = handle._trajectory
+        assert traj._ends[:len(ends)] == ends
+        steps = data.draw(st.lists(st.integers(0, len(ends) - 1), min_size=1, max_size=6))
+        for k in steps:
+            fracs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+            ts = np.array([reference[k].t_old + x * reference[k].h for x in fracs])
+            got = traj._interpolant(k)
+            np.testing.assert_array_equal(got.F, reference[k].F)
+            np.testing.assert_array_equal(got(ts), reference[k](ts))
+            assert (got.t_old, got.t, got.h) == (reference[k].t_old, reference[k].t, reference[k].h)
+            assert traj._interpolant(k) is got  # built once, then kept
+
+    def test_reads_on_step_ends_evaluate_no_interpolant(self):
+        fam = oscillating_gkls()
+        ends = oscillating_gkls_ends_to_6()
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return fam.generator_matrix(t)
+
+        handle = evolve.EvolutionHandle(dataclasses.replace(fam, generator_matrix=counted))
+        handle._solve_grid(ends)
+        # a bare DOP853 taking the same steps makes as many evaluations
+        d2 = fam.d ** 2
+        bare = scipy.integrate.DOP853(
+            lambda t, y: (fam.generator_matrix(t) @ y.reshape(d2, d2)).ravel(), 0.0,
+            np.eye(d2, dtype=complex).ravel(), t_bound=np.inf,
+            rtol=handle.rtol, atol=handle.atol)
+        for _ in ends:
+            bare.step()
+        assert len(calls) == bare.nfev
+        assert all(isinstance(step, tuple) for step in handle._trajectory._steps)
+        # the first read inside a step builds its interpolant: 3 extra stages
+        handle.solve(0.5 * (ends[3] + ends[4]))
+        assert len(calls) == bare.nfev + 3
+        handle._solve_grid([0.25 * ends[3] + 0.75 * ends[4], ends[4]])
+        assert len(calls) == bare.nfev + 3
 
     def test_a_trajectory_is_freed_with_its_handle_by_reference_counting(self):
         handle = evolve.EvolutionHandle(oscillating_gkls())

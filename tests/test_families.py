@@ -73,6 +73,39 @@ class TestGkls:
         assert fam.constant
         assert fam.cp_divisible
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("pattern", ["ccc", "ccf", "fcc", "cfcf", "fff"])
+    def test_generator_is_bitwise_the_copy_and_add_loop(self, d, pattern):
+        """Constant rates (c) and callable rates (f) in any order: the folded
+        generator equals the Hamiltonian part plus each rate times its
+        dissipator, added in order."""
+        rng = np.random.default_rng(len(pattern) + d)
+        h = random_hermitian(rng, d)
+        ops = [ginibre(rng, d) for _ in pattern]
+        rates = [rng.uniform(-0.3, 1.0) if kind == "c" else
+                 (lambda t, a=rng.uniform(0.2, 1.0), w=rng.uniform(0.5, 2.0):
+                  a * (1.0 + 0.5 * np.sin(w * t)))
+                 for kind in pattern]
+        fam = families.gkls(h, list(zip(ops, rates)))
+        ham, diss = families._hamiltonian_part(h), families._dissipators(ops, d)
+
+        def loop(t):
+            m = ham.copy()
+            for g, dmat in zip(rates, diss):
+                m += float(g(t) if callable(g) else g) * dmat
+            return m
+
+        times = (0.0,) if fam.constant else (0.0, 0.37, 1.1, 2.5, 17.3)
+        for t in times:
+            np.testing.assert_array_equal(fam.generator_matrix(t), loop(t))
+        if fam.constant:
+            assert not fam.generator_matrix(1.0).flags.writeable
+        else:
+            # each call returns its own array: the kept sum is not exposed
+            m = fam.generator_matrix(0.37)
+            m[...] = np.nan
+            np.testing.assert_array_equal(fam.generator_matrix(0.37), loop(0.37))
+
 
 class TestPauliChannel:
     def test_needs_three_rates(self):

@@ -7,14 +7,16 @@ a kept answer costs no witness, that ``use_shortcuts=False`` recomputes, and
 that the chunked grid of a CP-divisible family is bitwise the full sweep.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebdyn import asymptotics, classify, divisibility, evolve, families, superop
-from ebdyn.errors import NotReachedError
+from ebdyn.errors import NotReachedError, SingularMapError
 
 from helpers import random_gkls_family, shipped_family
 from test_divisibility import random_floquet
@@ -183,16 +185,62 @@ def test_without_shortcuts_every_scan_recomputes(monkeypatch, name, make):
     assert again.delta == first.delta == eb.delta
 
 
-def test_an_exception_is_not_kept(monkeypatch):
+def test_a_not_reached_answer_is_kept(monkeypatch):
+    """PPT then EB on one handle scan one grid; each raises its own
+    NotReachedError with the kept horizon and witness."""
     # a decaying coherence c(t) keeps the PPT witness at -|c(t)| < 0
     fam = families.pure_decoherence(a=np.array([[1.0, 1.0], [1.0, 1.5]]))
     handle = evolve.EvolutionHandle(fam)
     search = asymptotics.Search(t_max=10.0, grid_n=40)
-    counter = ChoiFloorCounter(monkeypatch)
-    for _ in range(2):
+    grids = []
+    witnesses = asymptotics.cone_witnesses
+
+    def counted(*args, **kwargs):
+        grids.append(args)
+        return witnesses(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "cone_witnesses", counted)
+    raised = []
+    for cone in ("PPT", "EB", "EB"):
         with pytest.raises(NotReachedError) as info:
-            counter.run(lambda: asymptotics.arrival_time(handle, "EB", search=search))
-        assert info.value.cone == "EB" and counter.calls > 0
+            asymptotics.arrival_time(handle, cone, search=search)
+        raised.append(info.value)
+        assert len(grids) == 1
+    assert [exc.cone for exc in raised] == ["PPT", "EB", "EB"]
+    assert len({(exc.t_max, exc.witness) for exc in raised}) == 1
+    assert raised[0].t_max == 10.0 and raised[0].witness < 0.0
+    assert str(raised[1]) == str(raised[0]).replace("PPT:", "EB:", 1)
+    assert raised[1] is not raised[2]
+    fresh = evolve.EvolutionHandle(fam)
+    with pytest.raises(NotReachedError) as info:
+        asymptotics.arrival_time(fresh, "EB", search=search)
+    assert (info.value.t_max, info.value.witness) == (raised[0].t_max, raised[0].witness)
+    # the kept answer holds no frame of the scan: the handle goes by reference counting
+    kept = weakref.ref(handle)
+    gc.disable()
+    try:
+        del info, raised, handle
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_an_exception_is_not_kept(monkeypatch):
+    """Only a not-reached outcome is an answer; any other exception is raised
+    again by a new scan on the next call."""
+    handle = evolve.EvolutionHandle(families.depolarizing(1.0, np.eye(2) / 2))
+    search = asymptotics.Search(t_max=10.0, grid_n=40)
+    scans = []
+
+    def singular(*args):
+        scans.append(args)
+        raise SingularMapError("Lambda_s is numerically singular")
+
+    monkeypatch.setattr(asymptotics, "_arrival", singular)
+    for _ in range(2):
+        with pytest.raises(SingularMapError):
+            asymptotics.arrival_time(handle, "EB", search=search)
+    assert len(scans) == 2
 
 
 def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
