@@ -3,11 +3,13 @@
 Arrival into a cone X is the first time after which the trajectory stays in
 X.  It is located by scanning a witness (the relevant smallest eigenvalue)
 over a grid, bisecting the last sign change, and then certifying retention.
-Certificates are ranked: an analytic single-crossing argument from the
-family's closed form beats the one-instant theorem for CP-divisible
-families, which beats an interior asymptotic map plus the clean grid tail;
-a bare grid tail is reported as the weakest certificate rather than silently
-trusted.
+Arrival is Delta(0) of the propagators V_{t,s}, as V_{t,0} = Lambda_t, so
+one function (:func:`_delta`) scans V_{t,s} from any start time s for
+:func:`arrival_time` and for every scan of ``divisibility``.  Certificates
+are ranked: an analytic single-crossing argument from the family's closed
+form (at s = 0) beats the one-instant theorem for CP-divisible families,
+which beats a tail witness inside the cone; a bare grid is reported as the
+weakest certificate rather than silently trusted.
 
 The spectral predictor for eventual entanglement breaking checks the kernel
 of the generator: a one-dimensional kernel spanned by a positive state,
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -29,9 +31,9 @@ from .errors import (
     InvalidIntervalError,
     NoLimitError,
     NonConservativeMapError,
-    NoRetentionCertificateError,
     NotAProbabilityVectorError,
     NotReachedError,
+    SingularMapError,
 )
 
 __all__ = [
@@ -278,10 +280,11 @@ def _numeric_limit(family, handle, horizon):
 class ArrivalResult:
     """Arrival of a trajectory into a cone, with its retention certificate.
 
-    ``tau`` is the arrival time; ``None`` means a crossing was found but
-    could not be certified, so the arrival is reported undefined (the
-    bracket is still populated).  ``eb_lower_bound`` marks EB results for
-    d > 2, where the PPT witness only bounds the true EB arrival from below.
+    ``tau`` is the arrival time; ``None`` means the tail witness is outside
+    the cone, so any crossing is transient and there is no arrival
+    (certificate ``"refuted_tail"``; a bracket found is still populated).
+    ``eb_lower_bound`` marks EB results for d > 2, where the PPT witness
+    only bounds the true EB arrival from below.
     """
 
     cone: str
@@ -339,16 +342,94 @@ def _splits(lo, hi, tol_t):
     return hi - lo > tol_t and lo < 0.5 * (lo + hi) < hi
 
 
-def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels, head=None):
-    """``(tau, bracket, ws)``: grid witnesses, then the last crossing bisected,
-    with one stacked witness function for the grid and the rounds.
+def _tail(handle, cone, s, horizon):
+    """``(witness, kind)`` of the limit of t -> V_{t,s}, or ``(None, None)``.
 
-    With ``head``, the first ``head`` grid points are evaluated alone, and the
-    scan keeps to them when one of their witnesses is > ``tol``; that is sound
-    only where no later point can be outside (a CP-divisible family), and then
-    ``tau`` and ``bracket`` are those of the whole grid, and ``ws`` its prefix.
+    The closed form's ``propagator_tail_witness`` gives ``analytic_tail``
+    (an eigenvalue witness, so not for P).  Otherwise the asymptotic map
+    gives ``asymptotic_interior``: V_{inf,s} = Lambda_inf o Lambda_s^-1.
+    There is no inversion at s = 0, nor for a limit-cycle phase, whose trace
+    form X -> tr(X) w_t absorbs the trace preserving Lambda_s^-1.  Any other
+    Lambda_s is inverted unless it counts as singular, as on the inversion
+    route; then there is no tail.
     """
-    if head is not None and len(ts) > head:
+    family = handle.family
+    cf = family.closed_form
+    if cone != "P" and cf is not None and cf.propagator_tail_witness is not None:
+        return float(cf.propagator_tail_witness(s)), "analytic_tail"
+    try:
+        limit = asymptotic_map(family, handle=handle, horizon=horizon)
+    except NoLimitError:
+        return None, None
+    tail = _one_phase(limit).matrix
+    if s != 0.0 and not isinstance(limit, PeriodicMap):
+        lam_s = handle.solve(s).matrix
+        try:
+            evolve._check_invertible(np.linalg.cond(lam_s), s)
+        except (SingularMapError, np.linalg.LinAlgError):
+            return None, None
+        tail = tail @ np.linalg.inv(lam_s)
+    return float(cone_witnesses(tail[None], family.d, cone)[0]), "asymptotic_interior"
+
+
+class _Delta(NamedTuple):
+    """Outcome of :func:`_delta`; the grid is None when the tail refuted first."""
+
+    delta: float
+    certificate: str
+    bracket: tuple | None = None
+    grid_times: np.ndarray | None = None
+    grid_witness: np.ndarray | None = None
+
+
+def _delta(handle, cone, s, search, tol, tail=None, head=None, grid=None) -> _Delta:
+    """Delta(s): the time from which V_{t,s} stays in ``cone``, certified.
+
+    The witness of V_{t,s} is scanned on ``search.grid_n`` points of
+    [s, s + t_max] and the last crossing is bisected; Delta(s) = s when no
+    point is outside.  Retention is certified by the first rung that fires:
+
+    - ``analytic_monotone``: s = 0, where V_{t,0} = Lambda_t, and the closed
+      form's witness crosses zero once;
+    - ``cp_divisible_one_instant``: the family is CP-divisible, and
+      composing with CP maps keeps every cone of the hierarchy;
+    - the tail's kind (``analytic_tail`` or ``asymptotic_interior``): the
+      tail witness (:func:`_tail`) is inside by more than
+      ``REFUTE_FACTOR * tol``;
+    - ``sampled_grid``: nothing beyond the grid.
+
+    A tail outside by more than that means no arrival: Delta is inf, with
+    ``"refuted_tail"``.  ``tail`` is ``(witness, kind)`` when the caller has
+    read it; it is then tested before the grid, so a refuting tail costs no
+    grid.  Otherwise the tail is read only when the ladder reaches it.
+
+    ``head`` evaluates the first ``head`` grid points alone and keeps to
+    them when one is inside by more than ``tol``, where the family is
+    CP-divisible (not for P, whose see-saw witness only suggests
+    membership): every later V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map
+    with a map inside the cone, so no later point can be the last one
+    outside (``tol`` covers the rounding).  Delta is then bitwise that of
+    the whole grid, as every route computes each point on its own; only an
+    error that a later point would raise is not raised.
+
+    ``grid`` is the handle whose propagators are scanned, when it is not
+    ``handle``: a Floquet family's core, which shares the family's
+    witnesses.  The premises and the tail stay those of ``handle``.
+
+    Raises :class:`NotReachedError` when the grid ends outside the cone and
+    :class:`SingularMapError` when Lambda_s cannot be inverted.
+    """
+    family = handle.family
+    margin = tolerances.REFUTE_FACTOR * tol
+    if tail is not None and tail[0] is not None and tail[0] < -margin:
+        return _Delta(math.inf, "refuted_tail")
+    grid = handle if grid is None else grid
+    ts = np.linspace(s, s + search.t_max, search.grid_n)
+
+    def witnesses(times):
+        return cone_witnesses(grid._propagator_grid(times, s), family.d, cone)
+
+    if head is not None and cone != "P" and family.cp_divisible and len(ts) > head:
         ws = witnesses(ts[:head].tolist())
         if (ws > tol).any():
             ts = ts[:head]
@@ -359,46 +440,40 @@ def _scan_for_arrival(ts, witnesses, tol, bisect_tol, cone, levels, head=None):
     neg = ws < -tol
     if neg[-1]:
         raise NotReachedError(ts[-1], ws[-1], cone=cone)
-    if not neg.any():
-        return 0.0, None, ws
-    i = int(np.nonzero(neg)[0].max())
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    target = 0.0 if ws[i + 1] > 0.0 else -tol
-    tau = _bisect_crossing(witnesses, lo, hi, target, bisect_tol, levels)
-    return tau, (lo, hi), ws
-
-
-def _retention_certificate(family, handle, cone, search, tol):
+    delta, bracket = float(ts[0]), None
+    if neg.any():
+        i = int(np.nonzero(neg)[0].max())
+        bracket = (float(ts[i]), float(ts[i + 1]))
+        target = 0.0 if ws[i + 1] > 0.0 else -tol
+        delta = _bisect_crossing(witnesses, *bracket, target, search.resolved_bisect_tol(),
+                                 _round_levels(cone))
     cf = family.closed_form
-    if cf is not None and cf.witness_single_crossing:
-        return "analytic_monotone"
-    if family.cp_divisible:
-        # composing with the CP propagators keeps every cone in the
-        # hierarchy, so one instant inside stays inside
-        return "cp_divisible_one_instant"
-    try:
-        limit = asymptotic_map(family, handle=handle, horizon=search.t_max)
-    except NoLimitError:
-        return "sampled_grid"
-    w_inf = cone_witness(_one_phase(limit), cone)
-    if w_inf > tolerances.REFUTE_FACTOR * tol:
-        return "asymptotic_interior"
-    if w_inf < -tolerances.REFUTE_FACTOR * tol:
-        raise NoRetentionCertificateError(
-            f"{cone}: asymptotic witness {w_inf:.3e} is negative; "
-            "any crossing is transient"
-        )
-    return "sampled_grid"
+    if s == 0.0 and cf is not None and cf.witness_single_crossing:
+        certificate = "analytic_monotone"
+    elif family.cp_divisible:
+        certificate = "cp_divisible_one_instant"
+    else:
+        w, kind = _tail(handle, cone, s, search.t_max) if tail is None else tail
+        if w is not None and w > margin:
+            certificate = kind
+        elif w is not None and w < -margin:
+            delta, certificate = math.inf, "refuted_tail"
+        else:
+            certificate = "sampled_grid"
+    return _Delta(delta, certificate, bracket, ts, ws)
 
 
 def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult:
     """Arrival time of t -> Lambda_t into a cone, with certified retention.
 
-    Scans the witness over ``search.grid_n`` points up to ``search.t_max``,
-    bisects the last crossing and certifies the tail.  Raises
-    :class:`NotReachedError` when the witness is still negative at the
-    horizon.  A crossing whose asymptotic witness is provably negative is
-    transient: ``tau`` is None and the certificate ``"none"``.
+    This is Delta(0) of the propagators, as V_{t,0} = Lambda_t: the witness
+    is scanned over the full grid of ``search.grid_n`` points up to
+    ``search.t_max``, the last crossing is bisected and the certificate
+    ladder of :func:`_delta` is applied, reading the tail only when the
+    ladder reaches it.  Raises :class:`NotReachedError` when the witness is
+    still negative at the horizon.  A crossing whose tail witness is outside
+    the cone is transient: ``tau`` is None and the certificate
+    ``"refuted_tail"``.
 
     A handle answers once per witness kind, search and tolerance: EB reads
     the PPT result, with its own ``cone`` and ``eb_lower_bound``.  Its grid
@@ -425,42 +500,23 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
 
 
 def _arrival_or_not_reached(handle, cone, search, tol):
-    """:func:`_arrival`, or the NotReachedError it raises, returned as the
-    answer without its traceback (whose frames would hold the handle)."""
+    """:func:`_delta` at s = 0 on the full grid as an :class:`ArrivalResult`,
+    or the NotReachedError it raises, returned as the answer without its
+    traceback (whose frames would hold the handle)."""
     try:
-        return _arrival(handle, cone, search, tol)
+        out = _delta(handle, cone, 0.0, search, tol)
     except NotReachedError as exc:
         return exc.with_traceback(None)
-
-
-def _arrival(handle, cone, search, tol):
-    family = handle.family
-    ts = np.linspace(0.0, search.t_max, search.grid_n)
-
-    def witnesses(times):
-        return cone_witnesses(handle._solve_grid(times), family.d, cone)
-
-    tau, bracket, ws = _scan_for_arrival(
-        ts, witnesses, tol, search.resolved_bisect_tol(), cone,
-        _round_levels(cone),
-    )
-    try:
-        certificate = _retention_certificate(family, handle, cone, search, tol)
-    except NoRetentionCertificateError:
-        # transient crossing: the tail is provably outside, so no arrival
-        certificate = "none"
-    if certificate == "none":
-        tau = None
-    ts.flags.writeable = ws.flags.writeable = False
+    out.grid_times.flags.writeable = out.grid_witness.flags.writeable = False
     return ArrivalResult(
         cone=cone,
-        tau=tau,
-        bracket=bracket,
+        tau=None if out.delta == math.inf else out.delta,
+        bracket=out.bracket,
         tolerance=search.resolved_bisect_tol(),
-        retention_certificate=certificate,
-        eb_lower_bound=(cone == "EB" and family.d > 2),
-        grid_times=ts,
-        grid_witness=ws,
+        retention_certificate=out.certificate,
+        eb_lower_bound=(cone == "EB" and handle.family.d > 2),
+        grid_times=out.grid_times,
+        grid_witness=out.grid_witness,
     )
 
 

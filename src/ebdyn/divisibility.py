@@ -1,21 +1,29 @@
 """Eventual divisibility: do the propagators enter a cone and stay there?
 
-For each start time s on a grid, the scan looks for Delta(s) > s such that
-V_{t,s} lies in the target cone for every t >= Delta(s).  Three structural
-shortcuts avoid the generic sweep: a semigroup has V_{t,s} = Lambda_{t-s},
-so Delta(s) = s + tau with tau the arrival time of Lambda itself; a family
-with a local-unitary core (a Floquet product P_t o e^{tX} with unitary P_t)
-has V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT and EB
-witnesses are those of e^{(t-s)X}, so its core is scanned once; and for a
-CP-divisible family one instant inside the cone keeps all later propagators
-inside, because composing with completely positive maps preserves every cone
-in the hierarchy, so the sweep of such a family stops after the first chunk
-of its grid with a point inside.  With the shortcuts, a handle answers each
-scan once per witness kind (EB reads the PPT scan).
+For each start time s on a grid, the scan looks for Delta(s) >= s such that
+V_{t,s} lies in the target cone for every t >= Delta(s).  Every Delta comes
+from ``asymptotics._delta``, which also gives the arrival time of
+Lambda_t = V_{t,0} as Delta(0), with one certificate ladder.  It is reached
+three ways:
 
-Refutation is by witness limits: when the propagator's asymptotic witness at
-some fixed s is strictly negative, no Delta(s) exists and eventual
-divisibility fails at that s.
+- a generic start-time scan tests the tail witness first, so a start time
+  whose tail is outside evaluates no grid, then scans V_{t,s};
+- a semigroup has V_{t,s} = Lambda_{t-s}, so Delta(s) = s + Delta(0);
+- a family with a local-unitary core (a Floquet product P_t o e^{tX} with
+  unitary P_t) has V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT
+  and EB witnesses are those of e^{(t-s)X}, so its core is scanned once,
+  with the limit-cycle phase as the tail, tested first.
+
+For a CP-divisible family one instant inside the cone keeps all later
+propagators inside, because composing with completely positive maps
+preserves every cone in the hierarchy, so its grid stops after the first
+chunk with a point inside.  With the shortcuts, a handle answers each scan
+once per witness kind (EB reads the PPT scan).
+
+Refutation is by tail witnesses: when the limit of t -> V_{t,s} is outside
+the cone by more than the refutation margin, no Delta(s) exists (``inf``,
+certificate ``refuted_tail``) and eventual divisibility fails at that s.  A
+grid that ends outside without such a tail leaves s ``not_reached``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, evolve, tolerances
-from .errors import NoLimitError, NotReachedError, SingularMapError
+from .errors import NotReachedError, SingularMapError
 
 __all__ = [
     "DivisibilityReport",
@@ -86,11 +94,13 @@ def scan_divisibility(
         s_grid = default_s_grid(search)
     s_grid = tuple(float(s) for s in s_grid)
 
-    if use_shortcuts and family.constant:
-        return _semigroup_scan(handle, cone, s_grid, search, tol)
-
-    if use_shortcuts and cone != "P" and "core" in family.params:
-        deltas, certs, details = _core_scan(handle, cone, s_grid, search, tol)
+    semigroup = use_shortcuts and family.constant
+    if semigroup or (use_shortcuts and cone != "P" and "core" in family.params):
+        shift = _semigroup_shift if semigroup else _core_shift
+        delta0, cert, details = shift(handle, cone, search, tol)
+        deltas = [None if delta0 is None else s + delta0 for s in s_grid]
+        certs = [cert for _ in s_grid]
+        details = dict(details)  # the kept answer's, not to be shared
     else:
         arrivals = [_arrival_at_start(handle, cone, s, search, tol, use_shortcuts)
                     for s in s_grid]
@@ -106,11 +116,12 @@ def scan_divisibility(
         verdict = "certified"
     else:
         verdict = "undetermined"
-    shortcut = (
-        "cp_divisible_one_instant"
-        if use_shortcuts and family.cp_divisible and verdict == "certified"
-        else "none"
-    )
+    if semigroup:
+        shortcut = "semigroup"
+    elif use_shortcuts and family.cp_divisible and verdict == "certified":
+        shortcut = "cp_divisible_one_instant"
+    else:
+        shortcut = "none"
     return DivisibilityReport(
         cone=cone,
         s_grid=s_grid,
@@ -122,184 +133,88 @@ def scan_divisibility(
     )
 
 
-def _core_scan(handle, cone, s_grid, search, tol):
-    """Deltas and certificates of a family P_t o e^{tX} from its core e^{tX}.
-
-    P_t is a unitary conjugation, so V_{t,s} and e^{(t-s)X} differ by local
-    unitaries and share every CP, coCP, PPT and EB witness: one grid and
-    bisection of the core at start time 0 give Delta(s) = s + Delta_core.
-    The tail V_{inf,s} is a limit-cycle phase composed with the trace
-    preserving Lambda_s^-1, which leaves that rank-one phase unchanged, and
-    the phases are unitary conjugates of one another, so phase 0 gives the
-    tail witness for every s.  The certificates follow the generic rules of
-    :func:`_arrival_at_start`.  None of this depends on s: the handle
-    answers once per witness kind.
-    """
-    core_delta, cert, tail = handle._scan_result(
-        ("core", asymptotics._WITNESS_KIND[cone], None, search, tol),
-        lambda: _core_arrival(handle, cone, search, tol),
-    )
-    details = {
-        "reduction": "local_unitary_core",
-        "core_delta": core_delta,
-        "core_certificate": cert,
-        "tail_witness": tail,
-    }
-    deltas = [None if core_delta is None else s + core_delta for s in s_grid]
-    return deltas, [cert for _ in s_grid], details
-
-
-def _core_arrival(handle, cone, search, tol):
-    """``(Delta_core, certificate, tail witness)`` of :func:`_core_scan`."""
-    family = handle.family
-    cycle = family.closed_form.limit_cycle
-    tail = None if cycle is None else asymptotics.cone_witness(cycle(0.0), cone)
-    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
-        return math.inf, "refuted_tail", tail
-    core = evolve.EvolutionHandle(family.params["core"])
-    try:
-        core_delta = _grid_delta(core, cone, 0.0, search, tol, chunked=True)
-    except NotReachedError:
-        return None, "not_reached", tail
-    return core_delta, _certificate(family, tail, "asymptotic_interior", tol), tail
-
-
-def _semigroup_scan(handle, cone, s_grid, search, tol):
-    family = handle.family
-    details = {}
-    try:
-        base = asymptotics.arrival_time(handle, cone, search=search, tol=tol)
-    except NotReachedError as exc:
-        details["arrival"] = "not_reached"
-        verdict = "undetermined"
-        try:
-            limit = asymptotics.asymptotic_map(family, handle=handle,
-                                               horizon=search.t_max)
-            w_inf = asymptotics.cone_witness(limit, cone)
-            details["asymptotic_witness"] = w_inf
-            if w_inf < -tolerances.REFUTE_FACTOR * tol:
-                verdict = "refuted"
-        except NoLimitError:
-            pass
-        never = math.inf if verdict == "refuted" else None
-        return DivisibilityReport(
-            cone=cone,
-            s_grid=s_grid,
-            delta=tuple(never for _ in s_grid),
-            certificates=tuple("none" for _ in s_grid),
-            verdict=verdict,
-            shortcut_used="semigroup",
-            details={**details, "horizon_witness": exc.witness},
-        )
-    tau = base.tau
-    details["lambda_tau"] = tau
-    details["lambda_certificate"] = base.retention_certificate
-    if tau is None:
-        verdict = "undetermined"
-        deltas = tuple(None for _ in s_grid)
-    else:
-        verdict = (
-            "certified" if base.retention_certificate in _STRONG_CERTS
-            else "undetermined"
-        )
-        deltas = tuple(s + tau for s in s_grid)
-    return DivisibilityReport(
-        cone=cone,
-        s_grid=s_grid,
-        delta=deltas,
-        certificates=tuple(base.retention_certificate for _ in s_grid),
-        verdict=verdict,
-        shortcut_used="semigroup",
-        details=details,
-    )
-
-
-def _propagator_tail(handle, cone, s, search, tol):
-    """Witness limit of t -> V_{t,s}, or None when unavailable."""
-    family = handle.family
-    cf = family.closed_form
-    # the closed-form tail is an eigenvalue witness: meaningless for P
-    if cone != "P" and cf is not None and cf.propagator_tail_witness is not None:
-        return float(cf.propagator_tail_witness(s)), "analytic_tail"
-    try:
-        limit = asymptotics.asymptotic_map(family, handle=handle, horizon=search.t_max)
-    except NoLimitError:
-        return None, None
-    lam_s = handle.solve(s).matrix
-    try:
-        # as on the inversion route: no tail from a Lambda_s that counts as singular
-        evolve._check_invertible(np.linalg.cond(lam_s), s)
-    except (SingularMapError, np.linalg.LinAlgError):
-        return None, None
-    # V_{inf,s} = Lambda_inf o Lambda_s^-1 (one phase of a limit cycle)
-    tail = asymptotics._one_phase(limit).matrix @ np.linalg.inv(lam_s)
-    w = asymptotics.cone_witnesses(tail[None], family.d, cone)[0]
-    return float(w), "asymptotic_interior"
-
-
-# grid points evaluated before the rest of a chunked sweep
+# grid points evaluated before the rest of a chunked sweep (``asymptotics._delta``)
 _CHUNK = 8
 
 
-def _grid_delta(handle, cone, s, search, tol, chunked=False):
-    """Delta(s) from the propagator grid and the bisection of its last crossing.
+def _semigroup_shift(handle, cone, search, tol):
+    """``(Delta(0), certificate, details)`` of a semigroup.
 
-    Raises :class:`NotReachedError` when the grid ends outside the cone and
-    :class:`SingularMapError` when Lambda_s cannot be inverted.
-
-    ``chunked`` evaluates the first ``_CHUNK`` points of the grid alone and
-    stops there when one of them is inside by more than ``tol``, where the
-    family is CP-divisible (not for P, whose see-saw witness only suggests
-    membership): every later V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map
-    with a map inside the cone, so it is inside too and no later point can be
-    the last one outside (``tol`` covers the rounding).  Delta is then
-    bitwise that of the whole grid, as every route computes each point on
-    its own; only an error that a later point would raise is not raised.
+    V_{t,s} = Lambda_{t-s}, so Delta(s) = s + Delta(0), with the certificate
+    of Delta(0).  The tail is read only when the ladder reaches it, or when
+    the grid ends outside the cone: then a tail outside refutes every start
+    time, and any other leaves them not reached.  None of this depends on
+    s: the handle answers once per witness kind.
     """
-    ts = np.linspace(s, s + search.t_max, search.grid_n)
+    def delta0():
+        try:
+            out = asymptotics._delta(handle, cone, 0.0, search, tol, head=_CHUNK)
+        except NotReachedError as exc:
+            w, _ = asymptotics._tail(handle, cone, 0.0, search.t_max)
+            details = {"arrival": "not_reached", "horizon_witness": exc.witness}
+            if w is not None:
+                details["asymptotic_witness"] = w
+            if w is not None and w < -tolerances.REFUTE_FACTOR * tol:
+                return math.inf, "refuted_tail", details
+            return None, "not_reached", details
+        return out.delta, out.certificate, {"lambda_tau": out.delta,
+                                            "lambda_certificate": out.certificate}
 
-    def witnesses(times):
-        return asymptotics.cone_witnesses(handle._propagator_grid(times, s), handle.family.d, cone)
-
-    head = _CHUNK if chunked and cone != "P" and handle.family.cp_divisible else None
-    delta, _bracket, _ws = asymptotics._scan_for_arrival(
-        ts, witnesses, tol, search.resolved_bisect_tol(), cone,
-        asymptotics._round_levels(cone), head,
-    )
-    return max(float(delta), s)  # the scan reports 0.0 when never negative
+    return handle._scan_result(
+        ("semigroup", asymptotics._WITNESS_KIND[cone], None, search, tol), delta0)
 
 
-def _certificate(family, tail, tail_kind, tol):
-    """Retention certificate of an arrival found on the grid."""
-    if family.cp_divisible:
-        return "cp_divisible_one_instant"
-    if tail is not None and tail > tolerances.REFUTE_FACTOR * tol:
-        return tail_kind
-    return "sampled_grid"
+def _core_shift(handle, cone, search, tol):
+    """``(Delta_core, certificate, details)`` of a family P_t o e^{tX}.
+
+    P_t is a unitary conjugation, so V_{t,s} and e^{(t-s)X} differ by local
+    unitaries and share every CP, coCP, PPT and EB witness: Delta(0) of the
+    core, with the family's premises, gives Delta(s) = s + Delta_core.  The
+    tail V_{inf,s} is a limit-cycle phase, which absorbs Lambda_s^-1, and the
+    phases are unitary conjugates of one another, so phase 0 is the tail for
+    every s; it is tested before the grid, as in :func:`_arrival_at_start`.
+    Without a limit cycle there is no tail.  None of this depends on s: the
+    handle answers once per witness kind.
+    """
+    def core_delta():
+        family = handle.family
+        tail = (None, None)
+        if family.closed_form.limit_cycle is not None:
+            tail = asymptotics._tail(handle, cone, 0.0, search.t_max)
+        core = evolve.EvolutionHandle(family.params["core"])
+        try:
+            out = asymptotics._delta(handle, cone, 0.0, search, tol, tail, _CHUNK, grid=core)
+            delta, cert = out.delta, out.certificate
+        except NotReachedError:
+            delta, cert = None, "not_reached"
+        return delta, cert, {"reduction": "local_unitary_core", "core_delta": delta,
+                             "core_certificate": cert, "tail_witness": tail[0]}
+
+    return handle._scan_result(
+        ("core", asymptotics._WITNESS_KIND[cone], None, search, tol), core_delta)
 
 
 def _arrival_at_start(handle, cone, s, search, tol, use_shortcuts=False):
-    """Delta(s) and its certificate for one start time; with the shortcuts, the
-    grid is chunked and the handle answers once per witness kind."""
+    """Delta(s) and its certificate for one start time.
+
+    The tail is tested first, so a refuted start time evaluates no grid;
+    then :func:`asymptotics._delta` scans V_{t,s}.  With the shortcuts, the
+    grid is chunked and the handle answers once per witness kind.
+    """
+    def start():
+        tail = asymptotics._tail(handle, cone, s, search.t_max)
+        try:
+            out = asymptotics._delta(handle, cone, s, search, tol, tail,
+                                     _CHUNK if use_shortcuts else None)
+        except SingularMapError:
+            return None, "singular"
+        except NotReachedError:
+            return None, "not_reached"
+        return out.delta, out.certificate
+
     if not use_shortcuts:
-        return _start_arrival(handle, cone, s, search, tol, chunked=False)
-    return handle._scan_result(
-        ("start", asymptotics._WITNESS_KIND[cone], s, search, tol),
-        lambda: _start_arrival(handle, cone, s, search, tol, chunked=True),
-    )
-
-
-def _start_arrival(handle, cone, s, search, tol, chunked):
-    tail, tail_kind = _propagator_tail(handle, cone, s, search, tol)
-    if tail is not None and tail < -tolerances.REFUTE_FACTOR * tol:
-        return math.inf, "refuted_tail"
-    try:
-        delta = _grid_delta(handle, cone, s, search, tol, chunked)
-    except SingularMapError:
-        return None, "singular"
-    except NotReachedError:
-        return None, "not_reached"
-    return delta, _certificate(handle.family, tail, tail_kind, tol)
+        return start()
+    return handle._scan_result(("start", asymptotics._WITNESS_KIND[cone], s, search, tol), start)
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,10 +81,6 @@ class NotReachedError(EbdynError):
         super().__init__(msg)
 
 
-class NoRetentionCertificateError(EbdynError):
-    """A crossing was found but staying inside the cone cannot be certified."""
-
-
 class NoLimitError(EbdynError):
     """The map has no asymptotic limit (divergent or oscillatory spectrum)."""
 

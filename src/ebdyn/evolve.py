@@ -149,7 +149,11 @@ class EvolutionHandle:
 
     def _propagator_grid(self, ts, s):
         """The stack ``(N, d^2, d^2)`` of V_{t,s} for the floats ``ts >= s``, each
-        bitwise ``propagator(t, s)`` but for V_{s,s} on the inversion route."""
+        bitwise ``propagator(t, s)`` but for V_{s,s} on the inversion route.
+        V_{t,0} is Lambda_t: at s = 0 this is :meth:`_solve_grid`, with no
+        Lambda_0 and no condition check."""
+        if s == 0.0:
+            return self._solve_grid(ts)
         cf = self.family.closed_form
         if self.family.constant:
             return self._solve_grid([t - s for t in ts])

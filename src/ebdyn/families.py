@@ -63,7 +63,10 @@ class ClosedFormSolution:
     numerically).  ``diverges`` marks families whose trajectories are
     unbounded, so no asymptotic map exists.  ``limit_cycle(t)`` is the phase
     t of a periodic attractor; its phases must be unitary conjugates of one
-    another, so that one phase carries the cone witnesses of every phase.
+    another, so that one phase carries the cone witnesses of every phase,
+    and each must have the trace form X -> tr(X) w_t, so that it absorbs the
+    trace preserving Lambda_s^-1 and is the tail of the propagators from
+    every start time s, with no inverse.
     """
 
     map_at: Callable[[float], superop.Superoperator]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, divisibility, evolve, families, superop, tolerances
+from ebdyn import asymptotics, classify, evolve, families, superop, tolerances
 from ebdyn.asymptotics import Search
 from ebdyn.errors import NotReachedError, SingularMapError
 
@@ -270,6 +270,12 @@ def serial_grid_delta(handle, cone, s, search, tol):
     return max(float(tau), s)
 
 
+def grid_delta(handle, cone, s, search, tol):
+    """Delta(s) of ``asymptotics._delta`` with no tail: the grid and its
+    bisection alone, whatever rung of the ladder fires."""
+    return asymptotics._delta(handle, cone, s, search, tol, tail=(None, None)).delta
+
+
 def serial_arrival_tau(handle, cone, search, tol):
     """Arrival tau with the bisection calling ``solve`` one point at a time."""
     ts = np.linspace(0.0, search.t_max, search.grid_n)
@@ -292,11 +298,9 @@ class TestWholeScans:
                                          cone, s, search, tol)
             except (NotReachedError, SingularMapError) as exc:  # fail the same way
                 with pytest.raises(type(exc)):
-                    divisibility._grid_delta(evolve.EvolutionHandle(fam, solver=solver),
-                                             cone, s, search, tol)
+                    grid_delta(evolve.EvolutionHandle(fam, solver=solver), cone, s, search, tol)
                 continue
-            got = divisibility._grid_delta(evolve.EvolutionHandle(fam, solver=solver),
-                                           cone, s, search, tol)
+            got = grid_delta(evolve.EvolutionHandle(fam, solver=solver), cone, s, search, tol)
             assert got == want
 
     @pytest.mark.parametrize("name, make, solver", BATCHED)
@@ -358,7 +362,7 @@ class TestPerPointCallCounts:
         counter = CallCounter(monkeypatch)
         want, want_calls = counter.run(lambda: serial_grid_delta(
             evolve.EvolutionHandle(fam), "P", 0.0, search, 1e-9))
-        got, got_calls = counter.run(lambda: divisibility._grid_delta(
+        got, got_calls = counter.run(lambda: grid_delta(
             evolve.EvolutionHandle(fam), "P", 0.0, search, 1e-9))
         assert want > 0.0 and want_calls[1] > search.grid_n
         assert got == want and got_calls == want_calls

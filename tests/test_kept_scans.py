@@ -236,7 +236,7 @@ def test_an_exception_is_not_kept(monkeypatch):
         scans.append(args)
         raise SingularMapError("Lambda_s is numerically singular")
 
-    monkeypatch.setattr(asymptotics, "_arrival", singular)
+    monkeypatch.setattr(asymptotics, "_delta", singular)
     for _ in range(2):
         with pytest.raises(SingularMapError):
             asymptotics.arrival_time(handle, "EB", search=search)
@@ -379,8 +379,9 @@ def test_chunked_floquet_core_is_the_full_sweep(seed, d, cone, s, grid_n):
     search = asymptotics.default_search(core, grid_n=grid_n)
 
     def delta(chunked):
-        return outcome(lambda: divisibility._grid_delta(
-            evolve.EvolutionHandle(core), cone, s, search, 1e-9, chunked=chunked))
+        head = divisibility._CHUNK if chunked else None
+        return outcome(lambda: asymptotics._delta(
+            evolve.EvolutionHandle(core), cone, s, search, 1e-9, head=head)[:2])
 
     assert delta(True) == delta(False)
 
@@ -397,11 +398,11 @@ def test_chunked_sweep_stops_after_the_first_chunk(monkeypatch):
         return witnesses(stack, d, cone)
 
     monkeypatch.setattr(asymptotics, "cone_witnesses", recorded)
-    chunked = divisibility._grid_delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9,
-                                       chunked=True)
+    chunked = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9,
+                                 head=divisibility._CHUNK).delta
     assert sizes[0] == divisibility._CHUNK and max(sizes) == divisibility._CHUNK
     sizes.clear()
-    full = divisibility._grid_delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9)
+    full = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9).delta
     assert sizes[0] == search.grid_n and full == chunked
 
 
@@ -439,7 +440,6 @@ def test_a_family_that_is_not_cp_divisible_keeps_the_full_sweep():
     handle = evolve.EvolutionHandle(fam)
     early = asymptotics.cone_witnesses(handle._propagator_grid([0.1, 0.5], 0.0), 2, "CP")
     assert (early > 1e-9).all()
-    for chunked in (False, True):
+    for head in (None, divisibility._CHUNK):
         with pytest.raises(NotReachedError):
-            divisibility._grid_delta(evolve.EvolutionHandle(fam), "CP", 0.0, search, 1e-9,
-                                     chunked=chunked)
+            asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.0, search, 1e-9, head=head)

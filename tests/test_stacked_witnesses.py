@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, cli, divisibility, evolve, matcore, superop, tolerances
+from ebdyn import asymptotics, cli, evolve, matcore, superop
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 WITNESS_CONES = ("CP", "coCP", "PPT", "EB")
@@ -155,7 +155,7 @@ class TestFastPathOnShippedFamilies:
         limit = asymptotics.asymptotic_map(family, handle=handle, horizon=search.t_max)
         assert isinstance(limit, asymptotics.PeriodicMap)
         for s in (0.0, 0.35, 1.2, 2.9, 6.5):
-            w, cert = divisibility._propagator_tail(handle, cone, s, search, tolerances.PSD_TOL)
+            w, cert = asymptotics._tail(handle, cone, s, search.t_max)
             lam_s_inv = np.linalg.inv(handle.solve(s).matrix)
             slow = min(
                 asymptotics.cone_witness(
