@@ -4,8 +4,9 @@ Arrival into a cone X is the first time after which the trajectory stays in
 X.  It is located by scanning a witness (the relevant smallest eigenvalue)
 over a grid, bisecting the last sign change, and then certifying retention.
 Arrival is Delta(0) of the propagators V_{t,s}, as V_{t,0} = Lambda_t, so
-one function (:func:`_delta`) scans V_{t,s} from any start time s for
-:func:`arrival_time` and for every scan of ``divisibility``.  Certificates
+one function (:func:`_delta`) scans V_{t,s} from any start time s, into one
+record per witness kind and s that :func:`arrival_time` and every scan of
+``divisibility`` read.  Certificates
 are ranked: an analytic single-crossing argument from the family's closed
 form (at s = 0) beats the one-instant theorem for CP-divisible families,
 which beats a tail witness inside the cone; a bare grid is reported as the
@@ -20,8 +21,8 @@ evolution into the interior of the EB cone in finite time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -372,22 +373,29 @@ def _tail(handle, cone, s, horizon):
     return float(cone_witnesses(tail[None], family.d, cone)[0]), "asymptotic_interior"
 
 
-class _Delta(NamedTuple):
-    """Outcome of :func:`_delta`; the grid is None when the tail refuted first."""
+class _Scan:
+    """The record of Delta(s) a handle keeps per witness kind, start time,
+    search and tol (:func:`_delta`), holding only what does not depend on
+    which entry point asked first: the grid scanned so far (its first chunk,
+    or all of it) with its witnesses; Delta and the bracket of the last
+    crossing (None when not reached or singular); the certificate,
+    ``"not_reached"`` or ``"singular"``; and the tail once read."""
 
-    delta: float
-    certificate: str
-    bracket: tuple | None = None
-    grid_times: np.ndarray | None = None
-    grid_witness: np.ndarray | None = None
+    __slots__ = ("times", "witness", "delta", "bracket", "certificate", "tail")
+
+    def __init__(self):
+        self.times = self.witness = self.delta = self.bracket = None
+        self.certificate = self.tail = None
 
 
-def _delta(handle, cone, s, search, tol, tail=None, head=None, grid=None) -> _Delta:
-    """Delta(s): the time from which V_{t,s} stays in ``cone``, certified.
+def _delta(handle, cone, s, search, tol, tail_first=False, head=None, shortcuts=True):
+    """``(Delta(s), certificate, record)``: the time from which V_{t,s} stays
+    in ``cone``, certified, and the :class:`_Scan` it was read from.
 
     The witness of V_{t,s} is scanned on ``search.grid_n`` points of
     [s, s + t_max] and the last crossing is bisected; Delta(s) = s when no
-    point is outside.  Retention is certified by the first rung that fires:
+    point is outside, and the grid is not reached when its last point is.
+    Retention is certified by the first rung that fires:
 
     - ``analytic_monotone``: s = 0, where V_{t,0} = Lambda_t, and the closed
       form's witness crosses zero once;
@@ -399,37 +407,102 @@ def _delta(handle, cone, s, search, tol, tail=None, head=None, grid=None) -> _De
     - ``sampled_grid``: nothing beyond the grid.
 
     A tail outside by more than that means no arrival: Delta is inf, with
-    ``"refuted_tail"``.  ``tail`` is ``(witness, kind)`` when the caller has
-    read it; it is then tested before the grid, so a refuting tail costs no
-    grid.  Otherwise the tail is read only when the ladder reaches it.
+    ``"refuted_tail"``; Delta is None with ``"not_reached"`` and with
+    ``"singular"`` (Lambda_s cannot be inverted).  The tail is read only
+    when the ladder reaches it, or first with ``tail_first``: then a
+    refuting tail costs no grid.
 
     ``head`` evaluates the first ``head`` grid points alone and keeps to
     them when one is inside by more than ``tol``, where the family is
     CP-divisible (not for P, whose see-saw witness only suggests
     membership): every later V_{t,s} = V_{t,t1} o V_{t1,s} composes a CP map
     with a map inside the cone, so no later point can be the last one
-    outside (``tol`` covers the rounding).  Delta is then bitwise that of
-    the whole grid, as every route computes each point on its own; only an
-    error that a later point would raise is not raised.
+    outside (``tol`` covers the rounding).  Delta and the bracket are then
+    bitwise those of the whole grid, as every route computes each point on
+    its own; only an error that a later point would raise is not raised.
+    Without ``head``, a kept chunk grows by the points it skipped.
 
-    ``grid`` is the handle whose propagators are scanned, when it is not
-    ``handle``: a Floquet family's core, which shares the family's
-    witnesses.  The premises and the tail stay those of ``handle``.
-
-    Raises :class:`NotReachedError` when the grid ends outside the cone and
-    :class:`SingularMapError` when Lambda_s cannot be inverted.
+    With ``shortcuts``, the handle keeps one :class:`_Scan` per witness
+    kind, s, search and tol (EB reads the PPT record); each call derives its
+    outcome from it and evaluates only what it lacks, so a kept answer reads
+    no witness, no tail and no ladder, and an exception keeps nothing it
+    did not finish.  A family with a local-unitary core (``params["core"]``,
+    a Floquet product) is then scanned through its core for every cone but
+    P, as V_{t,s} and e^{(t-s)X} differ by unitary conjugations and share
+    every CP, coCP, PPT and EB witness; its tail is the limit-cycle phase,
+    none without a limit cycle.  Without ``shortcuts`` the family's own grid
+    is scanned afresh and nothing is kept.
     """
+    scan = (handle._scan_result((_WITNESS_KIND[cone], s, search, tol), _Scan) if shortcuts
+            else _Scan())
+    if tail_first:
+        w, _ = scan.tail or _read_tail(scan, handle, cone, s, search, shortcuts)
+        if w is not None and w < -tolerances.REFUTE_FACTOR * tol:
+            return math.inf, "refuted_tail", scan
+    if scan.certificate is None or (head is None and scan.delta is not None
+                                    and len(scan.times) < search.grid_n):
+        _fill(scan, handle, cone, s, search, tol, head, shortcuts)
+    refuted = scan.certificate == "refuted_tail"
+    return math.inf if refuted else scan.delta, scan.certificate, scan
+
+
+def _core(family, cone, shortcuts):
+    """The local-unitary core :func:`_delta` scans instead of ``family``, or None."""
+    return family.params.get("core") if shortcuts and cone != "P" else None
+
+
+def _read_tail(scan, handle, cone, s, search, shortcuts):
+    """The tail of :func:`_delta`, read into ``scan``."""
     family = handle.family
+    if _core(family, cone, shortcuts) is not None and family.closed_form.limit_cycle is None:
+        scan.tail = (None, None)
+    else:
+        scan.tail = _tail(handle, cone, s, search.t_max)
+    return scan.tail
+
+
+def _fill(scan, handle, cone, s, search, tol, head, shortcuts):
+    """Scan into ``scan`` the grid points of :func:`_delta` that it lacks,
+    then climb the certificate ladder if it has not."""
+    family = handle.family
+    if scan.times is None or head is None and len(scan.times) < search.grid_n:
+        core = _core(family, cone, shortcuts)
+        try:
+            _scan_grid(scan, handle if core is None else evolve.EvolutionHandle(core),
+                       family, cone, s, search, tol, head)
+        except SingularMapError:
+            scan.certificate = "singular"
+    if scan.certificate is not None:  # singular, or a grown chunk
+        return
     margin = tolerances.REFUTE_FACTOR * tol
-    if tail is not None and tail[0] is not None and tail[0] < -margin:
-        return _Delta(math.inf, "refuted_tail")
-    grid = handle if grid is None else grid
+    cf = family.closed_form
+    if scan.delta is None:
+        scan.certificate = "not_reached"
+    elif s == 0.0 and cf is not None and cf.witness_single_crossing:
+        scan.certificate = "analytic_monotone"
+    elif family.cp_divisible:
+        scan.certificate = "cp_divisible_one_instant"
+    else:
+        w, kind = scan.tail or _read_tail(scan, handle, cone, s, search, shortcuts)
+        if w is not None and w > margin:
+            scan.certificate = kind
+        elif w is not None and w < -margin:
+            scan.certificate = "refuted_tail"
+        else:
+            scan.certificate = "sampled_grid"
+
+
+def _scan_grid(scan, grid, family, cone, s, search, tol, head):
+    """The grid of :func:`_delta` into ``scan``, from the propagators of the
+    handle ``grid``: its first ``head`` points, all, or those a chunk skipped."""
     ts = np.linspace(s, s + search.t_max, search.grid_n)
 
     def witnesses(times):
         return cone_witnesses(grid._propagator_grid(times, s), family.d, cone)
 
-    if head is not None and cone != "P" and family.cp_divisible and len(ts) > head:
+    if scan.times is not None:  # the chunk's Delta and bracket are the whole grid's
+        ws = np.concatenate([scan.witness, witnesses(ts[len(scan.times):].tolist())])
+    elif head is not None and cone != "P" and family.cp_divisible and len(ts) > head:
         ws = witnesses(ts[:head].tolist())
         if (ws > tol).any():
             ts = ts[:head]
@@ -437,30 +510,18 @@ def _delta(handle, cone, s, search, tol, tail=None, head=None, grid=None) -> _De
             ws = np.concatenate([ws, witnesses(ts[head:].tolist())])
     else:
         ws = witnesses(ts.tolist())
+    delta, bracket = scan.delta, scan.bracket
     neg = ws < -tol
-    if neg[-1]:
-        raise NotReachedError(ts[-1], ws[-1], cone=cone)
-    delta, bracket = float(ts[0]), None
-    if neg.any():
-        i = int(np.nonzero(neg)[0].max())
-        bracket = (float(ts[i]), float(ts[i + 1]))
-        target = 0.0 if ws[i + 1] > 0.0 else -tol
-        delta = _bisect_crossing(witnesses, *bracket, target, search.resolved_bisect_tol(),
-                                 _round_levels(cone))
-    cf = family.closed_form
-    if s == 0.0 and cf is not None and cf.witness_single_crossing:
-        certificate = "analytic_monotone"
-    elif family.cp_divisible:
-        certificate = "cp_divisible_one_instant"
-    else:
-        w, kind = _tail(handle, cone, s, search.t_max) if tail is None else tail
-        if w is not None and w > margin:
-            certificate = kind
-        elif w is not None and w < -margin:
-            delta, certificate = math.inf, "refuted_tail"
-        else:
-            certificate = "sampled_grid"
-    return _Delta(delta, certificate, bracket, ts, ws)
+    if scan.times is None and not neg[-1]:  # else not reached, or grown
+        delta = float(ts[0])
+        if neg.any():
+            i = int(np.nonzero(neg)[0].max())
+            bracket = (float(ts[i]), float(ts[i + 1]))
+            target = 0.0 if ws[i + 1] > 0.0 else -tol
+            delta = _bisect_crossing(witnesses, *bracket, target, search.resolved_bisect_tol(),
+                                     _round_levels(cone))
+    ts.flags.writeable = ws.flags.writeable = False
+    scan.times, scan.witness, scan.delta, scan.bracket = ts, ws, delta, bracket
 
 
 def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult:
@@ -475,10 +536,11 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
     the cone is transient: ``tau`` is None and the certificate
     ``"refuted_tail"``.
 
-    A handle answers once per witness kind, search and tolerance: EB reads
-    the PPT result, with its own ``cone`` and ``eb_lower_bound``.  Its grid
-    arrays are read-only, as they are shared.  A ``NotReachedError`` is such
-    an answer too: each call raises a fresh one with its own ``cone``.
+    The handle keeps this Delta(0) record per witness kind, search and
+    tolerance for ``divisibility.scan_divisibility`` too (a chunk it kept
+    grows to the full grid): EB reads the PPT record, with its own ``cone``
+    and ``eb_lower_bound``, and the shared grid arrays are read-only.  A
+    Floquet family is scanned through its core, as in :func:`_delta`.
     """
     handle = evolve._as_handle(handle_or_family)
     if cone not in CONES:
@@ -487,36 +549,18 @@ def arrival_time(handle_or_family, cone, search=None, tol=None) -> ArrivalResult
         tol = tolerances.PSD_TOL
     if search is None:
         search = default_search(handle)
-    result = handle._scan_result(
-        ("arrival", _WITNESS_KIND[cone], None, search, tol),
-        lambda: _arrival_or_not_reached(handle, cone, search, tol),
-    )
-    if isinstance(result, NotReachedError):
-        raise NotReachedError(result.t_max, result.witness, cone=cone)
-    if result.cone != cone:
-        result = replace(
-            result, cone=cone, eb_lower_bound=cone == "EB" and handle.family.d > 2)
-    return result
-
-
-def _arrival_or_not_reached(handle, cone, search, tol):
-    """:func:`_delta` at s = 0 on the full grid as an :class:`ArrivalResult`,
-    or the NotReachedError it raises, returned as the answer without its
-    traceback (whose frames would hold the handle)."""
-    try:
-        out = _delta(handle, cone, 0.0, search, tol)
-    except NotReachedError as exc:
-        return exc.with_traceback(None)
-    out.grid_times.flags.writeable = out.grid_witness.flags.writeable = False
+    delta, certificate, scan = _delta(handle, cone, 0.0, search, tol)
+    if certificate == "not_reached":
+        raise NotReachedError(scan.times[-1], scan.witness[-1], cone=cone)
     return ArrivalResult(
         cone=cone,
-        tau=None if out.delta == math.inf else out.delta,
-        bracket=out.bracket,
+        tau=None if delta == math.inf else delta,
+        bracket=scan.bracket,
         tolerance=search.resolved_bisect_tol(),
-        retention_certificate=out.certificate,
+        retention_certificate=certificate,
         eb_lower_bound=(cone == "EB" and handle.family.d > 2),
-        grid_times=out.grid_times,
-        grid_witness=out.grid_witness,
+        grid_times=scan.times,
+        grid_witness=scan.witness,
     )
 
 

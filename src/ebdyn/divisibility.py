@@ -3,22 +3,25 @@
 For each start time s on a grid, the scan looks for Delta(s) >= s such that
 V_{t,s} lies in the target cone for every t >= Delta(s).  Every Delta comes
 from ``asymptotics._delta``, which also gives the arrival time of
-Lambda_t = V_{t,0} as Delta(0), with one certificate ladder.  It is reached
-three ways:
+Lambda_t = V_{t,0} as Delta(0), with one certificate ladder, and which
+keeps one record of Delta(s) per witness kind and start time on the handle
+(EB reads the PPT record).  A scan reads that record two ways:
 
-- a generic start-time scan tests the tail witness first, so a start time
-  whose tail is outside evaluates no grid, then scans V_{t,s};
-- a semigroup has V_{t,s} = Lambda_{t-s}, so Delta(s) = s + Delta(0);
-- a family with a local-unitary core (a Floquet product P_t o e^{tX} with
-  unitary P_t) has V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT
-  and EB witnesses are those of e^{(t-s)X}, so its core is scanned once,
-  with the limit-cycle phase as the tail, tested first.
+- where the witnesses of V_{t,s} depend on t - s only, Delta(s) =
+  s + Delta(0): a semigroup has V_{t,s} = Lambda_{t-s}, and a family with a
+  local-unitary core (a Floquet product P_t o e^{tX} with unitary P_t) has
+  V_{t,s} = P_t o e^{(t-s)X} o P_s^-1, whose CP, coCP, PPT and EB witnesses
+  are those of e^{(t-s)X}, so ``_delta`` scans its core, with the
+  limit-cycle phase as the tail, tested first;
+- any other start time tests its tail first, so a start time whose tail is
+  outside evaluates no grid, then scans V_{t,s}.
 
 For a CP-divisible family one instant inside the cone keeps all later
 propagators inside, because composing with completely positive maps
 preserves every cone in the hierarchy, so its grid stops after the first
-chunk with a point inside.  With the shortcuts, a handle answers each scan
-once per witness kind (EB reads the PPT scan).
+chunk with a point inside; ``arrival_time`` grows a kept chunk to the full
+grid.  Without the shortcuts every start time is scanned afresh on the
+family's own grid, and nothing is kept.
 
 Refutation is by tail witnesses: when the limit of t -> V_{t,s} is outside
 the cone by more than the refutation margin, no Delta(s) exists (``inf``,
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, evolve, tolerances
-from .errors import NotReachedError, SingularMapError
 
 __all__ = [
     "DivisibilityReport",
@@ -95,17 +97,30 @@ def scan_divisibility(
     s_grid = tuple(float(s) for s in s_grid)
 
     semigroup = use_shortcuts and family.constant
-    if semigroup or (use_shortcuts and cone != "P" and "core" in family.params):
-        shift = _semigroup_shift if semigroup else _core_shift
-        delta0, cert, details = shift(handle, cone, search, tol)
-        deltas = [None if delta0 is None else s + delta0 for s in s_grid]
+    if semigroup or asymptotics._core(family, cone, use_shortcuts) is not None:
+        # (handle, cone, s, search, tol, tail_first, head)
+        delta, cert, scan = asymptotics._delta(handle, cone, 0.0, search, tol, not semigroup,
+                                               _CHUNK)
+        if semigroup and cert == "not_reached":
+            # the tail decides: outside, it refutes every start time
+            delta, cert, scan = asymptotics._delta(handle, cone, 0.0, search, tol, True, _CHUNK)
+            details = {"arrival": "not_reached", "horizon_witness": float(scan.witness[-1])}
+            if scan.tail[0] is not None:
+                details["asymptotic_witness"] = scan.tail[0]
+        elif semigroup:
+            details = {"lambda_tau": delta, "lambda_certificate": cert}
+        else:
+            details = {"reduction": "local_unitary_core", "core_delta": delta,
+                       "core_certificate": cert, "tail_witness": scan.tail[0]}
+        deltas = [None if delta is None else s + delta for s in s_grid]
         certs = [cert for _ in s_grid]
-        details = dict(details)  # the kept answer's, not to be shared
     else:
-        arrivals = [_arrival_at_start(handle, cone, s, search, tol, use_shortcuts)
-                    for s in s_grid]
-        deltas = [delta for delta, _ in arrivals]
-        certs = [cert for _, cert in arrivals]
+        # (handle, cone, s, search, tol, tail_first, head, shortcuts)
+        outs = [asymptotics._delta(handle, cone, s, search, tol, True,
+                                   _CHUNK if use_shortcuts else None, use_shortcuts)
+                for s in s_grid]
+        deltas = [delta for delta, _, _ in outs]
+        certs = [cert for _, cert, _ in outs]
         details = {}
     if math.inf in deltas:
         verdict = "refuted"
@@ -135,86 +150,6 @@ def scan_divisibility(
 
 # grid points evaluated before the rest of a chunked sweep (``asymptotics._delta``)
 _CHUNK = 8
-
-
-def _semigroup_shift(handle, cone, search, tol):
-    """``(Delta(0), certificate, details)`` of a semigroup.
-
-    V_{t,s} = Lambda_{t-s}, so Delta(s) = s + Delta(0), with the certificate
-    of Delta(0).  The tail is read only when the ladder reaches it, or when
-    the grid ends outside the cone: then a tail outside refutes every start
-    time, and any other leaves them not reached.  None of this depends on
-    s: the handle answers once per witness kind.
-    """
-    def delta0():
-        try:
-            out = asymptotics._delta(handle, cone, 0.0, search, tol, head=_CHUNK)
-        except NotReachedError as exc:
-            w, _ = asymptotics._tail(handle, cone, 0.0, search.t_max)
-            details = {"arrival": "not_reached", "horizon_witness": exc.witness}
-            if w is not None:
-                details["asymptotic_witness"] = w
-            if w is not None and w < -tolerances.REFUTE_FACTOR * tol:
-                return math.inf, "refuted_tail", details
-            return None, "not_reached", details
-        return out.delta, out.certificate, {"lambda_tau": out.delta,
-                                            "lambda_certificate": out.certificate}
-
-    return handle._scan_result(
-        ("semigroup", asymptotics._WITNESS_KIND[cone], None, search, tol), delta0)
-
-
-def _core_shift(handle, cone, search, tol):
-    """``(Delta_core, certificate, details)`` of a family P_t o e^{tX}.
-
-    P_t is a unitary conjugation, so V_{t,s} and e^{(t-s)X} differ by local
-    unitaries and share every CP, coCP, PPT and EB witness: Delta(0) of the
-    core, with the family's premises, gives Delta(s) = s + Delta_core.  The
-    tail V_{inf,s} is a limit-cycle phase, which absorbs Lambda_s^-1, and the
-    phases are unitary conjugates of one another, so phase 0 is the tail for
-    every s; it is tested before the grid, as in :func:`_arrival_at_start`.
-    Without a limit cycle there is no tail.  None of this depends on s: the
-    handle answers once per witness kind.
-    """
-    def core_delta():
-        family = handle.family
-        tail = (None, None)
-        if family.closed_form.limit_cycle is not None:
-            tail = asymptotics._tail(handle, cone, 0.0, search.t_max)
-        core = evolve.EvolutionHandle(family.params["core"])
-        try:
-            out = asymptotics._delta(handle, cone, 0.0, search, tol, tail, _CHUNK, grid=core)
-            delta, cert = out.delta, out.certificate
-        except NotReachedError:
-            delta, cert = None, "not_reached"
-        return delta, cert, {"reduction": "local_unitary_core", "core_delta": delta,
-                             "core_certificate": cert, "tail_witness": tail[0]}
-
-    return handle._scan_result(
-        ("core", asymptotics._WITNESS_KIND[cone], None, search, tol), core_delta)
-
-
-def _arrival_at_start(handle, cone, s, search, tol, use_shortcuts=False):
-    """Delta(s) and its certificate for one start time.
-
-    The tail is tested first, so a refuted start time evaluates no grid;
-    then :func:`asymptotics._delta` scans V_{t,s}.  With the shortcuts, the
-    grid is chunked and the handle answers once per witness kind.
-    """
-    def start():
-        tail = asymptotics._tail(handle, cone, s, search.t_max)
-        try:
-            out = asymptotics._delta(handle, cone, s, search, tol, tail,
-                                     _CHUNK if use_shortcuts else None)
-        except SingularMapError:
-            return None, "singular"
-        except NotReachedError:
-            return None, "not_reached"
-        return out.delta, out.certificate
-
-    if not use_shortcuts:
-        return start()
-    return handle._scan_result(("start", asymptotics._WITNESS_KIND[cone], s, search, tol), start)
 
 
 @dataclass(frozen=True, slots=True)

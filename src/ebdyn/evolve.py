@@ -38,8 +38,9 @@ class EvolutionHandle:
 
     For the life of the handle it keeps, per time, the coefficient row of a
     spectral closed form, else the solved map; for ``ode``, the one
-    trajectory every Lambda_t is read from (:class:`_Trajectory`); and the
-    answer to each grid scan it was asked, keyed by witness kind, and its
+    trajectory every Lambda_t is read from (:class:`_Trajectory`); one
+    record of Delta(s) per witness kind, start time, search and tolerance,
+    which arrival times and divisibility scans read and grow; and its
     asymptotic map per horizon (see :meth:`_scan_result`).
     """
 
@@ -121,16 +122,17 @@ class EvolutionHandle:
     def _scan_result(self, key, compute):
         """``compute()``, computed once per ``key`` on this handle.
 
-        Scans key their answers by (scan, witness kind, start time or None,
-        search, tol): cones that share a witness share the answer; the
-        asymptotic map is keyed by ("limit", horizon).  Only a
-        returned result is kept; an exception propagates, and the next call
-        with that key computes again (an arrival scan returns its
-        not-reached outcome, see ``asymptotics.arrival_time``).
+        The records of Delta(s) (``asymptotics._Scan``) are keyed by
+        (witness kind, start time, search, tol): cones that share a witness
+        share one record, which every entry point reads and fills in (see
+        ``asymptotics._delta``); the asymptotic map is keyed by ("limit",
+        horizon).  Only a returned result is kept; an exception propagates,
+        and the next call with that key computes again.
         """
-        if key not in self._scans:
-            self._scans[key] = compute()
-        return self._scans[key]
+        kept = self._scans.get(key)  # no answer is None
+        if kept is None:
+            kept = self._scans[key] = compute()
+        return kept
 
     def _solve_grid(self, ts):
         """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.

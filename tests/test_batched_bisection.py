@@ -9,6 +9,7 @@ map, the same solver and positivity-witness call counts.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,9 +272,18 @@ def serial_grid_delta(handle, cone, s, search, tol):
 
 
 def grid_delta(handle, cone, s, search, tol):
-    """Delta(s) of ``asymptotics._delta`` with no tail: the grid and its
-    bisection alone, whatever rung of the ladder fires."""
-    return asymptotics._delta(handle, cone, s, search, tol, tail=(None, None)).delta
+    """Delta(s) of ``asymptotics._delta`` on the family's own grid with no
+    tail: the grid and its bisection alone, whatever rung of the ladder
+    fires.  A grid that ends outside, or a singular Lambda_s, raises as the
+    serial scan does."""
+    with mock.patch.object(asymptotics, "_tail", lambda *args: (None, None)):
+        delta, certificate, scan = asymptotics._delta(handle, cone, s, search, tol,
+                                                      shortcuts=False)
+    if certificate == "not_reached":
+        raise NotReachedError(scan.times[-1], scan.witness[-1])
+    if certificate == "singular":
+        raise SingularMapError(f"Lambda_s at s={s:g} is numerically singular")
+    return delta
 
 
 def serial_arrival_tau(handle, cone, search, tol):

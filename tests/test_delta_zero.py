@@ -3,9 +3,11 @@
 V_{t,0} = Lambda_t, so the arrival of Lambda_t is the divisibility scan's
 Delta(0), from one scan and one certificate ladder (``asymptotics._delta``).
 These tests check that both entry points give the same time bit for bit and
-the same certificate, on fresh handles and on one shared handle in both call
-orders, and that the propagator grid at s = 0 is the grid of evolved maps on
-every route, with no Lambda_0 and no condition check.
+the same certificate, that on one shared handle, which keeps one record of
+Delta(0) per witness kind, every call order answers as fresh handles do,
+that a Floquet arrival through its core has the time and certificate of the
+family's own grid, and that the propagator grid at s = 0 is the grid of
+evolved maps on every route, with no Lambda_0 and no condition check.
 """
 
 import math
@@ -16,15 +18,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, cli, divisibility, evolve, families
+from ebdyn import asymptotics, cli, divisibility, evolve, families, tolerances
 from ebdyn.errors import NotReachedError
 
 from helpers import random_gkls_family, shipped_family
+from test_divisibility import random_floquet
 from test_evolve import oscillating_gkls
-from test_kept_scans import SHIPPED_CONFIGS
+from test_kept_scans import SHIPPED_CONFIGS, arrival_fields, report_fields
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 CONES = ("CP", "coCP", "PPT", "EB")
+# start times of the divisibility scans on a shared handle
+S_GRID = (0.0, 0.7)
+CALLS = [(entry, cone) for entry in ("arrival", "divisibility") for cone in ("CP", "PPT", "EB")]
 
 
 def bits(x):
@@ -47,17 +53,39 @@ def delta0_outcome(handle, cone, search):
     return rep.delta[0], rep.certificates[0]
 
 
-def assert_arrival_is_delta0(family, search, cone):
-    """Fresh handles, then one shared handle in each call order."""
+def answers(handle, calls, search):
+    """The answer to each call ``(entry, cone)`` on ``handle``, in order: the
+    ``arrival_fields`` of ``arrival_time`` (the horizon, witness and cone of
+    its NotReachedError), or the ``report_fields`` of ``scan_divisibility``
+    on S_GRID."""
+    out = []
+    for entry, cone in calls:
+        if entry == "divisibility":
+            out.append(report_fields(divisibility.scan_divisibility(
+                handle, cone, s_grid=S_GRID, search=search)))
+            continue
+        try:
+            out.append(arrival_fields(asymptotics.arrival_time(handle, cone, search=search)))
+        except NotReachedError as exc:
+            out.append((exc.t_max, exc.witness, exc.cone))
+    return out
+
+
+def assert_arrival_is_delta0(family, search, cone, orders=None):
+    """Arrival against Delta(0) on fresh handles, then one shared handle per
+    call order: by default the arrival and the divisibility scan of
+    ``cone`` in both orders, else each list of calls in ``orders``.  On the
+    shared handle every answer equals the fresh handle's, grids bytewise and
+    details included, whichever call scanned first."""
     want = arrival_outcome(evolve.EvolutionHandle(family), cone, search)
     got = delta0_outcome(evolve.EvolutionHandle(family), cone, search)
     assert (bits(got[0]), got[1]) == (bits(want[0]), want[1])
-    shared = evolve.EvolutionHandle(family)
-    first = arrival_outcome(shared, cone, search), delta0_outcome(shared, cone, search)
-    shared = evolve.EvolutionHandle(family)
-    second = delta0_outcome(shared, cone, search), arrival_outcome(shared, cone, search)
-    for a in (*first, *second):
-        assert (bits(a[0]), a[1]) == (bits(want[0]), want[1])
+    if orders is None:
+        orders = [[("arrival", cone), ("divisibility", cone)],
+                  [("divisibility", cone), ("arrival", cone)]]
+    for order in orders:
+        fresh = [answers(evolve.EvolutionHandle(family), [call], search)[0] for call in order]
+        assert answers(evolve.EvolutionHandle(family), order, search) == fresh
     return want
 
 
@@ -103,6 +131,48 @@ def test_random_gkls_semigroup_arrival_is_delta0(seed, d, n_jumps, with_hamilton
     fam = random_gkls_family(np.random.default_rng(seed), d, n_jumps=n_jumps,
                              with_hamiltonian=with_hamiltonian)
     assert_arrival_is_delta0(fam, asymptotics.default_search(fam, grid_n=150), cone)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), order=st.permutations(CALLS))
+def test_random_gkls_semigroup_answers_in_any_order(seed, d, order):
+    """Arrivals and divisibility scans of CP, PPT and EB on one handle, in a
+    random order, each bitwise the answer of a fresh handle."""
+    fam = random_gkls_family(np.random.default_rng(seed), d)
+    assert fam.constant
+    assert_arrival_is_delta0(fam, asymptotics.default_search(fam, grid_n=80), order[0][1],
+                             orders=[order])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 3), order=st.permutations(CALLS))
+def test_random_floquet_answers_in_any_order(seed, d, order):
+    """As for semigroups, on Floquet families: the arrival and the core shift
+    share the core's Delta(0) record."""
+    fam, core = random_floquet(seed, d)
+    assert_arrival_is_delta0(fam, asymptotics.default_search(core, grid_n=80), order[0][1],
+                             orders=[order])
+
+
+FLOQUET = [("floquet_rotating", None, None), ("random_floquet", 3, 2),
+           ("random_floquet", 4, 3), ("random_floquet", 5, 3), ("random_floquet", 6, 3)]
+
+
+@pytest.mark.parametrize("cone", ["CP", "coCP", "PPT"])
+@pytest.mark.parametrize("name, seed, d", FLOQUET)
+def test_floquet_arrival_through_the_core_is_the_family_grid(name, seed, d, cone):
+    """The arrival of a Floquet family scans its core; tau and the
+    certificate are bitwise those of ``_delta`` on the family's own grid."""
+    if seed is None:
+        fam, search = shipped_search(name)
+    else:
+        fam, core = random_floquet(seed, d)
+        search = asymptotics.default_search(core, grid_n=200)
+    assert "core" in fam.params
+    ref, certificate, _ = asymptotics._delta(evolve.EvolutionHandle(fam), cone, 0.0, search,
+                                             tolerances.PSD_TOL, shortcuts=False)
+    got = arrival_outcome(evolve.EvolutionHandle(fam), cone, search)
+    assert (bits(got[0]), got[1]) == (bits(ref), certificate)
 
 
 def decaying_pauli(floors, kicks):

@@ -313,8 +313,8 @@ class TestPropagatorTail:
         assert handle.solver == "ode"
         assert np.linalg.cond(handle.solve(s).matrix) > tolerances.SINGULAR_COND_LIMIT
         assert asymptotics._tail(handle, "PPT", s, search.t_max) == (None, None)
-        assert divisibility._arrival_at_start(handle, "PPT", s, search, 1e-9, True) == (
-            None, "singular")
+        rep = divisibility.scan_divisibility(handle, "PPT", s_grid=[s], search=search)
+        assert (rep.delta, rep.certificates) == ((None,), ("singular",))
 
     def test_an_invertible_start_keeps_the_inverse(self):
         fam, _ = cli.load_config(os.path.join(CONFIG_DIR, "detailed_balance_ladder.ini"))

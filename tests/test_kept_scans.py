@@ -1,10 +1,12 @@
-"""Scan answers kept on the handle and chunked grids.
+"""Records of Delta(s) kept on the handle and chunked grids.
 
-A handle answers each scan question once per witness kind: EB has the PPT
-witness, so its arrival and divisibility scans read the PPT ones.  These
-tests check that the answers are those of an independent computation, that
-a kept answer costs no witness, that ``use_shortcuts=False`` recomputes, and
-that the chunked grid of a CP-divisible family is bitwise the full sweep.
+A handle keeps one record per witness kind and start time, which arrival
+and divisibility scans share: EB has the PPT witness, so its scans read the
+PPT record.  These tests check that the answers are those of an independent
+computation, that a kept answer costs no witness and no tail, that an
+arrival grows a kept chunk by the points it skipped, that
+``use_shortcuts=False`` recomputes, and that the chunked grid of a
+CP-divisible family is bitwise the full sweep.
 """
 
 import gc
@@ -31,21 +33,39 @@ SHIPPED_CONFIGS = (
 
 class ChoiFloorCounter:
     """Counts ``classify.choi_floors`` calls, through which every CP/PPT/EB
-    witness goes."""
+    witness goes, and the maps stacked into them (``points``)."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
+        self.calls = self.points = 0
+        self.stacks = []  # the size of each stack
         floors = classify.choi_floors
 
-        def counted(*args, **kwargs):
+        def counted(stack, *args, **kwargs):
             self.calls += 1
-            return floors(*args, **kwargs)
+            self.points += len(stack)
+            self.stacks.append(len(stack))
+            return floors(stack, *args, **kwargs)
 
         monkeypatch.setattr(classify, "choi_floors", counted)
 
     def run(self, fn):
-        self.calls = 0
+        self.calls = self.points = 0
         return fn(), self.calls
+
+
+class TailCounter:
+    """Counts ``asymptotics._tail`` calls: an analytic tail never reaches
+    ``classify.choi_floors``, so only this sees it read again."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        tail = asymptotics._tail
+
+        def counted(*args):
+            self.calls += 1
+            return tail(*args)
+
+        monkeypatch.setattr(asymptotics, "_tail", counted)
 
 
 def outcome(fn):
@@ -95,7 +115,9 @@ def test_eb_arrival_is_the_ppt_arrival(name):
     kept = asymptotics.arrival_time(handle, "EB", search=search)
     assert (kept.cone, kept.eb_lower_bound) == ("EB", fam.d > 2)
     assert arrival_fields(kept) == arrival_fields(first) == arrival_fields(ppt)
-    assert asymptotics.arrival_time(handle, "PPT", search=search) is first
+    again = asymptotics.arrival_time(handle, "PPT", search=search)
+    assert arrival_fields(again) == arrival_fields(first)
+    assert again.grid_times is first.grid_times and again.grid_witness is first.grid_witness
     assert not first.grid_witness.flags.writeable
 
 
@@ -125,31 +147,89 @@ def rotating_floquet():
     return shipped_family("floquet_rotating")
 
 
+def dephased_qubit():
+    """A dephased qubit: its coherence e^{-t} keeps the PPT witness below -tol
+    up to the default horizon t = 20, so its PPT and EB scans end not reached
+    and the tail decides."""
+    return families.gkls(np.zeros((2, 2)), [(np.diag([1.0, -1.0]), 0.5)])
+
+
 KEPT_FAMILIES = [
-    ("eternal", lambda: families.eternal_nm(2.0)),
-    ("floquet_core", rotating_floquet),
+    ("eternal", lambda: families.eternal_nm(2.0)),  # start times, analytic tail first
+    ("floquet_core", rotating_floquet),  # the limit-cycle phase first
     ("semigroup", lambda: families.depolarizing(1.0, np.diag([0.6, 0.4]))),
+    ("semigroup_tail", lambda: shipped_family("phase_covariant")),  # the ladder reads it
+    ("not_reached", dephased_qubit),
     ("cutoff", lambda: shipped_family("pure_decoherence_cutoff")),
 ]
 
 
 @pytest.mark.parametrize("name, make", KEPT_FAMILIES)
 def test_second_cone_of_a_witness_kind_makes_no_witness(monkeypatch, name, make):
+    """EB after PPT on one handle reads the kept records: no witness and no
+    tail, at every start time, on the semigroup shift and on the core."""
     fam = make()
     search = asymptotics.default_search(fam, grid_n=80)
     s_grid = (0.0, 0.4, 1.3)
     handle = evolve.EvolutionHandle(fam)
     counter = ChoiFloorCounter(monkeypatch)
+    tails = TailCounter(monkeypatch)
     first, first_calls = counter.run(lambda: divisibility.scan_divisibility(
         handle, "PPT", s_grid=s_grid, search=search))
+    tails.calls = 0
     second, second_calls = counter.run(lambda: divisibility.scan_divisibility(
         handle, "EB", s_grid=s_grid, search=search))
-    assert first_calls > 0 and second_calls == 0
-    assert second.delta == first.delta and second.certificates == first.certificates
+    assert first_calls > 0 and second_calls == tails.calls == 0
+    assert report_fields(second) == report_fields(first)
+    if name == "not_reached":
+        assert first.details["arrival"] == "not_reached"
     # another kind is its own question
     _, cp_calls = counter.run(lambda: divisibility.scan_divisibility(
         handle, "CP", s_grid=s_grid, search=search))
     assert cp_calls > 0
+
+
+@pytest.mark.parametrize("name, t_max", [("depolarizing_qutrit", 8.0),
+                                         ("floquet_rotating", 14.0)])
+def test_divisibility_after_arrival_reads_the_kept_delta0(monkeypatch, name, t_max):
+    """Arrival is Delta(0), kept once: the divisibility scan after it
+    evaluates no witness and answers as on a fresh handle."""
+    fam = shipped_family(name)
+    search = asymptotics.default_search(fam, t_max=t_max, grid_n=200)
+    s_grid = divisibility.default_s_grid(search, n=6)
+    handle = evolve.EvolutionHandle(fam)
+    counter = ChoiFloorCounter(monkeypatch)
+    tails = TailCounter(monkeypatch)
+    _, calls = counter.run(lambda: asymptotics.arrival_time(handle, "PPT", search=search))
+    assert calls > 0
+    tails.calls = 0
+    rep, calls = counter.run(lambda: divisibility.scan_divisibility(
+        handle, "PPT", s_grid=s_grid, search=search))
+    # no grid witness: a Floquet core tests its limit-cycle phase first, a
+    # tail that the arrival's ladder never reached (the family is CP-divisible)
+    assert calls == counter.points == tails.calls == (name == "floquet_rotating")
+    fresh = divisibility.scan_divisibility(evolve.EvolutionHandle(fam), "PPT", s_grid=s_grid,
+                                           search=search)
+    assert report_fields(rep) == report_fields(fresh)
+
+
+@pytest.mark.parametrize("cone", ["CP", "PPT"])
+@pytest.mark.parametrize("name, t_max", [("depolarizing_qutrit", 8.0),
+                                         ("floquet_rotating", 14.0)])
+def test_arrival_grows_a_kept_chunk(monkeypatch, name, t_max, cone):
+    """After a divisibility scan kept the first chunk, the arrival evaluates
+    only the points the chunk skipped, and equals a fresh arrival bitwise."""
+    fam = shipped_family(name)
+    search = asymptotics.default_search(fam, t_max=t_max, grid_n=30)
+    handle = evolve.EvolutionHandle(fam)
+    counter = ChoiFloorCounter(monkeypatch)
+    divisibility.scan_divisibility(handle, cone, s_grid=(0.0, 1.0), search=search)
+    # the chunk had a point inside: no larger stack (a bisection round is 7 points)
+    assert max(counter.stacks) == divisibility._CHUNK
+    res, _ = counter.run(lambda: asymptotics.arrival_time(handle, cone, search=search))
+    assert counter.points == search.grid_n - divisibility._CHUNK
+    fresh = asymptotics.arrival_time(evolve.EvolutionHandle(fam), cone, search=search)
+    assert arrival_fields(res) == arrival_fields(fresh)
 
 
 def test_kept_arrival_makes_no_witness(monkeypatch):
@@ -304,7 +384,7 @@ def test_not_reached_semigroup_scans_share_the_limit(monkeypatch):
     """A dephased qubit's coherence e^{-t} keeps the PPT witness below -tol up to
     t = 12, while its numeric limit (the full dephasing) is settled by t = 24:
     PPT and EB end in not_reached and read one kept limit."""
-    fam = families.gkls(np.zeros((2, 2)), [(np.diag([1.0, -1.0]), 0.5)])
+    fam = dephased_qubit()
     handle = evolve.EvolutionHandle(fam)
     search = asymptotics.Search(t_max=12.0, grid_n=60)
     counter = SpectrumCounter(monkeypatch)
@@ -340,10 +420,10 @@ def assert_chunked_is_the_full_sweep(fam, cone, s, search):
     """Delta, certificate or exception type of the chunked scan, each on a
     fresh handle, against the full sweep."""
     tol = 1e-9
-    full = outcome(lambda: divisibility._arrival_at_start(
-        evolve.EvolutionHandle(fam), cone, s, search, tol, use_shortcuts=False))
-    chunked = outcome(lambda: divisibility._arrival_at_start(
-        evolve.EvolutionHandle(fam), cone, s, search, tol, use_shortcuts=True))
+    full = outcome(lambda: asymptotics._delta(
+        evolve.EvolutionHandle(fam), cone, s, search, tol, True, None, False)[:2])
+    chunked = outcome(lambda: asymptotics._delta(
+        evolve.EvolutionHandle(fam), cone, s, search, tol, True, divisibility._CHUNK)[:2])
     assert chunked == full
 
 
@@ -399,10 +479,10 @@ def test_chunked_sweep_stops_after_the_first_chunk(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "cone_witnesses", recorded)
     chunked = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9,
-                                 head=divisibility._CHUNK).delta
+                                 head=divisibility._CHUNK)[0]
     assert sizes[0] == divisibility._CHUNK and max(sizes) == divisibility._CHUNK
     sizes.clear()
-    full = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9).delta
+    full = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.5, search, 1e-9)[0]
     assert sizes[0] == search.grid_n and full == chunked
 
 
@@ -441,5 +521,6 @@ def test_a_family_that_is_not_cp_divisible_keeps_the_full_sweep():
     early = asymptotics.cone_witnesses(handle._propagator_grid([0.1, 0.5], 0.0), 2, "CP")
     assert (early > 1e-9).all()
     for head in (None, divisibility._CHUNK):
-        with pytest.raises(NotReachedError):
-            asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.0, search, 1e-9, head=head)
+        _, certificate, scan = asymptotics._delta(evolve.EvolutionHandle(fam), "CP", 0.0, search,
+                                                  1e-9, head=head)
+        assert certificate == "not_reached" and len(scan.times) == search.grid_n

@@ -144,7 +144,10 @@ class TestFastPathOnShippedFamilies:
         handle = evolve.EvolutionHandle(family)
         search = asymptotics.Search(t_max=t_max, grid_n=300)
         result = asymptotics.arrival_time(handle, cone, search=search)
-        slow = [asymptotics.cone_witness(phi, cone) for phi in handle.solve_many(result.grid_times)]
+        # a Floquet family is scanned through its core, whose maps differ from
+        # the family's by unitary conjugations (and by rounding)
+        scanned = evolve.EvolutionHandle(family.params.get("core", family))
+        slow = [asymptotics.cone_witness(phi, cone) for phi in scanned.solve_many(result.grid_times)]
         np.testing.assert_array_equal(result.grid_witness, slow)
 
     @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
