@@ -21,6 +21,7 @@ evolution into the interior of the EB cone in finite time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -112,11 +113,26 @@ def cone_witness(phi: superop.Superoperator, cone: str) -> float:
 
 @dataclass(frozen=True)
 class Search:
-    """Grid-and-bisection parameters for arrival scans."""
+    """Grid-and-bisection parameters for arrival scans.
+
+    ``t_max`` is finite and positive, ``grid_n`` an integer of at least 2,
+    and ``bisect_tol`` None (``1e-10 * t_max``) or finite and nonnegative; 0
+    bisects down to the float spacing.  Anything else raises ``ValueError``.
+    """
 
     t_max: float
     grid_n: int = 2000
     bisect_tol: float | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.t_max, numbers.Real) and 0.0 < self.t_max < math.inf):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
+        if not (isinstance(self.grid_n, numbers.Integral) and self.grid_n >= 2):
+            raise ValueError(f"grid_n must be an integer of at least 2, got {self.grid_n!r}")
+        if self.bisect_tol is not None and not (isinstance(self.bisect_tol, numbers.Real)
+                                                and 0.0 <= self.bisect_tol < math.inf):
+            raise ValueError(f"bisect_tol must be None or finite and nonnegative, "
+                             f"got {self.bisect_tol!r}")
 
     def resolved_bisect_tol(self) -> float:
         if self.bisect_tol is not None:
@@ -299,42 +315,117 @@ class ArrivalResult:
 
 
 def _round_levels(cone):
-    """Halvings per bisection round: three, as every route computes each time
-    on its own and a stack costs about one point; one (the serial bisection)
-    for P, whose see-saw search runs map by map."""
+    """Halvings a bisection round is sure of: three, as every route computes
+    each time on its own and a stack costs about one point, so a round also
+    evaluates the predicted path (:func:`_bisect_crossing`); one (the serial
+    bisection, with no prediction) for P, whose see-saw search runs map by
+    map."""
     return 1 if cone == "P" else 3
 
 
-def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels):
+def _bisect_crossing(witnesses, lo, hi, target, tol_t, levels, known=(), breakpoints=()):
     """Halve [lo, hi] to ``tol_t``; ``witnesses`` maps a list of times to witnesses.
 
-    A round evaluates in one call the midpoints that the next ``levels``
-    halvings can reach (breadth first, skipping closed brackets) and walks
-    down the tree: the same floats as one halving per call, so the same
-    result bitwise.  A bracket is closed once it is within ``tol_t`` or its
-    midpoint is no float strictly inside it, so a ``tol_t`` below the float
-    spacing ends too.
+    The result is that of the serial loop, one halving per witness: the
+    midpoint goes to ``lo`` when its witness is below ``target``, else to
+    ``hi``.  A round evaluates a set of midpoints in one call, then walks
+    the serial halvings for as long as their midpoints have been evaluated:
+    the same floats, read from real witnesses, so the same result bitwise.
+
+    A round holds the midpoints the next ``levels`` halvings can reach
+    (breadth first, skipping closed brackets), so it takes at least
+    ``levels`` halvings.  With ``levels`` > 1 it also holds the whole
+    halving path to a predicted crossing (:func:`_predicted_crossing`): a
+    ``breakpoint`` inside the bracket, where the witness jumps, or inverse
+    interpolation through the witnesses ``known`` around the bracket (pairs
+    ``(t, w)``, such as the grid's neighbours) and those evaluated so far.
+    When the prediction holds, the round is the last.  A bracket is closed
+    once it is within ``tol_t`` or its midpoint is no float strictly inside
+    it, so a ``tol_t`` below the float spacing ends too.
     """
+    ws = {float(t): float(w) for t, w in known}
     while _splits(lo, hi, tol_t):
-        brackets, points = [(lo, hi)], []
-        for _ in range(levels):
-            reached = []
-            for a, b in brackets:
-                if _splits(a, b, tol_t):
-                    mid = 0.5 * (a + b)
-                    points.append(mid)
-                    reached += [(a, mid), (mid, b)]
-            brackets = reached
-        ws = dict(zip(points, witnesses(points)))
-        for _ in range(levels):
-            if not _splits(lo, hi, tol_t):
-                break
+        points = _tree(lo, hi, tol_t, levels)
+        root = _predicted_crossing(ws, lo, hi, target, breakpoints) if levels > 1 else None
+        if root is not None:
+            points += _path(lo, hi, tol_t, root)
+        points = [t for t in dict.fromkeys(points) if t not in ws]
+        ws.update(zip(points, map(float, witnesses(points))))
+        while _splits(lo, hi, tol_t):
             mid = 0.5 * (lo + hi)
+            if mid not in ws:
+                break
             if ws[mid] < target:
                 lo = mid
             else:
                 hi = mid
     return 0.5 * (lo + hi)
+
+
+def _tree(lo, hi, tol_t, levels):
+    """The midpoints the next ``levels`` halvings of [lo, hi] can reach."""
+    brackets, points = [(lo, hi)], []
+    for _ in range(levels):
+        reached = []
+        for a, b in brackets:
+            if _splits(a, b, tol_t):
+                mid = 0.5 * (a + b)
+                points.append(mid)
+                reached += [(a, mid), (mid, b)]
+        brackets = reached
+    return points
+
+
+def _path(lo, hi, tol_t, root):
+    """The midpoints the serial halving of [lo, hi] visits when the witness
+    is below its target before ``root`` and not from it on."""
+    points = []
+    while _splits(lo, hi, tol_t):
+        mid = 0.5 * (lo + hi)
+        points.append(mid)
+        if mid < root:
+            lo = mid
+        else:
+            hi = mid
+    return points
+
+
+def _predicted_crossing(ws, lo, hi, target, breakpoints):
+    """Where the witness is predicted to reach ``target`` in [lo, hi], or None.
+
+    A breakpoint b with lo < b <= hi is taken as it is: the witness jumps
+    there.  Otherwise t(w) is interpolated at ``target`` through the (up to
+    four) evaluated witnesses ``ws`` nearest the bracket, and through all
+    but the farthest of them; when the two agree within one leaf of a
+    three-level tree (an eighth of the bracket), the first value is taken,
+    clamped to the bracket, so that a crossing at an end is followed to it.
+    Equal witnesses, as on a side that stays flat, predict nothing.
+    """
+    for b in breakpoints:
+        if lo < b <= hi:
+            return b
+    centre = 0.5 * (lo + hi)
+    nodes = sorted(ws.items(), key=lambda tw: abs(tw[0] - centre))[:4]
+    if len(nodes) < 3:
+        return None
+    t, coarser = _inverse_interpolant(nodes, target), _inverse_interpolant(nodes[:-1], target)
+    if t is None or coarser is None or not abs(t - coarser) <= 0.125 * (hi - lo):
+        return None
+    return min(max(t, lo), hi)
+
+
+def _inverse_interpolant(nodes, target):
+    """Neville's value at ``target`` of the polynomial t(w) through the pairs
+    ``(t, w)`` of ``nodes``; None when two witnesses are equal."""
+    ts = [t for t, _ in nodes]
+    ws = [w for _, w in nodes]
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - j):
+            den = ws[i + j] - ws[i]
+            if den == 0.0:
+                return None
+            ts[i] = ((target - ws[i]) * ts[i + 1] - (target - ws[i + j]) * ts[i]) / den
+    return ts[0]
 
 
 def _splits(lo, hi, tol_t):
@@ -494,7 +585,11 @@ def _fill(scan, handle, cone, s, search, tol, head, shortcuts):
 
 def _scan_grid(scan, grid, family, cone, s, search, tol, head):
     """The grid of :func:`_delta` into ``scan``, from the propagators of the
-    handle ``grid``: its first ``head`` points, all, or those a chunk skipped."""
+    handle ``grid``: its first ``head`` points, all, or those a chunk skipped.
+
+    The last crossing is bisected from the grid's witnesses at the bracket
+    and one point beyond each end, and the breakpoints of ``grid``'s closed
+    form, which :func:`_bisect_crossing` predicts its halving path from."""
     ts = np.linspace(s, s + search.t_max, search.grid_n)
 
     def witnesses(times):
@@ -518,8 +613,11 @@ def _scan_grid(scan, grid, family, cone, s, search, tol, head):
             i = int(np.nonzero(neg)[0].max())
             bracket = (float(ts[i]), float(ts[i + 1]))
             target = 0.0 if ws[i + 1] > 0.0 else -tol
+            cf = grid.family.closed_form
             delta = _bisect_crossing(witnesses, *bracket, target, search.resolved_bisect_tol(),
-                                     _round_levels(cone))
+                                     _round_levels(cone),
+                                     zip(ts[max(i - 1, 0):i + 3], ws[max(i - 1, 0):i + 3]),
+                                     cf.breakpoints if cf is not None else ())
     ts.flags.writeable = ws.flags.writeable = False
     scan.times, scan.witness, scan.delta, scan.bracket = ts, ws, delta, bracket
 

@@ -66,7 +66,9 @@ class ClosedFormSolution:
     another, so that one phase carries the cone witnesses of every phase,
     and each must have the trace form X -> tr(X) w_t, so that it absorbs the
     trace preserving Lambda_s^-1 and is the tail of the propagators from
-    every start time s, with no inverse.
+    every start time s, with no inverse.  ``breakpoints`` are the times b
+    at which Lambda_t jumps, taking the value past the jump from t = b on;
+    a bisection whose bracket holds one predicts its crossing there.
     """
 
     map_at: Callable[[float], superop.Superoperator]
@@ -80,6 +82,7 @@ class ClosedFormSolution:
     ppt_arrival_time: float | None = None
     witness_single_crossing: bool = False
     diverges: bool = False
+    breakpoints: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -910,7 +913,8 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         decays, frozen = ell0.real < -1e-12, np.abs(ell0) <= 1e-12
         diverges = not np.all(decays | frozen)
         asym = None if diverges else frozen.astype(complex).ravel(order="F")
-    cf = _spectral(d, comps, rows, asymptotic_coefficients=asym, diverges=diverges)
+    cf = _spectral(d, comps, rows, asymptotic_coefficients=asym, diverges=diverges,
+                   breakpoints=() if cutoff is None else (cutoff,))
     return GeneratorFamily(
         d=d,
         kind="pure_decoherence",

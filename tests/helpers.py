@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from ebdyn import cli, families, matcore, superop
+from ebdyn import asymptotics, cli, families, matcore, superop
 
 
 def ginibre(rng, rows, cols=None):
@@ -116,6 +116,30 @@ def shipped_family(name):
     config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                           "configs", f"{name}.ini")
     return cli.load_config(config)[0]
+
+
+class RoundRecorder:
+    """Records the stack size of every round of every bisection
+    (``asymptotics._bisect_crossing``), one list per crossing."""
+
+    def __init__(self, monkeypatch):
+        self.crossings = []
+        bisect = asymptotics._bisect_crossing
+
+        def recorded(witnesses, *args):
+            sizes = []
+            self.crossings.append(sizes)
+
+            def counted(points):
+                sizes.append(len(points))
+                return witnesses(points)
+
+            return bisect(counted, *args)
+
+        monkeypatch.setattr(asymptotics, "_bisect_crossing", recorded)
+
+    def sizes(self):
+        return [n for sizes in self.crossings for n in sizes]
 
 
 def oscillating_pauli():

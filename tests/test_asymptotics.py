@@ -43,6 +43,37 @@ class TestSearch:
         assert s.resolved_bisect_tol() == pytest.approx(5e-9)
         assert asymptotics.Search(t_max=50.0, bisect_tol=1e-6).resolved_bisect_tol() == 1e-6
 
+    @pytest.mark.parametrize("kwargs", [
+        # nan and inf ended the bisection at once: tau read 1.0909, the
+        # middle of the grid cell, where ln 3 = 1.0986
+        {"bisect_tol": math.nan}, {"bisect_tol": math.inf}, {"bisect_tol": -1e-6},
+        {"bisect_tol": "1e-6"},
+        # grid_n = 0 raised an IndexError
+        {"grid_n": 0}, {"grid_n": 1},
+        # t_max = -1 raised NotReachedError "at horizon t_max=-1"
+        {"t_max": -1.0}, {"t_max": 0.0}, {"t_max": math.nan}, {"t_max": math.inf},
+    ])
+    def test_invalid_search_raises_value_error(self, kwargs):
+        fam = families.depolarizing(1.0, np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            search = asymptotics.Search(**{"t_max": 8.0, **kwargs})
+            asymptotics.arrival_time(fam, "PPT", search=search)
+        with pytest.raises(ValueError):
+            asymptotics.default_search(fam, **{"t_max": 8.0, **kwargs})
+
+    def test_a_fractional_grid_n_raises_value_error(self):
+        with pytest.raises(ValueError):
+            asymptotics.Search(t_max=8.0, grid_n=2.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_n": 2}, {"bisect_tol": 0.0}, {"t_max": 4, "grid_n": np.int64(50)},
+    ])
+    def test_edge_searches_arrive_at_ln3(self, kwargs):
+        fam = families.depolarizing(1.0, np.eye(2) / 2)
+        search = asymptotics.Search(**{"t_max": 8.0, **kwargs})
+        res = asymptotics.arrival_time(fam, "PPT", search=search)
+        assert res.tau == pytest.approx(math.log(3.0), abs=1e-8)
+
     def test_default_search_uses_spectral_gap(self):
         fam = families.depolarizing(2.0, np.eye(2) / 2)
         s = asymptotics.default_search(fam)

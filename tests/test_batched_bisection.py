@@ -1,26 +1,30 @@
-"""Level-batched bisection against the serial halving loop it replaces.
+"""Batched bisection against the serial halving loop it replaces.
 
-The bisection of an arrival crossing evaluates the midpoints of several
-halvings per call.  These tests hold it to a serial reference written here:
-the same tau bit for bit, the same points visited, round stacks of
-propagators and evolved maps equal matrix for matrix to the maps computed
-one point at a time, and, for the P cone, whose see-saw search runs map by
-map, the same solver and positivity-witness call counts.
+The bisection of an arrival crossing evaluates several midpoints per call:
+the three-level tree of the next halvings, and the whole halving path to a
+predicted crossing.  These tests hold it to a serial reference written
+here: the same tau bit for bit, the same points visited, no more calls
+than rounds of three halvings, one call where a declared breakpoint is the
+crossing, round stacks of propagators and evolved maps equal matrix for
+matrix to the maps computed one point at a time, and, for the P cone, whose
+see-saw search runs map by map, one point per call with the same solver and
+positivity-witness call counts.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, evolve, families, superop, tolerances
+from ebdyn import asymptotics, classify, divisibility, evolve, families, superop, tolerances
 from ebdyn.asymptotics import Search
 from ebdyn.errors import NotReachedError, SingularMapError
 
-from helpers import (ginibre, inversion_atol, oscillating_pauli, random_hermitian,
-                     shipped_family)
+from helpers import (RoundRecorder, ginibre, inversion_atol, oscillating_pauli,
+                     random_hermitian, shipped_family)
 
 
 def serial_bisect(witness_at, lo, hi, target, tol_t):
@@ -75,6 +79,35 @@ witness_params = st.tuples(
 )
 
 
+def grid_neighbours(w, lo, hi):
+    """``(t, w)`` at the bracket's ends and one bracket beyond each, as the
+    grid passes them."""
+    width = hi - lo
+    return [(t, w(t)) for t in (lo - width, lo, hi, hi + width)]
+
+
+def assert_the_serial_walk(rec, serial_points, levels):
+    """Every point of the serial walk is evaluated, none twice, in no more
+    calls than rounds of ``levels`` halvings; one point per call at one level."""
+    evaluated = [t for call in rec.calls for t in call]
+    assert set(serial_points) <= set(evaluated)
+    assert len(evaluated) == len(set(evaluated))
+    assert len(rec.calls) <= -(-len(serial_points) // levels)
+    if levels == 1:
+        assert evaluated == serial_points
+
+
+def counted_serial(w, lo, hi, target, tol_t):
+    """The serial loop's tau and the points it visits."""
+    points = []
+
+    def witness_at(t):
+        points.append(t)
+        return w(t)
+
+    return serial_bisect(witness_at, lo, hi, target, tol_t), points
+
+
 class TestBisectCrossing:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -86,34 +119,25 @@ class TestBisectCrossing:
         rel_tol=st.sampled_from((0.0, 1e-300, 1e-12, 1e-9, 3e-7, 1e-3, 0.3, 0.5, 1.0, 2.0)),
         target=st.sampled_from((0.0, -1e-9, 0.25)),
         levels=st.integers(1, 4),
+        neighbours=st.booleans(),
     )
     @example(params=([1.0], [1.0] * 4, [0.0] * 4), lo=0.0, width=1.0, rel_tol=1.0,
-             target=0.0, levels=3)
+             target=0.0, levels=3, neighbours=False)
     @example(params=([1.0, 0.4], [7.0, 23.0, 1.0, 1.0], [0.3, -1.1, 0.0, 0.0]), lo=2.0,
-             width=1.0, rel_tol=0.0, target=0.0, levels=3)
-    def test_bitwise_the_serial_loop(self, params, lo, width, rel_tol, target, levels):
+             width=1.0, rel_tol=0.0, target=0.0, levels=3, neighbours=True)
+    def test_bitwise_the_serial_loop(self, params, lo, width, rel_tol, target, levels,
+                                     neighbours):
         w = wavy(*params)
         hi = lo + width
         # below the float spacing near the bracket, both loops stop where a
         # midpoint is no float strictly inside its bracket
         tol_t = rel_tol * width
-        serial_points = []
-
-        def witness_at(t):
-            serial_points.append(t)
-            return w(t)
-
-        want = serial_bisect(witness_at, lo, hi, target, tol_t)
+        want, serial_points = counted_serial(w, lo, hi, target, tol_t)
         rec = Recorder(w)
-        got = asymptotics._bisect_crossing(rec, lo, hi, target, tol_t, levels)
+        known = grid_neighbours(w, lo, hi) if neighbours else ()
+        got = asymptotics._bisect_crossing(rec, lo, hi, target, tol_t, levels, known)
         assert got == want  # bitwise: the same floats are halved the same way
-        # every point of the serial walk is evaluated, in rounds of `levels` halvings
-        evaluated = [t for call in rec.calls for t in call]
-        assert set(serial_points) <= set(evaluated)
-        assert len(rec.calls) == -(-len(serial_points) // levels)
-        assert all(len(call) <= 2 ** levels - 1 for call in rec.calls)
-        if levels == 1:
-            assert evaluated == serial_points
+        assert_the_serial_walk(rec, serial_points, levels)
 
     @pytest.mark.parametrize("halvings", [1, 2, 3, 4, 5, 7, 8, 9, 27])
     @pytest.mark.parametrize("slack", [1.0, 1.001])
@@ -123,17 +147,129 @@ class TestBisectCrossing:
         tol_t = slack * 2.0 ** -halvings
         w = wavy([1.0, 0.4], [7.0, 23.0, 1.0, 1.0], [0.3, -1.1, 0.0, 0.0])
         rec = Recorder(w)
-        got = asymptotics._bisect_crossing(rec, 2.0, 3.0, 0.0, tol_t, 3)
-        assert got == serial_bisect(w, 2.0, 3.0, 0.0, tol_t)
-        # a round lists only the levels whose brackets are still wider than tol_t
-        sizes = [len(call) for call in rec.calls]
-        full, rest = divmod(halvings, 3)
-        assert sizes == [7] * full + ([2 ** rest - 1] if rest else [])
+        got = asymptotics._bisect_crossing(rec, 2.0, 3.0, 0.0, tol_t, 3,
+                                           grid_neighbours(w, 2.0, 3.0))
+        want, serial_points = counted_serial(w, 2.0, 3.0, 0.0, tol_t)
+        assert got == want and len(serial_points) == halvings
+        assert_the_serial_walk(rec, serial_points, 3)
+        # the first round holds the tree of the levels still wider than tol_t
+        assert len(rec.calls[0]) >= 2 ** min(halvings, 3) - 1
 
     def test_bracket_within_tolerance_is_not_evaluated(self):
         rec = Recorder(lambda t: -1.0)
         assert asymptotics._bisect_crossing(rec, 1.0, 1.5, 0.0, 0.5, 3) == 1.25
         assert rec.calls == []
+
+
+def step(at, before, after):
+    """A witness that jumps from ``before`` to ``after`` at ``at``."""
+    return lambda t: before if t < at else after
+
+
+class TestPredictedPath:
+    """Rounds that hold the halving path to a predicted crossing."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 10.0),
+        frac=st.floats(0.0, 1.0),
+        before=st.floats(-1.0, -1e-3),
+        after=st.sampled_from((0.0, 0.3)),
+        rel_tol=st.sampled_from((0.0, 1e-12, 2.0 ** -27, 1e-3)),
+        declared=st.booleans(),
+    )
+    @example(lo=3.6363636363636362, width=0.40404040404040387, frac=0.9,
+             before=-0.14, after=0.0, rel_tol=1e-9, declared=True)
+    def test_step_witness(self, lo, width, frac, before, after, rel_tol, declared):
+        """A jump at any float of the bracket: the serial result bitwise,
+        and one call when the jump is a declared breakpoint."""
+        hi = lo + width
+        at = min(max(lo + frac * width, math.nextafter(lo, math.inf)), hi)
+        w = step(at, before, after)
+        target = 0.0 if after > 0.0 else -1e-9  # as the grid scan picks it
+        tol_t = rel_tol * width
+        want, serial_points = counted_serial(w, lo, hi, target, tol_t)
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, lo, hi, target, tol_t, 3,
+                                           grid_neighbours(w, lo, hi),
+                                           (at,) if declared else ())
+        assert got == want
+        assert_the_serial_walk(rec, serial_points, 3)
+        if declared:
+            assert len(rec.calls) == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(0.0, 10.0),
+        width=st.floats(1e-3, 1.0),
+        frac=st.floats(0.01, 1.0),
+        slope=st.floats(1e-3, 10.0),
+        curve=st.floats(0.0, 10.0),
+        declared=st.booleans(),
+    )
+    def test_flat_side_at_zero(self, lo, width, frac, slope, curve, declared):
+        """Inside from ``at`` on, the witness is exactly 0.0, as past the
+        cutoff of pure decoherence: equal witnesses predict nothing, and a
+        breakpoint at ``at`` is not the crossing of the target -tol."""
+        hi = lo + width
+        at = lo + frac * width
+
+        def w(t):
+            x = at - t
+            return -(slope * x + curve * x * x) if x > 0.0 else 0.0
+
+        tol_t = 1e-10 * width
+        want, serial_points = counted_serial(w, lo, hi, -1e-9, tol_t)
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, lo, hi, -1e-9, tol_t, 3,
+                                           grid_neighbours(w, lo, hi),
+                                           (at,) if declared else ())
+        assert got == want
+        assert_the_serial_walk(rec, serial_points, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        frac=st.floats(0.001, 0.999),
+        a=st.floats(0.0, 1.0),
+        rate=st.floats(-2.0, 2.0).filter(lambda g: abs(g) > 1e-3),
+        b=st.floats(0.0, 1.0),
+        c=st.floats(0.0, 1.0),
+        target=st.sampled_from((0.0, -1e-9)),
+    )
+    def test_smooth_monotone_witness_takes_three_calls(self, frac, a, rate, b, c, target):
+        """27 halvings of a grid cell, on a smooth increasing witness with a
+        simple root: at most three calls, where rounds of three levels take
+        nine.  (Not a bound: a root that falls between a late midpoint and
+        its prediction takes a fourth call of one point, in about 1 of
+        20 000 random draws of these parameters.)"""
+        assume(a + b >= 0.1)
+        root = 2.0 + frac
+
+        def w(t):
+            x = t - root
+            return a * math.expm1(rate * x) / rate + b * x + c * x ** 3
+
+        tol_t = 2.0 ** -27
+        want, serial_points = counted_serial(w, 2.0, 3.0, target, tol_t)
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, 2.0, 3.0, target, tol_t, 3,
+                                           grid_neighbours(w, 2.0, 3.0))
+        assert got == want and len(serial_points) == 27
+        assert_the_serial_walk(rec, serial_points, 3)
+        assert len(rec.calls) <= 3
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_one_level_rounds_predict_nothing(self, declared):
+        """P's rounds (one level) hold one point, whatever is known or declared."""
+        w = step(2.3, -0.5, 0.5)
+        rec = Recorder(w)
+        got = asymptotics._bisect_crossing(rec, 2.0, 3.0, 0.0, 1e-6, 1,
+                                           grid_neighbours(w, 2.0, 3.0),
+                                           (2.3,) if declared else ())
+        want, serial_points = counted_serial(w, 2.0, 3.0, 0.0, 1e-6)
+        assert got == want
+        assert rec.calls == [[t] for t in serial_points]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +463,44 @@ class TestWholeScans:
                                        search=search)
         if res.tau is not None:
             assert res.tau == want
+
+
+def divisibility_rounds(monkeypatch, fam, cone, grid_n=100):
+    """The report of a divisibility scan on the default start times and the
+    calls of each of its crossings."""
+    rounds = RoundRecorder(monkeypatch)
+    search = asymptotics.default_search(fam, grid_n=grid_n)
+    rep = divisibility.scan_divisibility(evolve.EvolutionHandle(fam), cone, search=search)
+    monkeypatch.undo()
+    return rep, [len(sizes) for sizes in rounds.crossings]
+
+
+class TestShippedCrossingCounts:
+    """Calls per crossing on shipped families, at the 100-point grid of the
+    benchmark's divisibility workload: rounds of three levels took nine."""
+
+    def test_a_cutoff_crossing_takes_one_call(self, monkeypatch):
+        # the witness jumps from -0.14 to 0.0 at the declared cutoff
+        _, calls = divisibility_rounds(monkeypatch, shipped_family("pure_decoherence_cutoff"),
+                                       "PPT")
+        assert calls == [1] * 11
+
+    def test_eternal_crossings_take_two_or_three_calls(self, monkeypatch):
+        fam = shipped_family("eternal")
+        _, ppt = divisibility_rounds(monkeypatch, fam, "PPT")
+        _, cp = divisibility_rounds(monkeypatch, fam, "CP")
+        assert ppt == [2] * 9
+        assert len(cp) == 6 and max(cp) <= 3
+
+    def test_a_breakpoint_moves_no_result(self, monkeypatch):
+        fam = shipped_family("pure_decoherence_cutoff")
+        bare = dataclasses.replace(
+            fam, closed_form=dataclasses.replace(fam.closed_form, breakpoints=()))
+        want, bare_calls = divisibility_rounds(monkeypatch, bare, "PPT")
+        got, calls = divisibility_rounds(monkeypatch, fam, "PPT")
+        assert (got.delta, got.certificates, got.verdict) == (
+            want.delta, want.certificates, want.verdict)
+        assert max(calls) == 1 < min(bare_calls)
 
 
 class CallCounter:
