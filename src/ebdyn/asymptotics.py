@@ -80,7 +80,10 @@ def cone_witnesses(stack, d, cone) -> np.ndarray:
     Entry k is the witness of the map with matrix ``stack[k]``; nonnegative
     means inside.  The Choi permutation, the partial transpose and the
     eigensolves run once over the whole stack (:func:`classify.choi_floors`),
-    one eigensolve for CP and coCP, two for PPT and EB.  EB has the PPT
+    one eigensolve per block size for CP and coCP, one per block size and
+    floor for PPT and EB; a stack of generic maps has one block each.  The
+    stack may also be a ``superop.SpectralStack`` (not for P), whose
+    witnesses are read from its coefficient rows.  EB has the PPT
     witness (``_WITNESS_KIND``): exact for d = 2, for d > 2 a necessary
     condition only (callers flag the result as a lower bound).  The P
     witness is a see-saw search over product vectors, run map by map: sound
@@ -179,7 +182,7 @@ def default_search(handle_or_family, t_max=None, grid_n=2000, bisect_tol=None) -
     if t_max is None:
         gap = _spectral_gap(handle_or_family)
         t_max = 20.0 / gap if gap else 20.0
-    return Search(t_max=float(t_max), grid_n=int(grid_n), bisect_tol=bisect_tol)
+    return Search(t_max=float(t_max), grid_n=grid_n, bisect_tol=bisect_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +590,24 @@ def _scan_grid(scan, grid, family, cone, s, search, tol, head):
     """The grid of :func:`_delta` into ``scan``, from the propagators of the
     handle ``grid``: its first ``head`` points, all, or those a chunk skipped.
 
+    The witnesses of a spectral closed form (but for P) are read from the
+    coefficient rows of V_{t,s}: ``grid._propagator_rows``, with the
+    condition check of the propagator grid and the exact identity at
+    t == s, is a ``superop.SpectralStack``, whose floors
+    ``classify.choi_floors`` forms from the block entries of the
+    components' joint pattern alone, with no map built.  Any other handle
+    stacks its propagators.  Either way each point's witness is a function
+    of its time alone.
+
     The last crossing is bisected from the grid's witnesses at the bracket
     and one point beyond each end, and the breakpoints of ``grid``'s closed
     form, which :func:`_bisect_crossing` predicts its halving path from."""
     ts = np.linspace(s, s + search.t_max, search.grid_n)
 
     def witnesses(times):
-        return cone_witnesses(grid._propagator_grid(times, s), family.d, cone)
+        rows = grid._spectral and cone != "P"
+        return cone_witnesses(grid._propagator_rows(times, s) if rows
+                              else grid._propagator_grid(times, s), family.d, cone)
 
     if scan.times is not None:  # the chunk's Delta and bracket are the whole grid's
         ws = np.concatenate([scan.witness, witnesses(ts[len(scan.times):].tolist())])

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from . import matcore, superop, tolerances
 from .errors import TraceNotOneError, InvalidStateError
@@ -80,144 +81,282 @@ class InteriorCertificate:
     radius: float | None
 
 
-# The reduced route of a covariant Choi matrix has a fixed cost of about
-# 0.1 ms (one thread).  At d = 3 a single map takes 0.12 ms on it against
-# 0.05 ms dense; at d = 4 it wins from a few maps on (ten maps: 0.20 against
-# 0.33 ms), and from d = 5 on even for one map (d = 8: 0.17 against 0.7 ms).
-_COVARIANT_MIN_D = 4
-
-
 def choi_floors(stack, d, cp=True, cocp=True):
     """Choi matrices of a stack ``(N, d^2, d^2)`` of map matrices and their floors.
 
     Returns ``(choi, min_c, min_pt)``: the Choi stack (one permutation) and
     the ``(N,)`` smallest eigenvalues of each Choi matrix (if ``cp``) and of
     its partial transpose (if ``cocp``; else None).  Each floor is that of
-    its map alone, whatever else the stack holds.
+    its map alone, bitwise, whatever else the stack holds.
 
-    The route is chosen map by map.  For d >= 4, a Choi
-    matrix that is finite and exactly zero outside the d x d block on the
-    indices {ii} and the diagonal (that of a map covariant under diagonal
-    unitaries) takes :func:`_covariant_floors`; its floors agree with the
-    dense eigensolve to rounding.  Every other map takes one batched dense
-    solve per floor, bitwise that of the map alone.  A partial transpose
-    deviates from Hermiticity exactly as its Choi matrix does, so a stack
-    raises the NotHermitianError of its first non-Hermitian map.
+    Each map takes the block layout of its own exact-zero pattern
+    (:func:`_layout`): the connected components of the pattern of C and of
+    C^Gamma, whose spectra are the union of their blocks' spectra.  1 x 1
+    blocks are their entries, 2 x 2 blocks have a closed form, and each
+    larger block size takes one batched eigensolve over the whole stack.  A
+    connected pattern is one block, the dense eigensolve; a map with no
+    zero entry, or with a non-finite one, goes there directly.  The maps of
+    a stack are grouped by pattern (off the diagonal, as a diagonal entry
+    joins no two indices), so a stack of generic maps costs one dense solve
+    per floor.  A partial transpose deviates from Hermiticity exactly as
+    its Choi matrix does, so a stack raises the NotHermitianError of its
+    first non-Hermitian map.
+
+    A :class:`~ebdyn.superop.SpectralStack` (a spectral closed form's maps,
+    held as coefficient rows) gives None for the Choi stack: its floors are
+    read from the block entries of the components' joint pattern, formed
+    from the rows alone, with no map built (:func:`_spectral_floors`).
     """
+    if isinstance(stack, superop.SpectralStack):
+        return (None,) + _spectral_floors(stack, d, cp, cocp)
     choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
-    routed = _covariant_maps(choi, d)
-    if not routed.any():
+    flat = choi.reshape(len(choi), d ** 4)
+    nonzero = flat != 0
+    # a diagonal entry joins no two indices: its block is that of its index
+    nonzero[:, ::d * d + 1] = True
+    dense = nonzero.all(axis=1)
+    if dense.all():
         return (choi,) + _dense_floors(choi, d, cp, cocp)
-    covariant = _covariant_floors(choi, routed, d, cp, cocp)
-    if routed.all():
-        return (choi,) + covariant
-    floors = []
-    for cov, dense in zip(covariant, _dense_floors(choi[~routed], d, cp, cocp)):
-        if cov is not None:
-            floor = np.empty(len(choi))
-            floor[routed], floor[~routed] = cov, dense
-            cov = floor
-        floors.append(cov)
-    return (choi,) + tuple(floors)
+    # -0.0 is zero; NaN and inf are not, and a non-finite map is one block
+    routed = np.flatnonzero(~dense)
+    whole = len(routed) == len(flat)
+    finite = np.isfinite(flat if whole else flat[routed]).all(axis=1)
+    if not finite.all():
+        dense[routed[~finite]] = True
+        routed, whole = routed[finite], False
+    keys = np.packbits(nonzero if whole else nonzero[routed], axis=1)
+    width, keys = keys.shape[1], keys.tobytes()
+    groups = {}
+    for i, k in enumerate(routed.tolist()):
+        groups.setdefault(keys[i * width:(i + 1) * width], []).append(k)
+    parts = []
+    for key, maps in groups.items():
+        layout = _layout(d, key)
+        if layout.dense:
+            dense[maps] = True
+        elif len(maps) == len(flat):
+            parts.append((slice(None), flat[:, layout.positions], layout))
+        else:
+            parts.append((maps, flat[maps][:, layout.positions], layout))
+    if dense.any():
+        maps = np.flatnonzero(dense)
+        if maps[-1] - maps[0] + 1 == len(maps):  # a run of maps is a view, not a copy
+            maps = slice(maps[0], maps[-1] + 1)
+        parts.append((maps, choi[maps], None))
+    return (choi,) + _layout_floors(parts, len(choi), d, cp, cocp, lambda: choi)
+
+
+def _spectral_floors(stack, d, cp, cocp):
+    """(min_c, min_pt) of a :class:`~ebdyn.superop.SpectralStack`, from its
+    block entries: those of the layout of the components' joint pattern
+    (:func:`_spectral_layout`), summed layer by layer as
+    :func:`~ebdyn.superop.spectral_sum` sums them, so each is bitwise the
+    entry of that map's Choi matrix.  A map with a non-finite entry takes
+    the route of its map alone."""
+    layout, values = _spectral_entries(stack, d)
+    n_maps = len(stack)
+    finite = np.isfinite(values).all(axis=1)
+    ok = slice(None) if finite.all() else np.flatnonzero(finite)
+    floors = _layout_floors([(ok, values[ok], layout)], n_maps, d, cp, cocp,
+                            lambda: superop._choi_shuffle(stack.maps(ok), d))
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        for floor, alone in zip(floors, choi_floors(stack.maps(bad), d, cp, cocp)[1:]):
+            if floor is not None:
+                floor[bad] = alone
+    return floors
+
+
+def _spectral_entries(stack, d):
+    """``(layout, values)``: the layout of a SpectralStack and the entries
+    ``(N, len(layout.positions))`` of its maps' Choi matrices there."""
+    layout, source, eye, unreached = _spectral_layout(stack.components, d)
+    layers = superop._layer_sum(stack.rows, stack.components, d)
+    if unreached:
+        layers = np.concatenate([layers, np.zeros((len(stack), 1))], axis=1)
+    values = layers[:, source]
+    values[stack.identity] = eye
+    return layout, values
 
 
 def _dense_floors(choi, d, cp, cocp):
     """(min_c, min_pt) of a Choi stack, one batched dense eigensolve each.
     Hermiticity is judged on C alone: (C^Gamma)^dag = (C^dag)^Gamma permutes
     the entries, so the partial transpose deviates exactly as C does."""
-    if cp or cocp:
-        choi = matcore._checked_hermitian(choi, None)
-    min_c = matcore.min_herm_eig(choi, tol=np.inf) if cp else None
-    min_pt = (matcore.min_herm_eig(matcore.partial_transpose_second(choi, d, d), tol=np.inf)
-              if cocp else None)
-    return min_c, min_pt
+    return _layout_floors([(slice(None), choi, None)], len(choi), d, cp, cocp, lambda: choi)
 
 
-class _CovariantLayout(NamedTuple):
-    ii: np.ndarray
-    off: np.ndarray
-    pair_p: np.ndarray
-    pair_q: np.ndarray
-    pattern: np.ndarray
-    mirror: np.ndarray
+class _Layout(NamedTuple):
+    """The block layout of a Choi pattern (:func:`_layout`), as indices into
+    the gathered entries: ``positions``, the flat Choi entries gathered,
+    ascending; ``small``, the rows p, q, z of the 1 x 1 and 2 x 2 blocks
+    [[p, .], [z, q]] of C, then of C^Gamma (the first ``split``), with
+    ``pair`` 1.0 for a 2 x 2 block and 0.0 for a 1 x 1 block, whose p = q
+    is its entry; ``blocks``, for C and for C^Gamma, one ``(k, (G, k, k)
+    indices)`` per larger size k, ascending (a single component is the one
+    block of size d^2); for the Hermiticity check, the rows of the entries
+    of C's blocks and of their transposes (``herm``); and whether C and
+    C^Gamma are each one block (``dense``), so that nothing is gathered."""
+
+    positions: np.ndarray
+    small: np.ndarray
+    pair: np.ndarray
+    split: int
+    blocks: tuple
+    herm: np.ndarray
+    dense: bool
 
 
-@functools.lru_cache(maxsize=16)
-def _covariant_layout(d):
-    """Read-only flat indices of the covariant pattern at dimension d.
+@functools.lru_cache(maxsize=64)
+def _layout(d, key):
+    """The read-only :class:`_Layout` of the pattern ``key``: the packed bits
+    of the ``(d^2, d^2)`` mask of the Choi entries that may be nonzero.
 
-    ``ii``: the indices {ii}; ``off``: the other d^2 - d diagonal indices;
-    ``pair_p``, ``pair_q``: the diagonal indices ab and ba of each pair
-    a < b (ba is also the position (b, a) of C_{bb,aa} in the flat block);
-    ``pattern`` and ``mirror``: the flattened ``(d^2, d^2)`` positions on
-    the block and the diagonal, and their transposes.
+    Permuted to its connected components, a Hermitian matrix is block
+    diagonal, and its spectrum is the union of its blocks' spectra; so is
+    its partial transpose, whose entries are C's, permuted.  Every nonzero
+    entry lies in a block of C and in one of C^Gamma.
     """
-    ii = np.arange(d) * (d + 1)
-    mask = np.eye(d * d, dtype=bool)
-    mask[ii[:, None], ii] = True
-    rows, cols = np.nonzero(mask)
-    b, a = np.tril_indices(d, -1)
-    layout = _CovariantLayout(
-        ii=ii, off=np.setdiff1d(np.arange(d * d), ii), pair_p=a * d + b, pair_q=b * d + a,
-        pattern=rows * d * d + cols, mirror=cols * d * d + rows)
-    for arr in layout:
+    n = d * d
+    mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).astype(bool)
+    # the flat position in C of each flat entry of C^Gamma, the permutation
+    # of matcore.partial_transpose_second
+    pt = np.arange(n * n).reshape(d, d, d, d).transpose(0, 3, 2, 1).ravel()
+    (c_small, c_pair, c_blocks, herm), (g_small, g_pair, g_blocks, g_entries) = (
+        _components(mask.reshape(n, n), np.arange(n * n).reshape(n, n)),
+        _components(mask[pt].reshape(n, n), pt.reshape(n, n)))
+    positions = np.union1d(herm, g_entries)
+
+    def at(where):
+        where = np.searchsorted(positions, where)
+        where.flags.writeable = False
+        return where
+
+    pair = np.concatenate([c_pair, g_pair])
+    blocks = tuple(tuple((k, at(idx)) for k, idx in side) for side in (c_blocks, g_blocks))
+    for arr in (positions, pair):
         arr.flags.writeable = False
-    return layout
+    return _Layout(positions, at(np.concatenate([c_small, g_small], axis=1)), pair,
+                   len(c_pair), blocks, at(np.stack([herm, (herm % n) * n + herm // n])),
+                   all(side and side[0][0] == n for side in blocks))
 
 
-def _covariant_maps(choi, d):
-    """Which Choi matrices of a stack take :func:`_covariant_floors`."""
-    if d < _COVARIANT_MIN_D:
-        return np.zeros(len(choi), dtype=bool)
-    layout = _covariant_layout(d)
-    flat = choi.reshape(len(choi), d ** 4)
-    # no nonzero entry outside the pattern: -0.0 is zero; NaN and inf are not
-    nonzero = flat != 0
-    inside = np.count_nonzero(nonzero[:, layout.pattern], axis=1)
-    return (np.count_nonzero(nonzero, axis=1) == inside) & np.isfinite(flat[:, layout.pattern]).all(axis=1)
+def _components(mask, flat):
+    """``(small, pair, blocks, entries)`` of the pattern ``mask`` (see
+    :class:`_Layout`), as the entries of ``flat`` (the flat Choi position of
+    each entry of the matrix); ``entries`` are all the entries of all its
+    blocks."""
+    _, labels = scipy.sparse.csgraph.connected_components(mask | mask.T, directed=False)
+    comps = {}
+    for index, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(index)  # ascending
+    by_size = {}
+    for comp in comps.values():
+        by_size.setdefault(len(comp), []).append(comp)
+    blocks = {k: flat[np.array(group)[:, :, None], np.array(group)[:, None, :]]
+              for k, group in by_size.items()}
+    ones = blocks.pop(1, np.zeros((0, 1, 1), dtype=np.intp)).reshape(-1)
+    pairs = blocks.pop(2, np.zeros((0, 2, 2), dtype=np.intp))
+    small = np.concatenate([np.stack([ones] * 3), pairs[:, [0, 1, 1], [0, 1, 0]].T], axis=1)
+    pair = np.repeat([0.0, 1.0], [len(ones), len(pairs)])
+    entries = np.concatenate([ones, pairs.ravel()] + [idx.ravel() for idx in blocks.values()])
+    return small, pair, tuple(sorted(blocks.items())), np.unique(entries)
 
 
-def _covariant_floors(choi, routed, d, cp, cocp):
-    """(min_c, min_pt) of the maps ``routed`` of a Choi stack, from their pattern.
+def _spectral_layout(components, d):
+    """``(layout, source, eye, unreached)`` of spectral components, kept on
+    them: the :func:`_layout` of their joint pattern and of the identity's;
+    for each gathered entry, its column of ``superop._layer_sum`` (one past
+    its last, a zero column, where no Q_k reaches it); the identity's
+    entries; and whether any gathered entry is unreached."""
+    if components.choi_layout is None:
+        n = d * d
+        domain = np.arange(n * n) if components.support is None else components.support
+        reached = np.zeros(n * n, dtype=bool)
+        if components.layers:
+            reached[domain] = components.layers[0][1] != 0
+        to_map = superop._choi_shuffle(np.arange(n * n).reshape(n, n), d).ravel()
+        eye = superop._choi_shuffle(np.eye(n, dtype=complex), d).ravel()
+        layout = _layout(d, np.packbits(reached[to_map] | (eye != 0)).tobytes())
+        column = np.full(n * n, len(domain))
+        column[domain] = np.arange(len(domain))
+        source = column[to_map[layout.positions]]
+        components.choi_layout = (layout, source, eye[layout.positions],
+                                  bool((source == len(domain)).any()))
+    return components.choi_layout
 
-    Such a Choi matrix C is the direct sum of its block A on the indices
-    {ii} and the other diagonal entries, and its partial transpose is the
-    direct sum of the entries C_{ii,ii} and the 2 x 2 blocks
-    [[C_{ab,ab}, C_{aa,bb}], [C_{bb,aa}, C_{ba,ba}]] over the pairs a < b
-    (Singh & Nechita, Quantum 5, 519, 2021).  The CP floor costs one batched
-    eigensolve of the (M, d, d) block stack; the pairs have a closed form.
-    Hermiticity is judged on the pattern, which gives the deviation and the
-    tolerance of the whole matrix; if any routed map fails, the whole stack
-    is checked in order so the error names its first non-Hermitian map.
+
+def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
+    """(min_c, min_pt) of ``n_maps`` maps from ``parts``, one ``(maps,
+    values, layout)`` per layout: the indices of its maps, their gathered
+    entries and the layout, or, with the layout None, their whole Choi
+    matrices, one block each.
+
+    Hermiticity is judged on the entries of C's blocks, which hold every
+    nonzero entry, so with the whole matrix's deviation and tolerance; if
+    any map fails, ``full_choi()`` (the Choi stack) is checked in order, so
+    the error names the first non-Hermitian map.  A 1 x 1 block's
+    eigenvalue is its entry; a 2 x 2 block's smaller one is
+    min(p, q) - |z|^2 / (h + hypot(h, |z|)) with h = |p - q| / 2, which has
+    no cancellation and is min(p, q) exactly when z = 0.  Each larger block
+    size takes one batched eigensolve per floor over all parts.
     """
-    layout = _covariant_layout(d)
-    c = choi[routed]
-    flat = c.reshape(len(c), d ** 4)
-    values = flat[:, layout.pattern]
-    devs = np.abs(values - flat[:, layout.mirror].conj()).max(axis=1)
-    # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the first test
-    if (devs.max() > tolerances.HERM_TOL_SCALE and (
-            devs > tolerances.HERM_TOL_SCALE * np.maximum(1.0, np.abs(values).max(axis=1))).any()):
-        matcore._checked_hermitian(choi, None)
-    block = c[:, layout.ii[:, None], layout.ii]
-    diag = np.diagonal(c, axis1=1, axis2=2).real
-    min_c = min_pt = None
-    if cp:
+    sides = [side for side, wanted in enumerate((cp, cocp)) if wanted]
+    floors = [None, None]
+
+    def lower(side, maps, floor):
+        if floors[side] is None and isinstance(maps, slice) and maps == slice(None):
+            floors[side] = floor
+        else:
+            if floors[side] is None:
+                floors[side] = np.full(n_maps, np.inf)
+            floors[side][maps] = np.minimum(floors[side][maps], floor)
+
+    solves = {}
+    for maps, values, layout in parts:
+        m = len(values)
+        if not sides:
+            continue
+        if layout is None:
+            block, mirror, axes = values, values.swapaxes(1, 2), (1, 2)
+        else:
+            (block, mirror), axes = values[:, layout.herm].transpose(1, 0, 2), 1
+        devs = np.abs(block - mirror.conj())
+        # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the first test
+        if devs.size and devs.max() > tolerances.HERM_TOL_SCALE and (
+                devs.max(axis=axes) > tolerances.HERM_TOL_SCALE * np.maximum(
+                    1.0, np.abs(block).max(axis=axes))).any():
+            matcore._checked_hermitian(full_choi(), None)
+        if layout is None:
+            for side in sides:
+                whole = matcore.partial_transpose_second(values, d, d) if side else values
+                solves.setdefault((side, d * d), []).append((maps, m, whole))
+            continue
+        if layout.pair.size:
+            p, q, z = values[:, layout.small].transpose(1, 0, 2)
+            p, q, r = p.real, q.real, np.abs(z) * layout.pair
+            h = np.abs(p - q) / 2.0
+            shift = np.divide(r, h + np.hypot(h, r), out=np.zeros_like(r), where=r > 0) * r
+            low = np.minimum(p, q) - shift
+            for side in sides:
+                part = low[:, layout.split:] if side else low[:, :layout.split]
+                if part.size:
+                    lower(side, maps, part.min(axis=1))
+        for side in sides:
+            for k, idx in layout.blocks[side]:
+                solves.setdefault((side, k), []).append(
+                    (maps, m, values[:, idx].reshape(-1, k, k)))
+    for (side, k), items in sorted(solves.items()):
+        stack = items[0][2] if len(items) == 1 else np.concatenate([b for *_, b in items])
         # Hermiticity was judged above, against the whole matrix's tolerance
-        min_c = np.minimum(matcore.min_herm_eig(block, tol=np.inf),
-                           diag[:, layout.off].min(axis=1))
-    if cocp:
-        # pair a < b: p = C_{ab,ab}, q = C_{ba,ba}, z = C_{bb,aa} (the lower
-        # entry, as the dense solve reads it); its smaller eigenvalue
-        # min(p, q) - |z|^2 / (h + hypot(h, |z|)) with h = |p - q| / 2 has no
-        # cancellation and is min(p, q) exactly when z = 0
-        p, q = diag[:, layout.pair_p], diag[:, layout.pair_q]
-        r = np.abs(block.reshape(len(c), d * d)[:, layout.pair_q])
-        h = np.abs(p - q) / 2.0
-        shift = np.divide(r, h + np.hypot(h, r), out=np.zeros_like(r), where=r > 0) * r
-        min_pt = np.minimum(diag[:, layout.ii].min(axis=1),
-                            (np.minimum(p, q) - shift).min(axis=1))
-    return min_c, min_pt
+        w = matcore.min_herm_eig(stack, tol=np.inf)
+        start = 0
+        for maps, m, b in items:
+            if m:
+                lower(side, maps, w[start:start + len(b)].reshape(m, -1).min(axis=1))
+            start += len(b)
+    return tuple((np.full(n_maps, np.inf) if floor is None else floor) if wanted else None
+                 for floor, wanted in zip(floors, (cp, cocp)))
 
 
 def classify_stack(stack, d, tol=None) -> list:

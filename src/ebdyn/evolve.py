@@ -142,7 +142,7 @@ class EvolutionHandle:
         are one batched exponential or read from the handle's trajectory.
         """
         if self._spectral:
-            return self._spectral_sum(self._rows(ts), ts, 0.0)
+            return self._propagator_rows(ts, 0.0).maps()
         if self.solver == "closed_form" or len(ts) == 1:
             return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
         if self.solver == "commuting_exp":
@@ -157,20 +157,33 @@ class EvolutionHandle:
         if s == 0.0:
             return self._solve_grid(ts)
         cf = self.family.closed_form
+        if self._spectral:
+            return self._propagator_rows(ts, s).maps()
         if self.family.constant:
             return self._solve_grid([t - s for t in ts])
-        if self._spectral:
-            # the time-dependent families have orthogonal projectors Q_k, so
-            # the |c_k(s)| are the singular values of Lambda_s
-            row_s = self._cache[s] if s in self._cache else self._rows([s])[0]
-            mags = np.abs(row_s).tolist()
-            _check_invertible(max(mags) / min(mags) if min(mags) > 0.0 else np.inf, s)
-            return self._spectral_sum(self._rows(ts) / row_s, ts, s)
         if cf is not None and cf.propagator_at is not None:
             d2 = self.family.d ** 2
             eye = np.eye(d2, dtype=complex)
             return _stack([eye if t == s else cf.propagator_at(t, s).matrix for t in ts], d2)
         return self._invert_onto(self._solve_grid(ts), s)
+
+    def _propagator_rows(self, ts, s):
+        """The :class:`~ebdyn.superop.SpectralStack` of V_{t,s} of a spectral
+        closed form for the floats ``ts >= s``: its coefficient rows, and the
+        exact identity where t == s.
+
+        A constant family has the rows of t - s; a time-dependent one the
+        rows c(t) / c(s), once Lambda_s passes the condition check (its
+        projectors Q_k are orthogonal, so the |c_k(s)| are the singular
+        values of Lambda_s)."""
+        cf, d = self.family.closed_form, self.family.d
+        if s == 0.0 or self.family.constant:
+            ts = [t - s for t in ts]
+            return superop.SpectralStack(self._rows(ts), cf.components, np.array(ts) == 0.0, d)
+        row_s = self._cache[s] if s in self._cache else self._rows([s])[0]
+        mags = np.abs(row_s).tolist()
+        _check_invertible(max(mags) / min(mags) if min(mags) > 0.0 else np.inf, s)
+        return superop.SpectralStack(self._rows(ts) / row_s, cf.components, np.array(ts) == s, d)
 
     def _rows(self, ts):
         """Coefficient rows ``(N, K)`` at the floats ``ts``, each time evaluated once."""
@@ -183,14 +196,6 @@ class EvolutionHandle:
         if new:
             cache.update(zip(new, self.family.closed_form.coefficients(new)))
         return np.array([cache[t] for t in ts], dtype=complex)
-
-    def _spectral_sum(self, rows, ts, start):
-        """The stack sum_k rows[:, k] Q_k, exactly the identity where t == start."""
-        d = self.family.d
-        out = superop.spectral_sum(rows, self.family.closed_form.components, d)
-        if start in ts:
-            out[np.asarray(ts) == start] = np.eye(d * d)
-        return out
 
     def _generator_exponential(self):
         """tau -> expm(tau L) of a constant generator, with the eigenvalues of L;

@@ -37,6 +37,7 @@ __all__ = [
     "to_choi",
     "from_choi",
     "SpectralComponents",
+    "SpectralStack",
     "spectral_sum",
     "is_trace_preserving",
     "is_unital",
@@ -157,11 +158,15 @@ class SpectralComponents(tuple):
     pairs each entry with its r-th nonzero Q_k (index and value, or 0).  When
     the Q_k vanish together on most entries, the layers cover only ``support``,
     the flat entries where some Q_k is nonzero (never one alone: numpy
-    multiplies a lone column with a kernel that rounds differently)."""
+    multiplies a lone column with a kernel that rounds differently).
+    ``choi_layout`` is None until ``classify.choi_floors`` first reads the
+    Choi entries of their sums (a :class:`SpectralStack`), and then keeps
+    the block layout it reads them through."""
 
     def __new__(cls, components):
         q = np.asarray(components, dtype=complex)  # one block (K, n, n) is not copied
         self = super().__new__(cls, components)
+        self.choi_layout = None
         q = q.reshape(len(self), -1)
         support = np.flatnonzero(q.any(axis=0))
         self.support = support if 1 < len(support) < q.shape[1] / 2 else None
@@ -191,9 +196,21 @@ class SpectralComponents(tuple):
         units = np.lib.stride_tricks.as_strided(
             buf[n * n:], (n, n, n), (-(n + 1) * step, n * step, step), writeable=False)
         self = super().__new__(cls, units)
+        self.choi_layout = None
         self.support = np.arange(n) * (n + 1)
         self.layers = [(np.arange(n), np.ones(n, dtype=complex))]
         return self
+
+
+def _layer_sum(c, components, d):
+    """The entries sum_k c_k Q_k on the support of ``components`` (all d^4
+    entries when it is None), rows ``(N, K)`` giving ``(N, entries)``: the
+    nonzero terms added in the order of k, layer by layer."""
+    support = components.support
+    s = np.zeros(c.shape[:-1] + (d ** 4 if support is None else len(support),), dtype=complex)
+    for k, q in components.layers:
+        s += c[..., k] * q
+    return s
 
 
 def spectral_sum(coefficients, components, d):
@@ -207,15 +224,39 @@ def spectral_sum(coefficients, components, d):
         components = SpectralComponents(components)
     c = np.asarray(coefficients)
     support = components.support
-    s = np.zeros(c.shape[:-1] + (d ** 4 if support is None else len(support),), dtype=complex)
-    for k, q in components.layers:
-        s += c[..., k] * q
+    s = _layer_sum(c, components, d)
     if support is not None:
         full = np.zeros(c.shape[:-1] + (d ** 4,), dtype=complex)
         full[..., support] = s
         s = full
     s = s.reshape(c.shape[:-1] + (d * d, d * d))
     return Superoperator(s, d) if c.ndim == 1 else s
+
+
+class SpectralStack:
+    """The stack of maps sum_k rows[n, k] Q_k over ``components`` (the
+    :class:`SpectralComponents` Q_k), held as its coefficient rows ``(N, K)``;
+    the maps where the boolean array ``identity`` is set are the exact
+    identity instead.  ``classify.choi_floors`` reads its floors from the
+    block entries of the Choi matrices alone; :meth:`maps` builds the maps."""
+
+    __slots__ = ("rows", "components", "identity", "d")
+
+    def __init__(self, rows, components, identity, d):
+        self.rows = np.asarray(rows)
+        self.components = components
+        self.identity = np.asarray(identity, dtype=bool)
+        self.d = d
+
+    def __len__(self):
+        return len(self.rows)
+
+    def maps(self, which=slice(None)):
+        """The map matrices ``(N, d^2, d^2)`` (or those of the rows ``which``),
+        each bitwise ``spectral_sum`` of its row."""
+        out = spectral_sum(self.rows[which], self.components, self.d)
+        out[self.identity[which]] = np.eye(self.d ** 2)
+        return out
 
 
 def is_trace_preserving(phi: Superoperator, tol=1e-9) -> bool:

@@ -64,6 +64,11 @@ class TestSearch:
     def test_a_fractional_grid_n_raises_value_error(self):
         with pytest.raises(ValueError):
             asymptotics.Search(t_max=8.0, grid_n=2.5)
+        fam = families.depolarizing(1.0, np.eye(2) / 2)
+        for grid_n in (2.5, 2000.0):  # not truncated to 2 points, nor taken as a float
+            with pytest.raises(ValueError):
+                asymptotics.default_search(fam, grid_n=grid_n)
+        assert asymptotics.default_search(fam, grid_n=np.int64(50)).grid_n == 50
 
     @pytest.mark.parametrize("kwargs", [
         {"grid_n": 2}, {"bisect_tol": 0.0}, {"t_max": 4, "grid_n": np.int64(50)},

@@ -6,9 +6,10 @@ predicted crossing.  These tests hold it to a serial reference written
 here: the same tau bit for bit, the same points visited, no more calls
 than rounds of three halvings, one call where a declared breakpoint is the
 crossing, round stacks of propagators and evolved maps equal matrix for
-matrix to the maps computed one point at a time, and, for the P cone, whose
-see-saw search runs map by map, one point per call with the same solver and
-positivity-witness call counts.
+matrix to the maps computed one point at a time (on the coefficient rows
+of a spectral closed form, witness for witness to the rows of single
+points), and, for the P cone, whose see-saw search runs map by map, one
+point per call with the same solver and positivity-witness call counts.
 """
 
 import dataclasses
@@ -310,6 +311,11 @@ BATCHED = [
 ]
 
 
+# the spectral closed forms, whose scans read the coefficient rows
+SPECTRAL = [case for case in BATCHED if case[0] in (
+    "eternal", "pure_decoherence_cutoff", "pauli_td", "depolarizing")]
+
+
 def reference_propagator(handle, t, s):
     """V_{t,s} of one point, built the way a single point is built."""
     fam = handle.family
@@ -379,6 +385,24 @@ class TestRoundStacks:
                 continue
             np.testing.assert_array_equal(handle._propagator_grid([s, s + 1.0], s)[0], np.eye(4))
 
+    @pytest.mark.parametrize("name, make, solver", SPECTRAL)
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    @pytest.mark.parametrize("cone", ["CP", "coCP", "PPT"])
+    def test_rows_round_is_bitwise_the_points(self, name, make, solver, s, cone):
+        """A round of the rows path (and its start, t == s): each witness is
+        bitwise that of its point's own rows, and the rows hold its maps."""
+        fam = make()
+        handle = evolve.EvolutionHandle(fam, solver=solver)
+        assert handle._spectral
+        points = [s] + round_points(s)
+        ws = asymptotics.cone_witnesses(handle._propagator_rows(points, s), fam.d, cone)
+        for k, t in enumerate(points):
+            fresh = evolve.EvolutionHandle(fam, solver=solver)
+            alone = fresh._propagator_rows([t], s)
+            assert ws[k:k + 1].tobytes() == asymptotics.cone_witnesses(
+                alone, fam.d, cone).tobytes()
+            np.testing.assert_array_equal(alone.maps()[0], reference_propagator(fresh, t, s))
+
     def test_p_cone_rounds_hold_one_point(self):
         assert asymptotics._round_levels("P") == 1
 
@@ -404,6 +428,18 @@ def serial_grid_delta(handle, cone, s, search, tol):
                                     handle.family.d, cone)
     tau = serial_scan(ts, ws, lambda t: asymptotics.cone_witness(handle.propagator(t, s), cone),
                       tol, search.resolved_bisect_tol())
+    return max(float(tau), s)
+
+
+def serial_rows_delta(handle, cone, s, search, tol):
+    """Delta(s) of a spectral family with every witness read from the
+    coefficient rows, the bisection one point at a time."""
+    ts = np.linspace(s, s + search.t_max, search.grid_n)
+    d = handle.family.d
+    ws = asymptotics.cone_witnesses(handle._propagator_rows(ts.tolist(), s), d, cone)
+    tau = serial_scan(
+        ts, ws, lambda t: asymptotics.cone_witnesses(handle._propagator_rows([t], s), d, cone)[0],
+        tol, search.resolved_bisect_tol())
     return max(float(tau), s)
 
 
@@ -441,6 +477,23 @@ class TestWholeScans:
         for s in (0.0, 0.4):
             try:
                 want = serial_grid_delta(evolve.EvolutionHandle(fam, solver=solver),
+                                         cone, s, search, tol)
+            except (NotReachedError, SingularMapError) as exc:  # fail the same way
+                with pytest.raises(type(exc)):
+                    grid_delta(evolve.EvolutionHandle(fam, solver=solver), cone, s, search, tol)
+                continue
+            got = grid_delta(evolve.EvolutionHandle(fam, solver=solver), cone, s, search, tol)
+            assert got == want
+
+    @pytest.mark.parametrize("name, make, solver", SPECTRAL)
+    @pytest.mark.parametrize("cone", ["CP", "PPT", "EB"])
+    def test_rows_delta_bitwise_the_serial_rows_scan(self, name, make, solver, cone):
+        fam = make()
+        search = asymptotics.default_search(fam, grid_n=60)
+        tol = 1e-9
+        for s in (0.0, 0.4, 2.5):
+            try:
+                want = serial_rows_delta(evolve.EvolutionHandle(fam, solver=solver),
                                          cone, s, search, tol)
             except (NotReachedError, SingularMapError) as exc:  # fail the same way
                 with pytest.raises(type(exc)):

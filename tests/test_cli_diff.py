@@ -45,3 +45,39 @@ def test_doctored_json_files(tmp_path, monkeypatch):
     was = base["reports"]["CP"]["certificates"][0]
     assert out.getvalue().splitlines()[2] == (
         f'eternal.divisibility reports.CP.certificates[0]: "{was}" -> "doctored"')
+
+
+def test_summary_line_counts_float_and_discrete_changes(monkeypatch):
+    base = {"tau": 0.5, "big": 1e6, "same": 1.0, "flag": True, "n": 2, "name": "a",
+            "inf": float("inf")}
+    change = dict(base, tau=0.5 + 2 ** -52, big=1e6 + 0.5, flag=False, n=2.0,
+                  inf=float("nan"))
+    texts = {"base": json.dumps(base), "change": json.dumps(change)}
+    monkeypatch.setattr(cli_diff, "runs", lambda change_dir: [("x.classify", []),
+                                                             ("x.arrival", [])])
+    codes = {("base", "x.classify"): 0, ("change", "x.classify"): 0,
+             ("base", "x.arrival"): 0, ("change", "x.arrival"): 2}
+    state = {}
+
+    def run_cli(tree, argv):
+        label = "x.arrival" if state.setdefault(tree, 0) else "x.classify"
+        state[tree] += 1
+        return codes[(tree, label)], texts[tree] if label == "x.classify" else texts["base"]
+
+    monkeypatch.setattr(cli_diff, "run_cli", run_cli)
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 2
+    lines = out.getvalue().splitlines()
+    # tau and big are float moves (relative 2^-52 / max(1, 0.5) and 0.5 / 1e6);
+    # flag, n (int -> float), inf -> nan and the exit code are discrete
+    assert lines[-1] == ("summary: 2 float path(s) moved, largest |d|/max(1, |x|) 5.0e-07; "
+                         "4 discrete change(s)")
+    assert cli_diff.float_move(0.5, 0.5 + 2 ** -52) == 2 ** -52
+    assert cli_diff.float_move(2, 2.0) is None and cli_diff.float_move(1.0, "1") is None
+
+    monkeypatch.setattr(cli_diff, "runs", lambda change_dir: [("x.classify", [])])
+    monkeypatch.setattr(cli_diff, "run_cli", lambda tree, argv: (0, texts["base"]))
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 0
+    assert out.getvalue().splitlines() == [
+        "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 0 discrete change(s)"]

@@ -40,48 +40,83 @@ PSD_TOL = 1e-9
 # the per-map reference loop
 
 
-def covariant_pattern(d):
-    """Mask of the d x d block on the indices {ii} and the diagonal."""
-    ii = [a * (d + 1) for a in range(d)]
-    mask = np.eye(d * d, dtype=bool)
-    mask[np.ix_(ii, ii)] = True
-    return ii, mask
+def components(mask):
+    """Connected components of the graph with an edge i - j wherever
+    ``mask[i, j]`` or ``mask[j, i]``, each sorted."""
+    adj = mask | mask.T
+    seen, comps = set(), []
+    for i in range(len(mask)):
+        if i in seen:
+            continue
+        todo, comp = [i], []
+        seen.add(i)
+        while todo:
+            k = todo.pop()
+            comp.append(k)
+            for j in np.flatnonzero(adj[k]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    return comps
 
 
-def is_covariant(choi, d):
-    """Whether the classifier takes the reduced route for this Choi matrix."""
-    _, mask = covariant_pattern(d)
-    return d >= 4 and not np.any(choi[~mask] != 0) and bool(np.isfinite(choi[mask]).all())
+def partial_transpose(m, d):
+    return m.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
 
 def dense_floors(choi, d):
-    pt = choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    pt = partial_transpose(choi, d)
     return float(np.linalg.eigvalsh(choi)[0]), float(np.linalg.eigvalsh(pt)[0])
 
 
-def covariant_floors(choi, d):
-    """Floors from the block on {ii}, the other diagonal entries and the
-    partial-transpose pairs [[C_ab,ab, C_aa,bb], [C_bb,aa, C_ba,ba]], a < b."""
-    ii, _ = covariant_pattern(d)
-    diag = choi.diagonal().real
-    modulus = np.abs(choi)  # numpy's array abs, which can differ from scalar abs in the last bit
-    others = [diag[k] for k in range(d * d) if k not in ii]
-    min_c = min(float(np.linalg.eigvalsh(choi[np.ix_(ii, ii)])[0]), min(others))
-    pairs = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            p, q, z = diag[a * d + b], diag[b * d + a], modulus[b * (d + 1), a * (d + 1)]
+def block_floor(m, mask):
+    """Smallest eigenvalue of the Hermitian matrix m from the blocks of the
+    components of ``mask``: a 1 x 1 block is its entry, a 2 x 2 block
+    [[p, .], [z, q]] has min(p, q) - |z|^2 / (h + hypot(h, |z|)) with
+    h = |p - q| / 2, and a larger block (the whole matrix when the pattern
+    is connected) its own eigensolve."""
+    modulus = np.abs(m)  # numpy's array abs, which can differ from scalar abs in the last bit
+    mins = []
+    for comp in components(mask):
+        if len(comp) == 1:
+            mins.append(m[comp[0], comp[0]].real)
+        elif len(comp) == 2:
+            i, j = comp
+            p, q, z = m[i, i].real, m[j, j].real, modulus[j, i]
             h = abs(p - q) / 2.0
-            pairs.append(min(p, q) - (z / (h + np.hypot(h, z)) * z if z > 0 else 0.0))
-    return min_c, float(min(min(diag[ii]), min(pairs)))
+            mins.append(min(p, q) - (z / (h + np.hypot(h, z)) * z if z > 0 else 0.0))
+        else:
+            mins.append(np.linalg.eigvalsh(m[np.ix_(comp, comp)])[0])
+    return float(min(mins))
+
+
+def is_routed(choi, d):
+    """Whether the classifier takes a block layout for this Choi matrix: it
+    is finite, and the exact-zero pattern of it or of its partial transpose
+    is not connected."""
+    return bool(np.isfinite(choi).all()) and any(
+        len(components(m != 0)) > 1 for m in (choi, partial_transpose(choi, d)))
 
 
 def reference_floors(s, d):
-    """Choi matrix of one map matrix and its two eigenvalue floors: from the
-    covariant pattern where the classifier routes the map, else dense."""
+    """Choi matrix of one map matrix and its two eigenvalue floors, from the
+    blocks of its own exact-zero pattern and that of its partial transpose;
+    a non-finite map is one block."""
     choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    floors = covariant_floors(choi, d) if is_covariant(choi, d) else dense_floors(choi, d)
-    return (choi,) + floors
+    if not np.isfinite(choi).all():
+        return (choi,) + dense_floors(choi, d)
+    pt = partial_transpose(choi, d)
+    return choi, block_floor(choi, choi != 0), block_floor(pt, pt != 0)
+
+
+def block_sizes(choi, d):
+    """The block sizes above 2 of a Choi matrix and of its partial transpose,
+    each a set: what takes an eigensolve."""
+    if not np.isfinite(choi).all():
+        return {d * d}, {d * d}
+    return tuple({len(c) for c in components(m != 0) if len(c) > 2}
+                 for m in (choi, partial_transpose(choi, d)))
 
 
 def reference_certificate(choi, min_c, min_pt, d, tol):
@@ -227,17 +262,29 @@ def test_cone_witnesses_keep_their_eigensolve_count(monkeypatch):
         return real(m, tol)
 
     monkeypatch.setattr(matcore, "min_herm_eig", counting)
-    stack = branch_stack(1, 3)
+    rng = np.random.default_rng(1)
+    # generic maps: one dense solve per floor
+    stack = np.array([random_cptp(rng, 3).matrix for _ in range(4)]
+                     + [random_hp_map(rng, 3, shift=0.5).matrix for _ in range(3)])
     for cone, n in (("CP", 1), ("coCP", 1), ("PPT", 2), ("EB", 2)):
         calls.clear()
         asymptotics.cone_witnesses(stack, 3, cone)
-        assert len(calls) == n, cone
+        assert calls == [(len(stack), 9, 9)] * n, cone
     # a covariant stack: one batched block solve for the CP floor, none for coCP
     stack = covariant_stack(np.random.default_rng(1), 4)
     for cone, n in (("CP", 1), ("coCP", 0), ("PPT", 1), ("EB", 1)):
         calls.clear()
         asymptotics.cone_witnesses(stack, 4, cone)
         assert calls == [(len(stack), 4, 4)] * n, cone
+    # maps of many patterns: one batched solve per block size and floor
+    stack = branch_stack(1, 3)
+    sizes = [block_sizes(c, 3) for c in superop._choi_shuffle(stack, 3)]
+    for cone, sides in (("CP", (0,)), ("coCP", (1,)), ("PPT", (0, 1))):
+        calls.clear()
+        asymptotics.cone_witnesses(stack, 3, cone)
+        want = [k for side in sides for k in sorted(set().union(*(s[side] for s in sizes)))]
+        assert [shape[-1] for shape in calls] == want, cone
+        assert len(want) >= len(sides)
 
 
 def test_empty_stack():
@@ -292,7 +339,7 @@ def test_dense_floors_judge_hermiticity_once_per_stack(d):
 
 
 # ---------------------------------------------------------------------------
-# the reduced route of covariant Choi matrices against the dense eigensolve
+# the block layout against the dense eigensolve
 
 
 def covariant_choi(a, b):
@@ -338,7 +385,7 @@ def dense_classify(choi, d, tol=PSD_TOL):
 def test_covariant_floors_agree_with_dense_eigvalsh(seed, d, scale):
     stack = covariant_stack(np.random.default_rng(seed), d, scale)
     choi, min_c, min_pt = classify.choi_floors(stack, d)
-    assert classify._covariant_maps(choi, d).all()
+    assert all(is_routed(c, d) for c in choi)
     reports = classify.classify_stack(stack, d)
     certs = classify.interior_certificates(choi, min_c, min_pt, d)
     classes = []
@@ -355,29 +402,36 @@ def test_covariant_floors_agree_with_dense_eigvalsh(seed, d, scale):
 
 def test_diagonal_choi_matrices_give_the_dense_floors_bitwise():
     rng = np.random.default_rng(31)
-    for d in range(4, 9):
+    for d in range(2, 9):
         for diag in (rng.uniform(-1.0, 1.0, d * d), rng.uniform(0.0, 2.0, d * d),
                      np.zeros(d * d), -np.arange(d * d, dtype=float)):
             s = from_choi_matrix(np.diag(diag).astype(complex), d)
             choi, min_c, min_pt = classify.choi_floors(s[None], d)
-            assert classify._covariant_maps(choi, d).all()
+            assert is_routed(choi[0], d)
             assert (float(min_c[0]), float(min_pt[0])) == dense_floors(choi[0], d)
 
 
+def solve_shapes(monkeypatch):
+    """The shape of every stack ``matcore.min_herm_eig`` solves, in order."""
+    calls = []
+    real = matcore.min_herm_eig
+    monkeypatch.setattr(matcore, "min_herm_eig",
+                        lambda m, tol=None: calls.append(np.shape(m)) or real(m, tol))
+    return calls
+
+
 @pytest.mark.parametrize("entry", [1e-300, 1e-300j, np.nan])
-def test_one_off_pattern_entry_sends_only_that_map_down_the_dense_path(monkeypatch, entry):
+def test_one_off_pattern_entry_reroutes_only_that_map(monkeypatch, entry):
+    """A tiny entry off the covariant pattern is an entry of that map's own
+    pattern: the map takes that pattern's layout (one block more), a NaN
+    sends it down the dense path, and the other maps keep their floors."""
     d = 5
     stack = covariant_stack(np.random.default_rng(41), d)
     choi = classify.choi_floors(stack, d)[0]
     c = choi[2].copy()
     c[1, 7], c[7, 1] = entry, np.conj(entry)  # |01><12|: off the block and the diagonal
     stack[2] = from_choi_matrix(c, d)
-    calls = []
-    real = matcore.min_herm_eig
-    monkeypatch.setattr(matcore, "min_herm_eig",
-                        lambda m, tol=None: calls.append(np.shape(m)) or real(m, tol))
-    assert list(classify._covariant_maps(superop._choi_shuffle(stack, d), d)) == [
-        True, True, False, True]
+    calls = solve_shapes(monkeypatch)
     if np.isnan(entry):
         with pytest.raises(NoConvergenceError) as alone:
             classify.choi_floors(stack[2:3], d)
@@ -387,25 +441,43 @@ def test_one_off_pattern_entry_sends_only_that_map_down_the_dense_path(monkeypat
         assert str(stacked.value) == str(alone.value)
         assert calls == [(3, d, d), (1, d * d, d * d)]
         return
+    # C: the 5 x 5 block of the others and of this map, and one more pair;
+    # C^Gamma: the pairs, and now a 3 x 3 block {02, 11, 20} of this map
+    assert block_sizes(c, d) == ({d}, {3})
     calls.clear()
     _, min_c, min_pt = classify.choi_floors(stack, d)
-    assert calls == [(3, d, d), (1, d * d, d * d), (1, d * d, d * d)]
-    assert (float(min_c[2]), float(min_pt[2])) == dense_floors(c, d)
-    for k in (0, 1, 3):
+    assert calls == [(4, d, d), (1, 3, 3)]
+    assert (float(min_c[2]), float(min_pt[2])) == reference_floors(stack[2], d)[1:]
+    bound = 1e-13 * max(1.0, float(np.abs(c).max()))
+    assert np.allclose((min_c[2], min_pt[2]), dense_floors(c, d), rtol=0, atol=bound)
+    for k in range(len(stack)):
         _, c_k, pt_k = classify.choi_floors(stack[k:k + 1], d)
         assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
 
 
 @pytest.mark.parametrize("entry, routed", [(-0.0, True), (complex(-0.0, -0.0), True),
                                            (np.inf, False), (complex(0.0, np.nan), False)])
-def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(entry, routed):
+def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(
+        monkeypatch, entry, routed):
     d = 5
-    choi = superop._choi_shuffle(covariant_stack(np.random.default_rng(41), d), d).copy()
+    stack = covariant_stack(np.random.default_rng(41), d)
+    choi = superop._choi_shuffle(stack, d).copy()
     choi[2, 1, 7] = entry  # |01><12|: off the block and the diagonal
-    assert list(classify._covariant_maps(choi, d)) == [True, True, routed, True]
+    assert is_routed(choi[2], d) == routed
+    calls = solve_shapes(monkeypatch)
+    try:
+        _, min_c, min_pt = classify.choi_floors(superop._choi_shuffle(choi, d), d)
+    except (NoConvergenceError, NotHermitianError):
+        assert not routed
+    # the zero map keeps the layout of the others: one block solve for all four
+    assert calls[0] == (4 if routed else 3, d, d)
+    assert ((1, d * d, d * d) in calls) != routed
+    if routed:
+        _, want_c, want_pt = classify.choi_floors(stack, d)
+        assert list(min_c) == list(want_c) and list(min_pt) == list(want_pt)
 
 
-@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_mixed_stack_gives_each_map_its_stack_of_one_floors(d):
     rng = np.random.default_rng(50 + d)
     generic = [random_cptp(rng, d).matrix, random_hp_map(rng, d, shift=0.5).matrix,
@@ -413,10 +485,14 @@ def test_mixed_stack_gives_each_map_its_stack_of_one_floors(d):
     covariant = list(covariant_stack(rng, d)) + [superop.identity(d).matrix]
     stack = np.array([covariant[0], generic[0], covariant[1], covariant[2], generic[1],
                       covariant[3], generic[2], covariant[4]])
-    assert list(classify._covariant_maps(classify.choi_floors(stack, d)[0], d)) == [
-        True, False, True, True, False, True, False, True]
+    assert [is_routed(c, d) for c in classify.choi_floors(stack, d)[0]] == [
+        True, False, True, True, False, True, True, True]
+    _, both_c, both_pt = classify.choi_floors(stack, d)
     for cp, cocp in ((True, True), (True, False), (False, True)):
         _, min_c, min_pt = classify.choi_floors(stack, d, cp=cp, cocp=cocp)
+        # one floor alone is that floor of both
+        assert min_c is None or list(min_c) == list(both_c)
+        assert min_pt is None or list(min_pt) == list(both_pt)
         for k in range(len(stack)):
             _, c_k, pt_k = classify.choi_floors(stack[k:k + 1], d, cp=cp, cocp=cocp)
             assert (min_c is None) == (c_k is None) and (min_pt is None) == (pt_k is None)
@@ -444,7 +520,7 @@ def test_covariant_non_hermitian_stack_raises_the_per_map_error():
     bad_diag = perturbed(cov[1], 1, 1, 3e-4j)        # imaginary part of C_01,01
     bad_generic = generic[0] + 1e-5 * ginibre(rng, d * d)
     routed = np.array([cov[2], cov[3], bad_block, bad_diag])
-    assert classify._covariant_maps(superop._choi_shuffle(routed, d), d).all()
+    assert all(is_routed(c, d) for c in superop._choi_shuffle(routed, d))
     for stack in ([cov[2], bad_generic, bad_block, generic[1]],
                   [cov[2], bad_block, bad_generic, bad_diag],
                   [generic[1], bad_diag, cov[3], bad_block],
@@ -459,6 +535,48 @@ def test_covariant_non_hermitian_stack_raises_the_per_map_error():
             with pytest.raises(NotHermitianError) as stacked:
                 classify.choi_floors(stack, d, cp=cp, cocp=cocp)
             assert str(stacked.value) == str(per_map.value)
+
+
+def permuted_block_choi(rng, d, sizes):
+    """A Hermitian d^2 x d^2 matrix, block diagonal with blocks of ``sizes``
+    under a random permutation, with random spectra about zero."""
+    n = d * d
+    c = np.zeros((n, n), dtype=complex)
+    order = rng.permutation(n)
+    start = 0
+    for k in sizes:
+        idx = order[start:start + k]
+        g = ginibre(rng, k)
+        block = g @ g.conj().T - rng.uniform(0.0, 2.0) * np.eye(k)
+        c[np.ix_(idx, idx)] = block
+        start += k
+    return c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), data=st.data())
+def test_permuted_block_diagonal_choi_matrices_agree_with_dense_eigvalsh(seed, d, data):
+    """Blocks of sizes 1-4 in any order and position: the floors of the
+    block layout, alone and in a stack of several patterns, are within
+    1e-13 max(1, max|C|) of the dense solve, and the flags agree."""
+    rng = np.random.default_rng(seed)
+    chois = []
+    for _ in range(3):
+        sizes = []
+        while sum(sizes) < d * d:
+            sizes.append(min(data.draw(st.integers(1, 4)), d * d - sum(sizes)))
+        chois.append(permuted_block_choi(rng, d, sizes))
+    stack = np.array([from_choi_matrix(c, d) for c in chois])
+    _, min_c, min_pt = classify.choi_floors(stack, d)
+    reports = classify.classify_stack(stack, d)
+    for k, (c, report) in enumerate(zip(superop._choi_shuffle(stack, d), reports)):
+        bound = 1e-13 * max(1.0, float(np.abs(c).max()))
+        want = dense_floors(c, d)
+        assert abs(min_c[k] - want[0]) <= bound and abs(min_pt[k] - want[1]) <= bound
+        assert (float(min_c[k]), float(min_pt[k])) == reference_floors(stack[k], d)[1:]
+        assert (report.is_cp, report.is_cocp) == (want[0] >= -PSD_TOL, want[1] >= -PSD_TOL)
+        _, c_k, pt_k = classify.choi_floors(stack[k:k + 1], d)
+        assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ path whose value differs,
     eternal.divisibility reports.CP.certificates[0]: "analytic_tail" -> "analytic_monotone"
 
 and one per run whose exit code or JSON text differs in a way no path shows.
+The last line sums up: how many float-only paths moved (a float on both
+sides) and the largest move |change - base| / max(1, |base|) among them,
+apart from the discrete changes (any other path, an exit code, or output
+that is not JSON), for example
+
+    summary: 12 float path(s) moved, largest |d|/max(1, |x|) 2.2e-16; 0 discrete change(s)
+
 The exit code is 0 when the outputs agree and 1 when some path differs.
 """
 
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +56,14 @@ def json_diffs(base, change, path=""):
     return [(path, base, change)]
 
 
+def float_move(base, change):
+    """|change - base| / max(1, |base|) when both are finite floats, else None."""
+    if not (type(base) is float and type(change) is float
+            and math.isfinite(base) and math.isfinite(change)):
+        return None
+    return abs(change - base) / max(1.0, abs(base))
+
+
 def _show(value):
     return "<missing>" if value is _MISSING else json.dumps(value)
 
@@ -72,8 +88,10 @@ def runs(change_dir):
 
 
 def compare(base_dir, change_dir, out=sys.stdout):
-    """Print the differences of every run; the number of differing runs."""
-    differing = 0
+    """Print the differences of every run and the summary line; the number
+    of differing runs."""
+    differing = discrete = 0
+    moves = []
     for label, argv in runs(change_dir):
         (base_code, base_text), (change_code, change_text) = (
             run_cli(base_dir, argv), run_cli(change_dir, argv))
@@ -86,13 +104,22 @@ def compare(base_dir, change_dir, out=sys.stdout):
             diffs = None
         if diffs is None and base_text != change_text:
             lines.append(f"{label}: output is not JSON on both sides and differs")
+        discrete += len(lines)
         for path, a, b in diffs or ():
             lines.append(f"{label} {path}: {_show(a)} -> {_show(b)}")
+            move = float_move(a, b)
+            if move is None:
+                discrete += 1
+            else:
+                moves.append(move)
         if not lines and base_text != change_text:
             lines.append(f"{label}: same values, different text")
         differing += bool(lines)
         for line in lines:
             print(line, file=out)
+    largest = f"{max(moves):.1e}" if moves else "-"
+    print(f"summary: {len(moves)} float path(s) moved, largest |d|/max(1, |x|) {largest}; "
+          f"{discrete} discrete change(s)", file=out)
     return differing
 
 
