@@ -97,8 +97,9 @@ def choi_floors(stack, d, cp=True, cocp=True):
     connected pattern is one block, the dense eigensolve; a map with no
     zero entry, or with a non-finite one, goes there directly.  The maps of
     a stack are grouped by pattern (off the diagonal, as a diagonal entry
-    joins no two indices), so a stack of generic maps costs one dense solve
-    per floor.  A partial transpose deviates from Hermiticity exactly as
+    joins no two indices); a stack whose maps share one pattern, the common
+    case, reads one layout, so a stack of generic maps costs one dense
+    solve per floor.  A partial transpose deviates from Hermiticity exactly as
     its Choi matrix does, so a stack raises the NotHermitianError of its
     first non-Hermitian map.
 
@@ -114,6 +115,16 @@ def choi_floors(stack, d, cp=True, cocp=True):
     nonzero = flat != 0
     # a diagonal entry joins no two indices: its block is that of its index
     nonzero[:, ::d * d + 1] = True
+    if len(flat) and (nonzero == nonzero[0]).all():
+        # one pattern for the whole stack, the common case: one layout
+        layout = _layout(d, np.packbits(nonzero[0]).tobytes())
+        if layout.dense:
+            return (choi,) + _dense_floors(choi, d, cp, cocp)
+        # every nonzero entry, so every non-finite one, is gathered
+        values = flat[:, layout.positions]
+        if np.isfinite(values).all():
+            return (choi,) + _layout_floors([(slice(None), values, layout)], len(choi),
+                                            d, cp, cocp, lambda: choi)
     dense = nonzero.all(axis=1)
     if dense.all():
         return (choi,) + _dense_floors(choi, d, cp, cocp)
@@ -189,21 +200,22 @@ def _dense_floors(choi, d, cp, cocp):
 class _Layout(NamedTuple):
     """The block layout of a Choi pattern (:func:`_layout`), as indices into
     the gathered entries: ``positions``, the flat Choi entries gathered,
-    ascending; ``small``, the rows p, q, z of the 1 x 1 and 2 x 2 blocks
-    [[p, .], [z, q]] of C, then of C^Gamma (the first ``split``), with
-    ``pair`` 1.0 for a 2 x 2 block and 0.0 for a 1 x 1 block, whose p = q
-    is its entry; ``blocks``, for C and for C^Gamma, one ``(k, (G, k, k)
-    indices)`` per larger size k, ascending (a single component is the one
-    block of size d^2); for the Hermiticity check, the rows of the entries
-    of C's blocks and of their transposes (``herm``); and whether C and
-    C^Gamma are each one block (``dense``), so that nothing is gathered."""
+    ascending; ``take``, the entries read outside the eigensolves, in one
+    gather: for the Hermiticity check, the ``herm`` entries of C's blocks,
+    then their transposes; then the rows p, q, z of the 1 x 1 and 2 x 2
+    blocks [[p, .], [z, q]] of C, then of C^Gamma (the first ``split``),
+    with ``pair`` 1.0 for a 2 x 2 block and 0.0 for a 1 x 1 block, whose
+    p = q is its entry; ``blocks``, for C and for C^Gamma, one ``(k, (G,
+    k, k) indices)`` per larger size k, ascending (a single component is
+    the one block of size d^2); and whether C and C^Gamma are each one
+    block (``dense``), so that nothing is gathered."""
 
     positions: np.ndarray
-    small: np.ndarray
+    take: np.ndarray
+    herm: int
     pair: np.ndarray
     split: int
     blocks: tuple
-    herm: np.ndarray
     dense: bool
 
 
@@ -236,8 +248,9 @@ def _layout(d, key):
     blocks = tuple(tuple((k, at(idx)) for k, idx in side) for side in (c_blocks, g_blocks))
     for arr in (positions, pair):
         arr.flags.writeable = False
-    return _Layout(positions, at(np.concatenate([c_small, g_small], axis=1)), pair,
-                   len(c_pair), blocks, at(np.stack([herm, (herm % n) * n + herm // n])),
+    take = np.concatenate([herm, (herm % n) * n + herm // n,
+                           np.concatenate([c_small, g_small], axis=1).ravel()])
+    return _Layout(positions, at(take), len(herm), pair, len(c_pair), blocks,
                    all(side and side[0][0] == n for side in blocks))
 
 
@@ -320,7 +333,8 @@ def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
         if layout is None:
             block, mirror, axes = values, values.swapaxes(1, 2), (1, 2)
         else:
-            (block, mirror), axes = values[:, layout.herm].transpose(1, 0, 2), 1
+            read, h = values[:, layout.take], layout.herm
+            block, mirror, axes = read[:, :h], read[:, h:2 * h], 1
         devs = np.abs(block - mirror.conj())
         # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the first test
         if devs.size and devs.max() > tolerances.HERM_TOL_SCALE and (
@@ -333,11 +347,11 @@ def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
                 solves.setdefault((side, d * d), []).append((maps, m, whole))
             continue
         if layout.pair.size:
-            p, q, z = values[:, layout.small].transpose(1, 0, 2)
-            p, q, r = p.real, q.real, np.abs(z) * layout.pair
-            h = np.abs(p - q) / 2.0
-            shift = np.divide(r, h + np.hypot(h, r), out=np.zeros_like(r), where=r > 0) * r
-            low = np.minimum(p, q) - shift
+            small = read[:, 2 * h:].reshape(m, 3, -1)
+            p, q, r = small[:, 0].real, small[:, 1].real, np.abs(small[:, 2]) * layout.pair
+            half = np.abs(p - q) / 2.0
+            # where r == 0 the denominator may be 0; adding 1 there keeps the shift 0
+            low = np.minimum(p, q) - r / (half + np.hypot(half, r) + (r == 0)) * r
             for side in sides:
                 part = low[:, layout.split:] if side else low[:, :layout.split]
                 if part.size:

@@ -81,3 +81,12 @@ def test_summary_line_counts_float_and_discrete_changes(monkeypatch):
     assert cli_diff.compare("base", "change", out) == 0
     assert out.getvalue().splitlines() == [
         "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 0 discrete change(s)"]
+
+    # 0.0 -> -0.0 compares equal but changes the bytes: a discrete change
+    signed = {"base": json.dumps({"floor": 0.0}), "change": json.dumps({"floor": -0.0})}
+    monkeypatch.setattr(cli_diff, "run_cli", lambda tree, argv: (0, signed[tree]))
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 1
+    assert out.getvalue().splitlines() == [
+        "x.classify: same values, different text",
+        "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 1 discrete change(s)"]

@@ -455,6 +455,32 @@ def test_one_off_pattern_entry_reroutes_only_that_map(monkeypatch, entry):
         assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
 
 
+def test_one_nan_on_the_shared_pattern_sends_only_that_map_down_the_dense_path(monkeypatch):
+    """A NaN on the pattern every map of the stack shares (|00><11|, in the
+    block) leaves the pattern as it is; its map alone goes dense and raises
+    the error it raises alone, after one block solve for the other three."""
+    d = 5
+    stack = covariant_stack(np.random.default_rng(41), d)
+    choi = superop._choi_shuffle(stack, d).copy()
+    assert all((c != 0).tolist() == (choi[0] != 0).tolist() for c in choi)
+    choi[2, 0, d + 1] = choi[2, d + 1, 0] = np.nan
+    stack = superop._choi_shuffle(choi, d)
+    with pytest.raises(NoConvergenceError) as alone:
+        classify.choi_floors(stack[2:3], d)
+    calls = solve_shapes(monkeypatch)
+    with pytest.raises(NoConvergenceError) as stacked:
+        classify.choi_floors(stack, d)
+    assert str(stacked.value) == str(alone.value)
+    assert calls == [(3, d, d), (1, d * d, d * d)]
+    calls.clear()
+    rest = stack[[0, 1, 3]]
+    _, min_c, min_pt = classify.choi_floors(rest, d)
+    assert calls == [(3, d, d)]
+    for k in range(len(rest)):
+        _, c_k, pt_k = classify.choi_floors(rest[k:k + 1], d)
+        assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
+
+
 @pytest.mark.parametrize("entry, routed", [(-0.0, True), (complex(-0.0, -0.0), True),
                                            (np.inf, False), (complex(0.0, np.nan), False)])
 def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(

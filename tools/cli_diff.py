@@ -14,8 +14,9 @@ path whose value differs,
 and one per run whose exit code or JSON text differs in a way no path shows.
 The last line sums up: how many float-only paths moved (a float on both
 sides) and the largest move |change - base| / max(1, |base|) among them,
-apart from the discrete changes (any other path, an exit code, or output
-that is not JSON), for example
+apart from the discrete changes (any other path, an exit code, output
+that is not JSON, or equal values in different text, such as 0.0 and
+-0.0), for example
 
     summary: 12 float path(s) moved, largest |d|/max(1, |x|) 2.2e-16; 0 discrete change(s)
 
@@ -114,6 +115,7 @@ def compare(base_dir, change_dir, out=sys.stdout):
                 moves.append(move)
         if not lines and base_text != change_text:
             lines.append(f"{label}: same values, different text")
+            discrete += 1
         differing += bool(lines)
         for line in lines:
             print(line, file=out)
