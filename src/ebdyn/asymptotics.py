@@ -561,9 +561,11 @@ def _fill(scan, handle, cone, s, search, tol, head, shortcuts):
     family = handle.family
     if scan.times is None or head is None and len(scan.times) < search.grid_n:
         core = _core(family, cone, shortcuts)
+        # one core handle per family handle, so the core is diagonalized once
+        grid = handle if core is None else handle._scan_result(
+            ("core",), lambda: evolve.EvolutionHandle(core))
         try:
-            _scan_grid(scan, handle if core is None else evolve.EvolutionHandle(core),
-                       family, cone, s, search, tol, head)
+            _scan_grid(scan, grid, family, cone, s, search, tol, head)
         except SingularMapError:
             scan.certificate = "singular"
     if scan.certificate is not None:  # singular, or a grown chunk

@@ -93,94 +93,82 @@ def choi_floors(stack, d, cp=True, cocp=True):
     (:func:`_layout`): the connected components of the pattern of C and of
     C^Gamma, whose spectra are the union of their blocks' spectra.  1 x 1
     blocks are their entries, 2 x 2 blocks have a closed form, and each
-    larger block size takes one batched eigensolve over the whole stack.  A
-    connected pattern is one block, the dense eigensolve; a map with no
-    zero entry, or with a non-finite one, goes there directly.  The maps of
-    a stack are grouped by pattern (off the diagonal, as a diagonal entry
-    joins no two indices); a stack whose maps share one pattern, the common
-    case, reads one layout, so a stack of generic maps costs one dense
-    solve per floor.  A partial transpose deviates from Hermiticity exactly as
-    its Choi matrix does, so a stack raises the NotHermitianError of its
-    first non-Hermitian map.
+    larger block size takes one batched eigensolve over the whole stack.
+    The stack is split into groups of maps, their gathered block entries
+    and their layout: one group per pattern (off the diagonal, as a
+    diagonal entry joins no two indices), so a stack whose maps share one
+    pattern, the common case, reads one layout.  Then each map of a dense
+    layout (C and C^Gamma each one block) and each map with a non-finite
+    entry goes to the one dense part, whose whole Choi matrices take the
+    dense eigensolve; so a stack of generic maps costs one dense solve per
+    floor.  A partial transpose deviates from Hermiticity exactly as its
+    Choi matrix does, so a stack raises the NotHermitianError of its first
+    non-Hermitian map.
 
     A :class:`~ebdyn.superop.SpectralStack` (a spectral closed form's maps,
-    held as coefficient rows) gives None for the Choi stack: its floors are
-    read from the block entries of the components' joint pattern, formed
-    from the rows alone, with no map built (:func:`_spectral_floors`).
+    held as coefficient rows) gives None for the Choi stack.  It is one
+    group, on the layout of its components' joint pattern, whose entries
+    are formed from the rows alone (:func:`_spectral_entries`); only the
+    maps of the dense part are built.
     """
     if isinstance(stack, superop.SpectralStack):
-        return (None,) + _spectral_floors(stack, d, cp, cocp)
-    choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
-    flat = choi.reshape(len(choi), d ** 4)
-    nonzero = flat != 0
-    # a diagonal entry joins no two indices: its block is that of its index
-    nonzero[:, ::d * d + 1] = True
-    if len(flat) and (nonzero == nonzero[0]).all():
-        # one pattern for the whole stack, the common case: one layout
-        layout = _layout(d, np.packbits(nonzero[0]).tobytes())
-        if layout.dense:
-            return (choi,) + _dense_floors(choi, d, cp, cocp)
-        # every nonzero entry, so every non-finite one, is gathered
-        values = flat[:, layout.positions]
-        if np.isfinite(values).all():
-            return (choi,) + _layout_floors([(slice(None), values, layout)], len(choi),
-                                            d, cp, cocp, lambda: choi)
-    dense = nonzero.all(axis=1)
-    if dense.all():
-        return (choi,) + _dense_floors(choi, d, cp, cocp)
-    # -0.0 is zero; NaN and inf are not, and a non-finite map is one block
-    routed = np.flatnonzero(~dense)
-    whole = len(routed) == len(flat)
-    finite = np.isfinite(flat if whole else flat[routed]).all(axis=1)
-    if not finite.all():
-        dense[routed[~finite]] = True
-        routed, whole = routed[finite], False
-    keys = np.packbits(nonzero if whole else nonzero[routed], axis=1)
-    width, keys = keys.shape[1], keys.tobytes()
-    groups = {}
-    for i, k in enumerate(routed.tolist()):
-        groups.setdefault(keys[i * width:(i + 1) * width], []).append(k)
-    parts = []
-    for key, maps in groups.items():
-        layout = _layout(d, key)
-        if layout.dense:
-            dense[maps] = True
-        elif len(maps) == len(flat):
-            parts.append((slice(None), flat[:, layout.positions], layout))
+        choi = None
+        layout, values = _spectral_entries(stack, d)
+        groups = [(slice(None), values, layout)]
+
+        def choi_of(maps):
+            return superop._choi_shuffle(stack.maps(maps), d)
+    else:
+        choi = superop._choi_shuffle(np.asarray(stack, dtype=complex), d)
+        choi_of = choi.__getitem__
+        flat = choi.reshape(len(choi), d ** 4)
+        nonzero = flat != 0
+        # a diagonal entry joins no two indices: its block is that of its index
+        nonzero[:, ::d * d + 1] = True
+        if len(flat) and (nonzero == nonzero[0]).all():
+            # one pattern for the whole stack, the common case: one comparison
+            patterns = {np.packbits(nonzero[0]).tobytes(): slice(None)}
         else:
-            parts.append((maps, flat[maps][:, layout.positions], layout))
-    if dense.any():
-        maps = np.flatnonzero(dense)
-        if maps[-1] - maps[0] + 1 == len(maps):  # a run of maps is a view, not a copy
-            maps = slice(maps[0], maps[-1] + 1)
-        parts.append((maps, choi[maps], None))
-    return (choi,) + _layout_floors(parts, len(choi), d, cp, cocp, lambda: choi)
-
-
-def _spectral_floors(stack, d, cp, cocp):
-    """(min_c, min_pt) of a :class:`~ebdyn.superop.SpectralStack`, from its
-    block entries: those of the layout of the components' joint pattern
-    (:func:`_spectral_layout`), summed layer by layer as
-    :func:`~ebdyn.superop.spectral_sum` sums them, so each is bitwise the
-    entry of that map's Choi matrix.  A map with a non-finite entry takes
-    the route of its map alone."""
-    layout, values = _spectral_entries(stack, d)
-    n_maps = len(stack)
-    finite = np.isfinite(values).all(axis=1)
-    ok = slice(None) if finite.all() else np.flatnonzero(finite)
-    floors = _layout_floors([(ok, values[ok], layout)], n_maps, d, cp, cocp,
-                            lambda: superop._choi_shuffle(stack.maps(ok), d))
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        for floor, alone in zip(floors, choi_floors(stack.maps(bad), d, cp, cocp)[1:]):
-            if floor is not None:
-                floor[bad] = alone
-    return floors
+            keys = np.packbits(nonzero, axis=1)
+            width, keys = keys.shape[1], keys.tobytes()
+            patterns = {}
+            for k in range(len(flat)):
+                patterns.setdefault(keys[k * width:(k + 1) * width], []).append(k)
+        groups = []
+        for key, maps in patterns.items():
+            layout = _layout(d, key)
+            # a dense layout gathers nothing: its maps go to the dense part
+            groups.append((maps, None if layout.dense else flat[maps][:, layout.positions],
+                           layout))
+    parts, dense = [], []
+    for maps, values, layout in groups:
+        if layout.dense:
+            dense.append(maps)
+        elif np.isfinite(values).all():
+            parts.append((maps, values, layout))
+        else:
+            # -0.0 is zero; NaN and inf are not, so the gathered entries hold
+            # every non-finite one, and a non-finite map is one block
+            finite = np.isfinite(values).all(axis=1)
+            maps = np.arange(len(stack))[maps]
+            dense.append(maps[~finite])
+            if finite.any():
+                parts.append((maps[finite], values[finite], layout))
+    if dense:
+        maps = dense[0]
+        if len(dense) > 1 or not isinstance(maps, slice):
+            maps = np.sort(np.concatenate(dense))
+            if maps[-1] - maps[0] + 1 == len(maps):  # a run of maps is a view, not a copy
+                maps = slice(maps[0], maps[-1] + 1)
+        parts.append((maps, choi_of(maps), None))
+    return (choi,) + _layout_floors(parts, len(stack), d, cp, cocp, choi_of)
 
 
 def _spectral_entries(stack, d):
     """``(layout, values)``: the layout of a SpectralStack and the entries
-    ``(N, len(layout.positions))`` of its maps' Choi matrices there."""
+    ``(N, len(layout.positions))`` of its maps' Choi matrices there, summed
+    layer by layer as :func:`~ebdyn.superop.spectral_sum` sums them, so
+    each is bitwise the entry of that map's Choi matrix."""
     layout, source, eye, unreached = _spectral_layout(stack.components, d)
     layers = superop._layer_sum(stack.rows, stack.components, d)
     if unreached:
@@ -188,13 +176,6 @@ def _spectral_entries(stack, d):
     values = layers[:, source]
     values[stack.identity] = eye
     return layout, values
-
-
-def _dense_floors(choi, d, cp, cocp):
-    """(min_c, min_pt) of a Choi stack, one batched dense eigensolve each.
-    Hermiticity is judged on C alone: (C^Gamma)^dag = (C^dag)^Gamma permutes
-    the entries, so the partial transpose deviates exactly as C does."""
-    return _layout_floors([(slice(None), choi, None)], len(choi), d, cp, cocp, lambda: choi)
 
 
 class _Layout(NamedTuple):
@@ -299,16 +280,17 @@ def _spectral_layout(components, d):
     return components.choi_layout
 
 
-def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
+def _layout_floors(parts, n_maps, d, cp, cocp, choi_of):
     """(min_c, min_pt) of ``n_maps`` maps from ``parts``, one ``(maps,
     values, layout)`` per layout: the indices of its maps, their gathered
     entries and the layout, or, with the layout None, their whole Choi
     matrices, one block each.
 
     Hermiticity is judged on the entries of C's blocks, which hold every
-    nonzero entry, so with the whole matrix's deviation and tolerance; if
-    any map fails, ``full_choi()`` (the Choi stack) is checked in order, so
-    the error names the first non-Hermitian map.  A 1 x 1 block's
+    nonzero entry, so with the whole matrix's deviation and tolerance; a
+    partial transpose deviates exactly as C does.  If any map fails, the
+    Choi stack (``choi_of(slice(None))``) is checked in order, so the error
+    names the first non-Hermitian map.  A 1 x 1 block's
     eigenvalue is its entry; a 2 x 2 block's smaller one is
     min(p, q) - |z|^2 / (h + hypot(h, |z|)) with h = |p - q| / 2, which has
     no cancellation and is min(p, q) exactly when z = 0.  Each larger block
@@ -340,7 +322,7 @@ def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
         if devs.size and devs.max() > tolerances.HERM_TOL_SCALE and (
                 devs.max(axis=axes) > tolerances.HERM_TOL_SCALE * np.maximum(
                     1.0, np.abs(block).max(axis=axes))).any():
-            matcore._checked_hermitian(full_choi(), None)
+            matcore._checked_hermitian(choi_of(slice(None)), None)
         if layout is None:
             for side in sides:
                 whole = matcore.partial_transpose_second(values, d, d) if side else values
@@ -369,8 +351,10 @@ def _layout_floors(parts, n_maps, d, cp, cocp, full_choi):
             if m:
                 lower(side, maps, w[start:start + len(b)].reshape(m, -1).min(axis=1))
             start += len(b)
-    return tuple((np.full(n_maps, np.inf) if floor is None else floor) if wanted else None
-                 for floor, wanted in zip(floors, (cp, cocp)))
+    for side in sides:
+        if floors[side] is None:  # no map
+            floors[side] = np.full(n_maps, np.inf)
+    return tuple(floors)
 
 
 def classify_stack(stack, d, tol=None) -> list:

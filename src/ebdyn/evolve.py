@@ -40,8 +40,9 @@ class EvolutionHandle:
     spectral closed form, else the solved map; for ``ode``, the one
     trajectory every Lambda_t is read from (:class:`_Trajectory`); one
     record of Delta(s) per witness kind, start time, search and tolerance,
-    which arrival times and divisibility scans read and grow; and its
-    asymptotic map per horizon (see :meth:`_scan_result`).
+    which arrival times and divisibility scans read and grow; its
+    asymptotic map per horizon; and the handle of its local-unitary core
+    (see :meth:`_scan_result`).
     """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
@@ -126,8 +127,9 @@ class EvolutionHandle:
         (witness kind, start time, search, tol): cones that share a witness
         share one record, which every entry point reads and fills in (see
         ``asymptotics._delta``); the asymptotic map is keyed by ("limit",
-        horizon).  Only a returned result is kept; an exception propagates,
-        and the next call with that key computes again.
+        horizon), the core's handle (``asymptotics._fill``) by ("core",).
+        Only a returned result is kept; an exception propagates, and the
+        next call with that key computes again.
         """
         kept = self._scans.get(key)  # no answer is None
         if kept is None:

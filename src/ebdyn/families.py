@@ -472,15 +472,12 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
     sigma_p = np.array([[0, 1], [0, 0]], dtype=complex)
     sigma_m = sigma_p.conj().T
     diss = _dissipators((sigma_p, sigma_m, matcore.PAULI_Z), 2)
-    gen_matrix = (
+    gen = _built_once(
         _hamiltonian_part(0.5 * w * matcore.PAULI_Z)
         + gp * diss[0]
         + gm * diss[1]
         + gz * diss[2]
     )
-
-    def gen(t):
-        return gen_matrix
 
     # populations relax toward (p+, p-) (or run away from it when G_L < 0);
     # with G_L = 0 both components have coefficient 1 and any split will do
@@ -569,10 +566,7 @@ def depolarizing(gamma, omega) -> GeneratorFamily:
     d = w.shape[0]
     proj = classify.projector_onto_state(w).matrix
     eye = np.eye(d * d, dtype=complex)
-    gen_matrix = g * (proj - eye)
-
-    def gen(t):
-        return gen_matrix
+    gen = _built_once(g * (proj - eye))
 
     def rows(t):
         return np.array([np.ones_like(t), np.exp(-g * t)], dtype=complex).T
@@ -666,9 +660,7 @@ def detailed_balance(hamiltonian, jumps, beta) -> GeneratorFamily:
         raise CovarianceViolationError(
             f"Gibbs state is not stationary (residual {residual:.2e})"
         )
-
-    def gen(t):
-        return gen_matrix
+    gen = _built_once(gen_matrix)
 
     return GeneratorFamily(
         d=d,

@@ -90,3 +90,62 @@ def test_summary_line_counts_float_and_discrete_changes(monkeypatch):
     assert out.getvalue().splitlines() == [
         "x.classify: same values, different text",
         "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 1 discrete change(s)"]
+
+
+def test_doctored_csv_text(monkeypatch):
+    """A cell that parses as a float on both sides is a float move; any other
+    changed cell, a missing cell and equal floats in other text are discrete."""
+    base = ("t,min_eig_choi,is_cp,eb_status\n"
+            "0.0,0.0,true,EB_refuted\n"
+            "0.5,0.0799,true,EB_certified\n"
+            "1.0,inf,true,EB_certified")
+    change = ("t,min_eig_choi,is_cp,eb_status\n"
+              "0.0,-0.0,true,EB_refuted\n"
+              "0.5,0.0801,false,EB_certified\n"
+              "1.0,nan,true")
+    assert cli_diff.csv_cells(base)[2] == [0.5, 0.0799, "true", "EB_certified"]
+    texts = {"base": base, "change": change}
+    monkeypatch.setattr(cli_diff, "runs", lambda change_dir: [
+        ("eternal.classify.csv", ["classify", "--format", "csv"])])
+    monkeypatch.setattr(cli_diff, "run_cli", lambda tree, argv: (0, texts[tree]))
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 1
+    assert out.getvalue().splitlines() == [
+        "eternal.classify.csv [2][1]: 0.0799 -> 0.0801",
+        'eternal.classify.csv [2][2]: "true" -> "false"',
+        "eternal.classify.csv [3][1]: Infinity -> NaN",
+        'eternal.classify.csv [3][3]: "EB_certified" -> <missing>',
+        "summary: 1 float path(s) moved, largest |d|/max(1, |x|) 2.0e-04; "
+        "3 discrete change(s)"]
+
+    # -0.0 for 0.0 alone: the same values in different text
+    texts["change"] = base.replace("0.0,0.0,", "0.0,-0.0,")
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 1
+    assert out.getvalue().splitlines() == [
+        "eternal.classify.csv: same values, different text",
+        "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 1 discrete change(s)"]
+
+
+def test_doctored_text_output_and_the_runs(monkeypatch, tmp_path):
+    texts = {"base": "depolarizing\n  keys: gamma, omega\n",
+             "change": "depolarizing\n  keys: gamma,  omega\n"}
+    monkeypatch.setattr(cli_diff, "runs", lambda change_dir: [
+        ("list-families.text", ["list-families", "--format", "text"])])
+    monkeypatch.setattr(cli_diff, "run_cli", lambda tree, argv: (0, texts[tree]))
+    out = io.StringIO()
+    assert cli_diff.compare("base", "change", out) == 1
+    assert out.getvalue().splitlines() == [
+        "list-families.text: text differs",
+        "summary: 0 float path(s) moved, largest |d|/max(1, |x|) -; 1 discrete change(s)"]
+
+    monkeypatch.undo()
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "eternal.ini").write_text("")
+    labels = {label: argv[argv.index("--format") + 1]
+              for label, argv in cli_diff.runs(str(tmp_path))}
+    assert labels == {
+        **{f"eternal.{cmd}": "json" for cmd in cli_diff.COMMANDS},
+        **{f"eternal.{cmd}.csv": "csv" for cmd in cli_diff.COMMANDS},
+        "reproduce": "json", "list-families.text": "text", "list-families": "json",
+        "list-families.csv": "csv"}

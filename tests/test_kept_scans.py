@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, divisibility, evolve, families, superop
+from ebdyn import asymptotics, classify, divisibility, evolve, families, superop, tolerances
 from ebdyn.errors import NotReachedError, SingularMapError
 
 from helpers import RoundRecorder, random_gkls_family, shipped_family
@@ -328,7 +328,9 @@ def test_an_exception_is_not_kept(monkeypatch):
 
 
 def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
-    """5 start times x 3 cones: one core scan for CP, one for PPT and EB."""
+    """5 start times x 3 cones: one core scan for CP, one for PPT and EB, on
+    one core handle, so one diagonalization; an arrival that grows the kept
+    CP chunk reads that handle again."""
     fam = rotating_floquet()
     handle = evolve.EvolutionHandle(fam)
     search = asymptotics.default_search(handle, grid_n=100)
@@ -346,8 +348,13 @@ def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
         for i in (0, 4, 8, 12, 15)
         for cone in ("CP", "PPT", "EB")
     ]
-    assert len(eig_calls) == 2
+    assert len(eig_calls) == 1
     assert all(rep.details["reduction"] == "local_unitary_core" for rep in reports)
+    key = ("CP", 0.0, search, tolerances.PSD_TOL)
+    assert len(handle._scans[key].times) < search.grid_n  # a kept chunk
+    asymptotics.arrival_time(handle, "CP", search=search)
+    assert len(handle._scans[key].times) == search.grid_n
+    assert len(eig_calls) == 1
 
 
 class SpectrumCounter:

@@ -10,6 +10,7 @@ The same holds for the ``classify`` rows of the CLI, for
 ``families`` now builds once.
 """
 
+import contextlib
 import json
 import os
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebdyn import asymptotics, classify, cli, evolve, families, matcore, superop
-from ebdyn.errors import NoConvergenceError, NotHermitianError
+from ebdyn.errors import EbdynError, NoConvergenceError, NotHermitianError
 
 from helpers import (
     ginibre,
@@ -29,6 +30,7 @@ from helpers import (
     random_hp_map,
     shipped_family,
 )
+from test_spectral_rows import explicit_families
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SHIPPED_CONFIGS = sorted(
@@ -331,10 +333,9 @@ def test_dense_floors_judge_hermiticity_once_per_stack(d):
         with pytest.raises(NotHermitianError) as pt_alone:
             matcore.min_herm_eig(matcore.partial_transpose_second(choi_first, d, d))
         assert str(pt_alone.value) == str(alone.value)
-        choi = superop._choi_shuffle(np.array(stack), d)
         for cp, cocp in ((True, False), (False, True), (True, True)):
             with pytest.raises(NotHermitianError) as stacked:
-                classify._dense_floors(choi, d, cp, cocp)
+                classify.choi_floors(np.array(stack), d, cp, cocp)
             assert str(stacked.value) == str(alone.value)
 
 
@@ -529,6 +530,129 @@ def test_mixed_stack_gives_each_map_its_stack_of_one_floors(d):
     reports = classify.classify_stack(stack, d)
     for s, report in zip(stack, reports):
         assert report_fields(report) == reference_classify(s, d)
+
+
+@contextlib.contextmanager
+def counted_solves():
+    """The shape of every stack ``matcore.min_herm_eig`` solves inside the block."""
+    calls = []
+    real = matcore.min_herm_eig
+    matcore.min_herm_eig = lambda m, tol=None: calls.append(np.shape(m)) or real(m, tol)
+    try:
+        yield calls
+    finally:
+        matcore.min_herm_eig = real
+
+
+def floors_bytes(floors, k):
+    """Both floors of map k, as bytes: NaN and the sign of zero count."""
+    return np.array([floors[1][k], floors[2][k]]).tobytes()
+
+
+def check_split(stack, bad, alone, pairs, d):
+    """``stack`` (map matrices or a SpectralStack) against its maps alone:
+    ``alone(which)`` is the stack of the maps ``which`` in the same form,
+    ``pairs(which)`` their distinct (floor, block size) pairs, and map
+    ``bad`` holds a NaN or an inf.  Without it, every map's floors are
+    bitwise those of its stack of one, from one eigensolve per pair; with
+    it, the stack raises what that map raises alone, or else gives every
+    map its stack-of-one floors from one eigensolve per pair."""
+    good = [k for k in range(len(stack)) if k != bad]
+    with counted_solves() as calls:
+        floors = classify.choi_floors(alone(good), d)
+    assert len(calls) == len(pairs(good))
+    for i, k in enumerate(good):
+        assert floors_bytes(floors, i) == floors_bytes(classify.choi_floors(alone([k]), d), 0)
+    try:
+        want = classify.choi_floors(alone([bad]), d)
+    except EbdynError as exc:
+        with pytest.raises(type(exc)) as stacked:
+            classify.choi_floors(stack, d)
+        assert str(stacked.value) == str(exc)
+        return
+    with counted_solves() as calls:
+        floors = classify.choi_floors(stack, d)
+    assert len(calls) == len(pairs(range(len(stack))))
+    assert floors_bytes(floors, bad) == floors_bytes(want, 0)
+    for k in good:
+        assert floors_bytes(floors, k) == floors_bytes(classify.choi_floors(alone([k]), d), 0)
+
+
+def pattern_pairs(chois, d):
+    """The distinct (floor, block size) pairs of Choi matrices that take an
+    eigensolve (:func:`block_sizes`)."""
+    return {(side, k) for c in chois for side, sizes in enumerate(block_sizes(c, d))
+            for k in sizes}
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                              complex(np.inf, 1.0)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data(),
+       kinds=st.lists(st.sampled_from(["generic", "covariant", "sparse", "identity",
+                                       "transpose"]), min_size=1, max_size=7),
+       entry=NON_FINITE)
+def test_one_split_gives_each_map_its_stack_of_one_floors(seed, d, data, kinds, entry):
+    """Generic, covariant, identity and transpose maps in any order, and one
+    map with a NaN or an inf anywhere in its Choi matrix.  A sparse
+    covariant map lacks |00><(d-1)(d-1)|: another pattern, whose block of
+    C (for d > 2) shares its size with the covariant one."""
+    rng = np.random.default_rng(seed)
+
+    def sparse():
+        c = superop._choi_shuffle(covariant_stack(rng, d)[rng.integers(4)], d)
+        c[0, d * d - 1] = c[d * d - 1, 0] = 0.0
+        return superop._choi_shuffle(c, d)
+
+    maps = {"generic": lambda: random_cptp(rng, d).matrix,
+            "covariant": lambda: covariant_stack(rng, d)[rng.integers(4)],
+            "sparse": sparse,
+            "identity": lambda: superop.identity(d).matrix,
+            "transpose": lambda: superop.transpose_map(d).matrix}
+    stack = np.array([maps[kind]() for kind in kinds])
+    bad = data.draw(st.integers(0, len(stack) - 1))
+    choi = superop._choi_shuffle(stack, d)
+    choi[bad, data.draw(st.integers(0, d * d - 1)), data.draw(st.integers(0, d * d - 1))] = entry
+    stack = superop._choi_shuffle(choi, d)
+    check_split(stack, bad, lambda which: stack[list(which)],
+                lambda which: pattern_pairs(choi[list(which)], d), d)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(explicit_families())),
+       times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=7),
+       bad_t=st.floats(0.1, 4.0), data=st.data(), entry=NON_FINITE)
+def test_one_split_reads_a_spectral_stack_with_one_non_finite_row(
+        name, times, bad_t, data, entry):
+    """Coefficient rows of Lambda_t in any order, one of them with a NaN or
+    an inf, as a SpectralStack and as the stack of its maps."""
+    fam = explicit_families()[name]
+    d = fam.d
+    bad = data.draw(st.integers(0, len(times)))
+    times = times[:bad] + [bad_t] + times[bad:]
+    stack = evolve.EvolutionHandle(fam)._propagator_rows(times, 0.0)
+    rows = stack.rows.copy()
+    rows[bad, data.draw(st.integers(0, rows.shape[1] - 1))] = entry
+    stack = superop.SpectralStack(rows, stack.components, stack.identity, d)
+    # the joint pattern of the components and the identity, off the diagonal
+    joint = np.eye(d * d, dtype=bool) | (superop._choi_shuffle(np.eye(d * d), d) != 0)
+    for q in stack.components:
+        joint |= superop._choi_shuffle(q, d) != 0
+
+    def pairs(which):
+        which = list(which)
+        solved = pattern_pairs([joint.astype(complex)] if set(which) - {bad} else [], d)
+        return solved | ({(0, d * d), (1, d * d)} if bad in which else set())
+
+    check_split(stack, bad, lambda which: superop.SpectralStack(
+        rows[list(which)], stack.components, stack.identity[list(which)], d), pairs, d)
+    maps = stack.maps()
+    check_split(maps, bad, lambda which: maps[list(which)],
+                lambda which: pattern_pairs(superop._choi_shuffle(maps[list(which)], d), d), d)
 
 
 def test_covariant_non_hermitian_stack_raises_the_per_map_error():
@@ -784,6 +908,20 @@ def test_shipped_constant_generators_match_kronecker_form():
     h = (cli._parse_matrix(sec["hamiltonian"], "h") if "hamiltonian" in sec
          else np.zeros_like(jumps[0][0]))
     assert_built_once(shipped_family("gkls_damped_qubit"), kron_gkls(h, jumps))
+
+
+def test_shipped_constant_generators_are_one_read_only_matrix():
+    """Every shipped constant family but the Pauli channel, whose generator
+    is summed per call: its closed form never reads it, and a rate such as
+    1e308 overflows only when it does."""
+    constant = [fam for fam in map(shipped_family, SHIPPED_CONFIGS)
+                if fam.constant and fam.kind != "pauli"]
+    assert sorted(fam.kind for fam in constant) == [
+        "depolarizing", "detailed_balance", "diagonally_covariant", "gkls", "phase_covariant"]
+    for fam in constant:
+        m = fam.generator_matrix(0.0)
+        assert fam.generator_matrix(2.5) is m, fam.kind
+        assert not m.flags.writeable, fam.kind
 
 
 def test_time_dependent_generators_stay_writable():

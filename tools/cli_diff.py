@@ -5,17 +5,21 @@
 Each directory is a checkout of the repository (for example a ``git
 worktree`` of the parent commit and the working tree).  For every file in
 ``CHANGE_DIR/configs`` the script runs ``classify``, ``ppt2``, ``arrival``
-and ``divisibility`` with ``--format json``, and ``ebdyn reproduce`` once,
+and ``divisibility`` with ``--format json`` and with ``--format csv``,
+``ebdyn reproduce`` once, and ``list-families`` in text, JSON and CSV,
 against the package in each tree's ``src``.  It prints one line per JSON
-path whose value differs,
+path or CSV cell (``[line][column]``, the cells a comma splits, as the
+writer quotes nothing) whose value differs,
 
     eternal.divisibility reports.CP.certificates[0]: "analytic_tail" -> "analytic_monotone"
+    eternal.classify.csv [3][1]: 0.0799 -> 0.0801
 
-and one per run whose exit code or JSON text differs in a way no path shows.
+and one per run whose exit code or text differs in a way no path shows.
 The last line sums up: how many float-only paths moved (a float on both
-sides) and the largest move |change - base| / max(1, |base|) among them,
-apart from the discrete changes (any other path, an exit code, output
-that is not JSON, or equal values in different text, such as 0.0 and
+sides; a CSV cell is a float where it parses as one) and the largest move
+|change - base| / max(1, |base|) among them, apart from the discrete
+changes (any other path, an exit code, output that is not JSON, a text
+output that differs, or equal values in different text, such as 0.0 and
 -0.0), for example
 
     summary: 12 float path(s) moved, largest |d|/max(1, |x|) 2.2e-16; 0 discrete change(s)
@@ -65,6 +69,17 @@ def float_move(base, change):
     return abs(change - base) / max(1.0, abs(base))
 
 
+def csv_cells(text):
+    """The cells of a CSV output, one list per line: a float where the cell
+    parses as one, else its text."""
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+    return [[cell(c) for c in line.split(",")] for line in text.splitlines()]
+
+
 def _show(value):
     return "<missing>" if value is _MISSING else json.dumps(value)
 
@@ -83,9 +98,12 @@ def runs(change_dir):
                      if f.endswith(".ini"))
     for name in configs:
         for cmd in COMMANDS:
-            yield (f"{name[:-4]}.{cmd}",
-                   [cmd, "--config", os.path.join("configs", name), "--format", "json"])
+            argv = [cmd, "--config", os.path.join("configs", name), "--format"]
+            yield f"{name[:-4]}.{cmd}", argv + ["json"]
+            yield f"{name[:-4]}.{cmd}.csv", argv + ["csv"]
     yield "reproduce", ["reproduce", "--format", "json"]
+    for fmt, suffix in (("text", ".text"), ("json", ""), ("csv", ".csv")):
+        yield f"list-families{suffix}", ["list-families", "--format", fmt]
 
 
 def compare(base_dir, change_dir, out=sys.stdout):
@@ -99,12 +117,18 @@ def compare(base_dir, change_dir, out=sys.stdout):
         lines = []
         if base_code != change_code:
             lines.append(f"{label} exit code: {base_code} -> {change_code}")
-        try:
-            diffs = json_diffs(json.loads(base_text), json.loads(change_text))
-        except json.JSONDecodeError:
-            diffs = None
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        diffs = None
+        if fmt == "csv":
+            diffs = json_diffs(csv_cells(base_text), csv_cells(change_text))
+        elif fmt == "json":
+            try:
+                diffs = json_diffs(json.loads(base_text), json.loads(change_text))
+            except json.JSONDecodeError:
+                pass
         if diffs is None and base_text != change_text:
-            lines.append(f"{label}: output is not JSON on both sides and differs")
+            lines.append(f"{label}: text differs" if fmt == "text" else
+                         f"{label}: output is not JSON on both sides and differs")
         discrete += len(lines)
         for path, a, b in diffs or ():
             lines.append(f"{label} {path}: {_show(a)} -> {_show(b)}")
