@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from . import classify, evolve, matcore, superop, tolerances
 from .errors import (
@@ -695,6 +694,11 @@ class AsymptoticVerdict:
 
 
 def _kernel_analysis(family):
+    """``(w, v, idx, scale)`` of a constant generator: its eigenvalues and
+    eigenvectors, the indices of its kernel and its scale; None for a
+    time-dependent family or a vanishing generator."""
+    if not family.constant:
+        return None
     for m, scale in _reference_generators(family):
         w, v = np.linalg.eig(m)
         idx = np.where(np.abs(w) <= 1e-9 * max(1.0, scale))[0]
@@ -702,53 +706,14 @@ def _kernel_analysis(family):
     return None
 
 
-def _common_kernel_state(family, v, idx):
-    omega = matcore.unit_trace_hermitian(v[:, idx[0]], family.d, 1e-8)
-    if omega is None:
-        return None
-    if not family.constant:
-        vec_w = matcore.vec(omega)
-        for t in (0.5, 1.7, 3.3):
-            m = family.generator_matrix(t)
-            if np.abs(m @ vec_w).max() > 1e-8 * max(1.0, float(np.abs(m).max())):
-                return None
-    return omega
-
-
-def _commuting_divergence(family, w, v, idx, horizon):
-    """Quadrature of the spectral exponents for a commuting family."""
-    left = np.linalg.inv(v).conj().T
-    samples = (0.4 * horizon, 0.9 * horizon)
-    nonzero = [k for k in range(len(w)) if k not in set(idx)]
-    for k in nonzero:
-        x = v[:, k]
-        y = left[:, k]
-        # the common-eigenbasis assumption must actually hold
-        for t in samples:
-            m = family.generator_matrix(t)
-            mu = np.vdot(y, m @ x)
-            residual = np.linalg.norm(m @ x - mu * x)
-            if residual > 1e-7 * max(1.0, float(np.abs(m).max())):
-                return None
-
-        def re_mu(t, x=x, y=y):
-            return np.vdot(y, family.generator_matrix(t) @ x).real
-
-        r_half, _ = scipy.integrate.quad(re_mu, 0.0, horizon / 2.0, limit=200)
-        r_full, _ = scipy.integrate.quad(re_mu, horizon / 2.0, horizon, limit=200)
-        total = r_half + r_full
-        if total > -20.0 or total > r_half - 0.5:
-            return False
-    return True
-
-
 def predict_eventually_eb(family, handle=None, horizon=None) -> AsymptoticVerdict:
     """Structural verdict on the long-time EB behaviour of a family.
 
-    The spectral path fires when the generator kernel is one-dimensional,
-    spanned by a state omega, and every other spectral trajectory decays to
-    zero: omega > 0 gives ``eventually_EB``, omega on the state-space
-    boundary gives ``asymptotically_EB``.  When the spectral path does not
+    The spectral path (``spectral_semigroup``) fires when the family is
+    constant, its generator's kernel is one-dimensional, spanned by a state
+    omega, and every other eigenvalue has a negative real part: omega > 0
+    gives ``eventually_EB``, omega on the state-space boundary gives
+    ``asymptotically_EB``.  When the spectral path does not
     apply, evidence from the asymptotic map is used: an interior limit still
     certifies ``eventually_EB``; a boundary limit approached from outside
     gives ``asymptotically_PPT`` (upgraded to ``asymptotically_EB`` for
@@ -763,33 +728,22 @@ def predict_eventually_eb(family, handle=None, horizon=None) -> AsymptoticVerdic
         w, v, idx, scale = kernel
         kernel_dim = int(len(idx))
         if kernel_dim == 1:
-            omega = _common_kernel_state(family, v, idx)
-            if omega is not None:
-                if family.constant:
-                    nonzero_re = np.delete(w.real, idx)
-                    divergent = bool(np.all(nonzero_re < -1e-9 * max(1.0, scale)))
-                    basis = "spectral_semigroup"
-                elif family.commutative:
-                    divergent = _commuting_divergence(family, w, v, idx, horizon)
-                    basis = "spectral_commuting"
-                else:
-                    divergent = None
-                    basis = "none"
-                if divergent:
-                    min_w = float(np.linalg.eigvalsh(omega)[0])
-                    evidence["omega_min_eig"] = min_w
-                    if min_w > tolerances.PSD_TOL:
-                        return AsymptoticVerdict(
-                            "eventually_EB", basis, omega=omega,
-                            kernel_dim=1, divergence=True,
-                            numeric_evidence=evidence,
-                        )
-                    if min_w >= -tolerances.PSD_TOL:
-                        return AsymptoticVerdict(
-                            "asymptotically_EB", basis, omega=omega,
-                            kernel_dim=1, divergence=True,
-                            numeric_evidence=evidence,
-                        )
+            omega = matcore.unit_trace_hermitian(v[:, idx[0]], family.d, 1e-8)
+            if omega is not None and np.all(np.delete(w.real, idx) < -1e-9 * max(1.0, scale)):
+                min_w = float(np.linalg.eigvalsh(omega)[0])
+                evidence["omega_min_eig"] = min_w
+                if min_w > tolerances.PSD_TOL:
+                    return AsymptoticVerdict(
+                        "eventually_EB", "spectral_semigroup", omega=omega,
+                        kernel_dim=1, divergence=True,
+                        numeric_evidence=evidence,
+                    )
+                if min_w >= -tolerances.PSD_TOL:
+                    return AsymptoticVerdict(
+                        "asymptotically_EB", "spectral_semigroup", omega=omega,
+                        kernel_dim=1, divergence=True,
+                        numeric_evidence=evidence,
+                    )
     return _evidence_verdict(family, handle, horizon, kernel_dim, evidence)
 
 

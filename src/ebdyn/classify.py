@@ -98,12 +98,13 @@ def choi_floors(stack, d, cp=True, cocp=True):
     and their layout: one group per pattern (off the diagonal, as a
     diagonal entry joins no two indices), so a stack whose maps share one
     pattern, the common case, reads one layout.  Then each map of a dense
-    layout (C and C^Gamma each one block) and each map with a non-finite
-    entry goes to the one dense part, whose whole Choi matrices take the
-    dense eigensolve; so a stack of generic maps costs one dense solve per
-    floor.  A partial transpose deviates from Hermiticity exactly as its
-    Choi matrix does, so a stack raises the NotHermitianError of its first
-    non-Hermitian map.
+    layout (C and C^Gamma each one block) goes to the one dense part, whose
+    whole Choi matrices take the dense eigensolve; so a stack of generic
+    maps costs one dense solve per floor.  A partial transpose deviates
+    from Hermiticity exactly as its Choi matrix does, so a stack raises the
+    error of its first bad map, before any eigensolve: NotHermitianError,
+    or NoConvergenceError for a NaN or infinite entry (the message of
+    ``matcore._checked_hermitian``, alone and in a stack alike).
 
     A :class:`~ebdyn.superop.SpectralStack` (a spectral closed form's maps,
     held as coefficient rows) gives None for the Choi stack.  It is one
@@ -140,20 +141,8 @@ def choi_floors(stack, d, cp=True, cocp=True):
             # a dense layout gathers nothing: its maps go to the dense part
             groups.append((maps, None if layout.dense else flat[maps][:, layout.positions],
                            layout))
-    parts, dense = [], []
-    for maps, values, layout in groups:
-        if layout.dense:
-            dense.append(maps)
-        elif np.isfinite(values).all():
-            parts.append((maps, values, layout))
-        else:
-            # -0.0 is zero; NaN and inf are not, so the gathered entries hold
-            # every non-finite one, and a non-finite map is one block
-            finite = np.isfinite(values).all(axis=1)
-            maps = np.arange(len(stack))[maps]
-            dense.append(maps[~finite])
-            if finite.any():
-                parts.append((maps[finite], values[finite], layout))
+    parts = [group for group in groups if not group[2].dense]
+    dense = [maps for maps, _, layout in groups if layout.dense]
     if dense:
         maps = dense[0]
         if len(dense) > 1 or not isinstance(maps, slice):
@@ -288,9 +277,10 @@ def _layout_floors(parts, n_maps, d, cp, cocp, choi_of):
 
     Hermiticity is judged on the entries of C's blocks, which hold every
     nonzero entry, so with the whole matrix's deviation and tolerance; a
-    partial transpose deviates exactly as C does.  If any map fails, the
-    Choi stack (``choi_of(slice(None))``) is checked in order, so the error
-    names the first non-Hermitian map.  A 1 x 1 block's
+    partial transpose deviates exactly as C does.  A NaN or infinite entry
+    is nonzero, so it is among them, and its deviation is NaN or infinite.
+    If any map fails, the Choi stack (``choi_of(slice(None))``) is checked
+    in order, so the error is that of the first bad map.  A 1 x 1 block's
     eigenvalue is its entry; a 2 x 2 block's smaller one is
     min(p, q) - |z|^2 / (h + hypot(h, |z|)) with h = |p - q| / 2, which has
     no cancellation and is min(p, q) exactly when z = 0.  Each larger block
@@ -317,11 +307,14 @@ def _layout_floors(parts, n_maps, d, cp, cocp, choi_of):
         else:
             read, h = values[:, layout.take], layout.herm
             block, mirror, axes = read[:, :h], read[:, h:2 * h], 1
-        devs = np.abs(block - mirror.conj())
-        # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the first test
-        if devs.size and devs.max() > tolerances.HERM_TOL_SCALE and (
+        with np.errstate(invalid="ignore"):  # inf - inf at a non-finite entry is NaN
+            devs = np.abs(block - mirror.conj())
+        top = devs.max(initial=0.0)
+        # no tolerance is below HERM_TOL_SCALE, so most stacks stop at the
+        # first test, which a NaN deviation fails
+        if not top <= tolerances.HERM_TOL_SCALE and (not np.isfinite(top) or (
                 devs.max(axis=axes) > tolerances.HERM_TOL_SCALE * np.maximum(
-                    1.0, np.abs(block).max(axis=axes))).any():
+                    1.0, np.abs(block).max(axis=axes))).any()):
             matcore._checked_hermitian(choi_of(slice(None)), None)
         if layout is None:
             for side in sides:

@@ -92,7 +92,6 @@ class GeneratorFamily:
     d: int
     kind: str
     generator_matrix: Callable[[float], np.ndarray] = field(repr=False)
-    commutative: bool = False
     constant: bool = False
     closed_form: ClosedFormSolution | None = None
     stationary_state: np.ndarray | None = None
@@ -210,17 +209,6 @@ def _check_trace_annihilating(gen, d, constant=False):
             raise EbdynError(f"generator does not annihilate the trace at t={t:g}")
 
 
-def _sampled_commutative(gen, times=(0.31, 0.9, 2.17)) -> bool:
-    mats = [gen(t) for t in times]
-    scale = max(1.0, max(float(np.abs(m).max()) for m in mats))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if float(np.abs(comm).max()) > 1e-9 * scale * scale:
-                return False
-    return True
-
-
 def _sampled_nonnegative(rates, times=np.linspace(0.0, 10.0, 41)) -> bool:
     return all(r(t) >= -1e-12 for r in rates for t in times)
 
@@ -276,18 +264,15 @@ def gkls(hamiltonian, lindblads) -> GeneratorFamily:
 
     _check_trace_annihilating(gen, d, constant)
     if constant:
-        commutative = True
         cp_div = all(r.constant >= 0.0 for r in rates)
         basis = "constant_rates"
     else:
-        commutative = _sampled_commutative(gen)
         cp_div = _sampled_nonnegative(rates)
         basis = "sampled_rates"
     return GeneratorFamily(
         d=d,
         kind="gkls",
         generator_matrix=gen,
-        commutative=commutative,
         constant=constant,
         closed_form=None,
         stationary_state=None,
@@ -372,7 +357,6 @@ def pauli_channel(gammas, antiderivatives=None) -> GeneratorFamily:
         d=2,
         kind="pauli",
         generator_matrix=gen,
-        commutative=True,
         constant=constant,
         closed_form=cf,
         stationary_state=np.eye(2, dtype=complex) / 2.0,
@@ -440,7 +424,6 @@ def eternal_nm(alpha) -> GeneratorFamily:
         d=2,
         kind="eternal_nm",
         generator_matrix=base.generator_matrix,
-        commutative=True,
         constant=False,
         closed_form=cf,
         stationary_state=np.eye(2, dtype=complex) / 2.0,
@@ -520,7 +503,6 @@ def phase_covariant(omega_freq, gamma_plus, gamma_minus, gamma_z) -> GeneratorFa
         d=2,
         kind="phase_covariant",
         generator_matrix=gen,
-        commutative=True,
         constant=True,
         closed_form=cf,
         stationary_state=pops if gl > 0.0 else None,
@@ -586,7 +568,6 @@ def depolarizing(gamma, omega) -> GeneratorFamily:
         d=d,
         kind="depolarizing",
         generator_matrix=gen,
-        commutative=True,
         constant=True,
         closed_form=cf,
         stationary_state=w,
@@ -666,7 +647,6 @@ def detailed_balance(hamiltonian, jumps, beta) -> GeneratorFamily:
         d=d,
         kind="detailed_balance",
         generator_matrix=gen,
-        commutative=True,
         constant=True,
         closed_form=None,
         stationary_state=gibbs,
@@ -770,7 +750,6 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
         d=d,
         kind="floquet_product",
         generator_matrix=gen,
-        commutative=False,
         constant=False,
         closed_form=cf,
         stationary_state=None,
@@ -911,7 +890,6 @@ def pure_decoherence(h=None, a=None, cutoff=None) -> GeneratorFamily:
         d=d,
         kind="pure_decoherence",
         generator_matrix=gen,
-        commutative=True,
         constant=constant and cutoff is None,
         closed_form=cf,
         stationary_state=None,
@@ -975,7 +953,6 @@ def diagonally_covariant(h, a, b) -> GeneratorFamily:
         d=d,
         kind="diagonally_covariant",
         generator_matrix=gen,
-        commutative=True if constant else _sampled_commutative(gen),
         constant=constant,
         closed_form=None,
         stationary_state=None,

@@ -10,6 +10,9 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -75,24 +78,31 @@ def _as_square(m):
 
 
 def _checked_hermitian(m, tol):
-    """``m`` as a square matrix (or stack), or NotHermitianError beyond ``tol``.
+    """``m`` as a square matrix (or stack), or the error of its first bad matrix.
 
     Each matrix of a stack is judged on its own, against ``tol`` or its own
-    default tolerance; the error reports the first matrix beyond it.  An
-    infinite ``tol`` skips the check.
+    default tolerance.  The first matrix beyond it raises NotHermitianError,
+    or NoConvergenceError when it has a NaN or infinite entry: its deviation
+    is then NaN or infinite, and no eigensolver reads such a matrix soundly
+    (LAPACK reads only the real part of the diagonal).  An infinite ``tol``
+    skips the check.
     """
     a = _as_square(m)
     if not a.size or tol == np.inf:
         return a
     stack = a.reshape((-1,) + a.shape[-2:])
-    devs = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    # no default tolerance is below HERM_TOL_SCALE, so most input stops here
+    with np.errstate(invalid="ignore"):  # inf - inf at a non-finite entry is NaN
+        devs = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    # no default tolerance is below HERM_TOL_SCALE, so most input stops here;
+    # a NaN deviation fails the test
     if devs.max() <= (tolerances.HERM_TOL_SCALE if tol is None else tol):
         return a
     tols = tolerances.herm_tol(stack) if tol is None else np.full(devs.shape, tol)
-    bad = np.flatnonzero(devs > tols)
+    bad = np.flatnonzero(~np.isfinite(devs) | (devs > tols))
     if bad.size:
         k = bad[0]
+        if not np.isfinite(devs[k]):
+            raise NoConvergenceError("matrix has a non-finite entry")
         raise NotHermitianError(f"deviation from Hermiticity {devs[k]:.3e} exceeds {tols[k]:.3e}")
     return a
 
@@ -119,7 +129,8 @@ def herm_eig(m, tol=None):
     NotHermitianError
         If ``m`` deviates from Hermiticity beyond ``tol``.
     NoConvergenceError
-        If the underlying solver fails.
+        If ``m`` has a NaN or infinite entry (with a finite ``tol``), or if
+        the underlying solver fails.
     """
     a = _checked_hermitian(m, tol)
     try:
@@ -144,6 +155,64 @@ def min_herm_eig(m, tol=None):
     return float(w[0]) if a.ndim == 2 else w[:, 0]
 
 
+def _connected(mask):
+    """Whether the pattern ``mask`` (n x n, n >= 1) is one connected component
+    of the graph joining i and j where ``mask[i, j]`` or ``mask[j, i]``."""
+    if mask.all():
+        return True
+    mask = mask | mask.T
+    np.fill_diagonal(mask, True)
+    reach = mask[0]
+    while True:
+        grown = mask[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d):
+    """``(T, T^dagger)``: the read-only unitary ``(d^2, d^2)`` whose columns are
+    the vec of an orthonormal basis of Hermitian d x d matrices: E_ii at
+    vec index i + d i and, for i < j, (E_ij + E_ji) / sqrt(2) at i + d j and
+    i (E_ij - E_ji) / sqrt(2) at j + d i."""
+    n = d * d
+    t = np.zeros((n, n), dtype=complex)
+    s = np.sqrt(0.5)
+    for i in range(d):
+        t[i + d * i, i + d * i] = 1.0
+        for j in range(i + 1, d):
+            ij, ji = i + d * j, j + d * i
+            t[ij, ij] = t[ji, ij] = s
+            t[ij, ji], t[ji, ji] = 1j * s, -1j * s
+    t_dag = t.conj().T.copy()
+    for arr in (t, t_dag):
+        arr.flags.writeable = False
+    return t, t_dag
+
+
+def _real_form(a):
+    """``(T, T^dagger, R)`` with R = Re(T^dagger a T) real, when ``a`` is a
+    Hermiticity-preserving superoperator matrix ``(d^2, d^2)``, d >= 3, to
+    rounding level (``tolerances.REAL_FORM_TOL``) whose exact-zero pattern
+    is one connected component; else None.
+
+    In the Hermitian basis ``T`` (:func:`_hermitian_basis`) a map that
+    preserves Hermiticity is a real matrix: each entry tr(T_a a(T_b)) is
+    the trace of a product of two Hermitian matrices.  At d = 2 the four
+    basis products cost more than the real ``eig`` of a 4 x 4 saves.
+    """
+    n = a.shape[0]
+    d = math.isqrt(n)
+    if d < 3 or d * d != n or not _connected(a != 0):
+        return None
+    t, t_dag = _hermitian_basis(d)
+    r = t_dag @ a @ t
+    if not np.abs(r.imag).max() <= tolerances.REAL_FORM_TOL * np.abs(r.real).max():
+        return None
+    return t, t_dag, r.real
+
+
 def exp_generator(m):
     """The one-parameter group ``tau -> expm(tau * m)`` of a fixed matrix.
 
@@ -153,27 +222,48 @@ def exp_generator(m):
     is ill-conditioned (beyond ``EXPM_EIG_COND_LIMIT``) or cannot be
     inverted, each call falls back to scaling-and-squaring instead.
 
+    A generator that preserves Hermiticity, such as a GKLS generator, is
+    a real matrix R = T^dagger m T in an orthonormal Hermitian basis ``T``
+    (the real Bloch-Liouville form), and a real ``eig`` costs about a third
+    of a complex one (64 x 64, one BLAS thread: 1.4 against 4.2 ms).  So a
+    ``(d^2, d^2)`` matrix, d >= 3, that preserves Hermiticity to rounding
+    level and whose exact-zero pattern is one connected component (see
+    :func:`_real_form`) is diagonalized as
+    ``R = V_r diag(w) V_r^-1`` with ``V = T V_r`` and ``V^-1 = V_r^-1
+    T^dagger``; T is unitary, so ``cond(V) = cond(V_r)`` takes the same
+    gate.  A pattern that splits, as those of the generators covariant
+    under diagonal unitaries do, stays on the complex route: T mixes the
+    entries of E_ij and E_ji, so the exponential would carry rounding noise
+    where the complex route keeps the exact zeros that
+    ``classify.choi_floors`` reads as its block layout.
+
     A scalar ``tau`` gives one matrix; an array of times gives the stack of
     their exponentials, from one batched product (the fallback loops over
     the times).  Each matrix of the stack equals the scalar call bitwise.
 
-    The returned callable carries the eigenvalues ``w`` of ``m`` (those of
-    ``np.linalg.eig``, also on the fallback) as ``eigenvalues``; it is None
-    when ``eig`` failed.
+    The returned callable carries the eigenvalues ``w`` of ``m`` as a
+    complex array, ``eigenvalues`` (those of ``np.linalg.eig`` of R or of
+    ``m``, also on the fallback); it is None when ``eig`` failed.
     """
     a = as_matrix(m, square=True)
+    t, t_dag, r = _real_form(a) or (None, None, a)
     w = None
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig(r)
         cond = np.linalg.cond(v)
     except np.linalg.LinAlgError:
         cond = np.inf
+    if w is not None:
+        w = w.astype(complex, copy=False)
     if np.isfinite(cond) and cond < tolerances.EXPM_EIG_COND_LIMIT:
         try:
             v_inv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
             pass
         else:
+            if t is not None:
+                v, v_inv = t @ v, v_inv @ t_dag
+
             def eigenbasis(tau):
                 return (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ v_inv
 
@@ -197,9 +287,10 @@ def exp_generator(m):
 def expm(m):
     """Matrix exponential, ``exp_generator(m)(1.0)``.
 
-    Diagonalizable input goes through its eigenbasis; when the eigenvector
-    matrix is ill-conditioned the computation falls back to
-    scaling-and-squaring.
+    Diagonalizable input goes through its eigenbasis, a Hermiticity-preserving
+    generator through that of its real form (see :func:`exp_generator`);
+    when the eigenvector matrix is ill-conditioned the computation falls
+    back to scaling-and-squaring.
     """
     return exp_generator(m)(1.0)
 

@@ -32,6 +32,11 @@ SINGULAR_COND_LIMIT = 1e12
 # well-conditioned; otherwise it falls back to scaling-and-squaring.
 EXPM_EIG_COND_LIMIT = 1e6
 
+# A superoperator matrix preserves Hermiticity to rounding level when the
+# imaginary part of its form in a Hermitian basis is below this, relative to
+# the real part's largest entry (GKLS generators read about 1e-16).
+REAL_FORM_TOL = 1e-14
+
 # Direct integration of the evolution equation.
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-12

@@ -391,14 +391,19 @@ def test_python_dash_m_runs_the_cli():
 
 @pytest.mark.parametrize("kind", ["gkls", "detailed_balance", "diagonally_covariant"])
 def test_constant_generator_is_diagonalized_once(tmp_path, capsys, monkeypatch, kind):
-    """classify of a constant generator without a closed form: one eig, no eigvals."""
+    """classify of a constant generator without a closed form: one eig, no
+    eigvals.  The dense gkls generator's eig receives its real form, a real
+    float64 matrix; the split patterns of the diagonal-unitary covariant
+    generators keep the complex matrix."""
     calls = {"eig": 0, "eigvals": 0}
+    dtypes = []
     for name in calls:
         real = getattr(np.linalg, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
+        def counted(a, *args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            dtypes.append(np.asarray(a).dtype)
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     config = tmp_path / f"{kind}.ini"
@@ -406,6 +411,7 @@ def test_constant_generator_is_diagonalized_once(tmp_path, capsys, monkeypatch, 
     assert cli.main(["classify", "--config", str(config)]) == 0
     capsys.readouterr()
     assert calls == {"eig": 1, "eigvals": 0}
+    assert dtypes == [np.dtype(np.float64 if kind == "gkls" else np.complex128)]
 
 
 @pytest.mark.parametrize("error", [

@@ -328,7 +328,7 @@ def test_a_family_that_only_looks_commutative_runs_on_the_trajectory():
     exponential of the integrated generator (off by 8.4e-2, PPT arrival 3.165)."""
     fam = looks_commutative_gkls()
     gen = fam.generator_matrix
-    assert fam.commutative and not fam.constant
+    assert not fam.constant
     assert np.abs(gen(4.0) @ gen(1.0) - gen(1.0) @ gen(4.0)).max() > 0.1
     handle = evolve.EvolutionHandle(fam)
     assert handle.solver == "ode"

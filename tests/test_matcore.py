@@ -1,13 +1,17 @@
 """Dense linear-algebra substrate, checked against independently coded oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from ebdyn import matcore, tolerances
+from ebdyn import cli, matcore, tolerances
 from ebdyn.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
-from helpers import ginibre, random_gkls_family, random_hermitian
+from helpers import ginibre, random_config_text, random_gkls_family, random_hermitian, shipped_family
 
 
 def charpoly_roots(m):
@@ -143,20 +147,36 @@ class TestExpm:
         )
 
 
-def inline_expm(m):
-    """The eigenbasis-or-scipy exponential written out in one function."""
+def inline_expm(m, real=False, tau=1.0):
+    """The eigenbasis-or-scipy exponential written out in one function;
+    ``real`` diagonalizes Re(T^dagger m T) in the Hermitian basis T and
+    maps its eigenvectors back, V = T V_r and V^-1 = V_r^-1 T^dagger."""
     a = np.asarray(m, dtype=complex)
+    if real:
+        t, t_dag = matcore._hermitian_basis(math.isqrt(len(a)))
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig((t_dag @ a @ t).real if real else a)
         cond = np.linalg.cond(v)
     except np.linalg.LinAlgError:
         cond = np.inf
     if np.isfinite(cond) and cond < tolerances.EXPM_EIG_COND_LIMIT:
         try:
-            return (v * np.exp(w)) @ np.linalg.inv(v)
+            v_inv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
             pass
-    return scipy.linalg.expm(a)
+        else:
+            if real:
+                v, v_inv = t @ v, v_inv @ t_dag
+            return (v * np.exp(tau * w.astype(complex))) @ v_inv
+    return scipy.linalg.expm(tau * a)
+
+
+def inline_eigenvalues(m, real=False):
+    a = np.asarray(m, dtype=complex)
+    if real:
+        t, t_dag = matcore._hermitian_basis(math.isqrt(len(a)))
+        a = (t_dag @ a @ t).real
+    return np.linalg.eig(a)[0].astype(complex)
 
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -183,12 +203,17 @@ class TestExpGenerator:
         np.testing.assert_allclose(exp_gen(3.0), [[1.0, 3.0], [0.0, 1.0]], atol=1e-14)
 
     def test_expm_is_bitwise_the_inline_formula(self):
+        """Dense GKLS generators at d = 3, 4 take the real route; the others
+        (a d = 2 generator, Jordan, zero, ginibre, diagonal) the complex one."""
         rng = np.random.default_rng(25)
-        cases = [np.zeros((3, 3)), np.diag([1.5, -0.5]), JORDAN]
+        cases = [np.zeros((3, 3)), np.zeros((9, 9)), np.diag([1.5, -0.5]), JORDAN]
         cases += [ginibre(rng, d) for d in (2, 3, 4, 9)]
-        cases += [random_gkls_family(rng, d).generator_matrix(0.0) for d in (2, 3, 4)]
+        cases += [random_gkls_family(rng, 2).generator_matrix(0.0)]
+        real = [random_gkls_family(rng, d).generator_matrix(0.0) for d in (3, 4)]
         for m in cases:
             np.testing.assert_array_equal(matcore.expm(m), inline_expm(m))
+        for m in real:
+            np.testing.assert_array_equal(matcore.expm(m), inline_expm(m, real=True))
 
     def test_time_array_stacks_the_scalar_calls(self):
         """A grid of times is one batched product, bitwise each scalar call."""
@@ -204,13 +229,15 @@ class TestExpGenerator:
             assert exp_gen(np.array([])).shape == (0,) + m.shape
 
     def test_eigenvalues_are_those_of_eig(self):
-        """On both routes, the callable carries np.linalg.eig's eigenvalues."""
+        """On every route, the callable carries np.linalg.eig's eigenvalues, as
+        a complex array: of Re(T^dagger m T) on the real route, else of m."""
         rng = np.random.default_rng(28)
-        cases = [random_gkls_family(rng, d).generator_matrix(0.0) for d in (2, 3, 4)]
-        for m in cases + [JORDAN, np.zeros((2, 2))]:
+        cases = [(random_gkls_family(rng, 2).generator_matrix(0.0), False)]
+        cases += [(random_gkls_family(rng, d).generator_matrix(0.0), True) for d in (3, 4)]
+        for m, real in cases + [(JORDAN, False), (np.zeros((2, 2)), False)]:
             got = matcore.exp_generator(m).eigenvalues
-            want = np.linalg.eig(np.asarray(m, dtype=complex))[0]
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            want = inline_eigenvalues(m, real)
+            assert got.dtype == want.dtype == complex and got.tobytes() == want.tobytes()
 
     def test_eigenvalues_are_none_when_eig_fails(self):
         assert matcore.exp_generator(np.array([[np.nan, 0.0], [0.0, 1.0]])).eigenvalues is None
@@ -219,6 +246,96 @@ class TestExpGenerator:
         rng = np.random.default_rng(26)
         exp_gen = matcore.exp_generator(random_gkls_family(rng, 3).generator_matrix(0.0))
         np.testing.assert_allclose(exp_gen(0.4) @ exp_gen(1.1), exp_gen(1.5), atol=1e-12)
+
+
+class TestRealRoute:
+    """``exp_generator`` of a Hermiticity-preserving d >= 3 generator with a
+    connected pattern, diagonalized as a real matrix, against the complex
+    route it replaces and against scipy."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_hermitian_basis_is_orthonormal_and_hermitian(self, d):
+        t, t_dag = matcore._hermitian_basis(d)
+        assert matcore._hermitian_basis(d)[0] is t and not t.flags.writeable
+        np.testing.assert_array_equal(t_dag, t.conj().T)
+        np.testing.assert_allclose(t_dag @ t, np.eye(d * d), rtol=0, atol=1e-15)
+        for col in t.T:
+            x = matcore.unvec(col, d)
+            np.testing.assert_array_equal(x, x.conj().T)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           taus=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))
+    def test_agrees_with_the_complex_route_and_scipy(self, seed, d, taus):
+        rng = np.random.default_rng(seed)
+        gen = random_gkls_family(rng, d, n_jumps=int(rng.integers(1, 4))).generator_matrix(0.0)
+        assert (matcore._real_form(gen) is not None) == (d >= 3)
+        exp_gen = matcore.exp_generator(gen)
+        stack = exp_gen(np.array(taus))
+        scale = max(1.0, float(np.abs(gen).max()))
+        for tau, from_stack in zip(taus, stack):
+            got = exp_gen(tau)
+            np.testing.assert_array_equal(from_stack, got)
+            bound = 1e-12 * scale * max(1.0, tau)
+            for want in (inline_expm(gen, tau=tau), scipy.linalg.expm(tau * gen)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+        # the same multiset as the complex eig, matched pairwise
+        want = np.linalg.eig(gen)[0]
+        got = exp_gen.eigenvalues
+        cost = np.abs(got[:, None] - want[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10 * scale
+
+    @staticmethod
+    def complex_cases(tmp_path):
+        rng = np.random.default_rng(29)
+        gen = random_gkls_family(rng, 3).generator_matrix(0.0)
+        scale = float(np.abs(gen).max())
+        cases = {
+            "gkls_damped_qubit": shipped_family("gkls_damped_qubit").generator_matrix(0.0),
+            "floquet_rotating core": shipped_family(
+                "floquet_rotating").params["core"].generator_matrix(0.0),
+            "detailed_balance_ladder": shipped_family(
+                "detailed_balance_ladder").generator_matrix(0.0),
+            "diagonally_covariant": shipped_family("diagonally_covariant").generator_matrix(0.0),
+            "ginibre 9": ginibre(rng, 9),
+            "ginibre 16": ginibre(rng, 16),
+            # i times the identity breaks Hermiticity preservation: Im(T^dagger L T)
+            # is 1e-12 of the generator's scale, above rounding level
+            "not quite Hermiticity preserving": gen + 1e-12j * scale * np.eye(9),
+        }
+        for kind in ("detailed_balance", "diagonally_covariant"):
+            for d in (3, 4, 5):
+                config = tmp_path / f"{kind}{d}.ini"
+                config.write_text(random_config_text(np.random.default_rng(d), kind, d))
+                cases[f"{kind} {d}"] = cli.load_config(str(config))[0].generator_matrix(0.0)
+        return cases
+
+    def test_split_patterns_and_non_hermiticity_preserving_input_stay_complex(self, tmp_path):
+        taus = np.array([0.0, 0.3, 1.0, 7.5])
+        for name, m in self.complex_cases(tmp_path).items():
+            assert matcore._real_form(matcore.as_matrix(m)) is None, name
+            exp_gen = matcore.exp_generator(m)
+            for tau, got in zip(taus, exp_gen(taus)):
+                np.testing.assert_array_equal(got, inline_expm(m, tau=tau), err_msg=name)
+            assert exp_gen.eigenvalues.tobytes() == inline_eigenvalues(m).tobytes(), name
+
+    def test_rounding_level_imaginary_part_keeps_the_real_route(self):
+        gen = random_gkls_family(np.random.default_rng(30), 3).generator_matrix(0.0)
+        scale = float(np.abs(gen).max())
+        for eps, real in ((1e-16, True), (1e-13, False)):
+            m = gen + eps * 1j * scale * np.eye(9)
+            assert (matcore._real_form(m) is not None) == real
+            np.testing.assert_array_equal(matcore.expm(m), inline_expm(m, real=real))
+
+    def test_connected_pattern(self):
+        path = np.eye(5, k=1, dtype=bool)  # 0 - 1 - 2 - 3 - 4, one direction only
+        assert matcore._connected(path) and matcore._connected(path.T)
+        split = path.copy()
+        split[2, 3] = False
+        assert not matcore._connected(split)
+        assert matcore._connected(np.ones((1, 1), dtype=bool))
+        assert not matcore._connected(np.zeros((2, 2), dtype=bool))
 
 
 class TestKron:

@@ -425,7 +425,7 @@ def solve_shapes(monkeypatch):
 def test_one_off_pattern_entry_reroutes_only_that_map(monkeypatch, entry):
     """A tiny entry off the covariant pattern is an entry of that map's own
     pattern: the map takes that pattern's layout (one block more), a NaN
-    sends it down the dense path, and the other maps keep their floors."""
+    raises before any eigensolve, and the other maps keep their floors."""
     d = 5
     stack = covariant_stack(np.random.default_rng(41), d)
     choi = classify.choi_floors(stack, d)[0]
@@ -440,7 +440,7 @@ def test_one_off_pattern_entry_reroutes_only_that_map(monkeypatch, entry):
         with pytest.raises(NoConvergenceError) as stacked:
             classify.choi_floors(stack, d)
         assert str(stacked.value) == str(alone.value)
-        assert calls == [(3, d, d), (1, d * d, d * d)]
+        assert calls == []
         return
     # C: the 5 x 5 block of the others and of this map, and one more pair;
     # C^Gamma: the pairs, and now a 3 x 3 block {02, 11, 20} of this map
@@ -456,10 +456,11 @@ def test_one_off_pattern_entry_reroutes_only_that_map(monkeypatch, entry):
         assert (min_c[k], min_pt[k]) == (c_k[0], pt_k[0])
 
 
-def test_one_nan_on_the_shared_pattern_sends_only_that_map_down_the_dense_path(monkeypatch):
+def test_one_nan_on_the_shared_pattern_raises_before_any_solve(monkeypatch):
     """A NaN on the pattern every map of the stack shares (|00><11|, in the
-    block) leaves the pattern as it is; its map alone goes dense and raises
-    the error it raises alone, after one block solve for the other three."""
+    block) leaves the pattern as it is; the stack raises the error its map
+    raises alone, before any eigensolve, and without it the other three
+    take one block solve."""
     d = 5
     stack = covariant_stack(np.random.default_rng(41), d)
     choi = superop._choi_shuffle(stack, d).copy()
@@ -472,8 +473,7 @@ def test_one_nan_on_the_shared_pattern_sends_only_that_map_down_the_dense_path(m
     with pytest.raises(NoConvergenceError) as stacked:
         classify.choi_floors(stack, d)
     assert str(stacked.value) == str(alone.value)
-    assert calls == [(3, d, d), (1, d * d, d * d)]
-    calls.clear()
+    assert calls == []
     rest = stack[[0, 1, 3]]
     _, min_c, min_pt = classify.choi_floors(rest, d)
     assert calls == [(3, d, d)]
@@ -492,16 +492,47 @@ def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(
     choi[2, 1, 7] = entry  # |01><12|: off the block and the diagonal
     assert is_routed(choi[2], d) == routed
     calls = solve_shapes(monkeypatch)
-    try:
-        _, min_c, min_pt = classify.choi_floors(superop._choi_shuffle(choi, d), d)
-    except (NoConvergenceError, NotHermitianError):
-        assert not routed
+    if not routed:
+        # a non-finite entry raises before any eigensolve
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            classify.choi_floors(superop._choi_shuffle(choi, d), d)
+        assert calls == []
+        return
+    _, min_c, min_pt = classify.choi_floors(superop._choi_shuffle(choi, d), d)
     # the zero map keeps the layout of the others: one block solve for all four
-    assert calls[0] == (4 if routed else 3, d, d)
-    assert ((1, d * d, d * d) in calls) != routed
-    if routed:
-        _, want_c, want_pt = classify.choi_floors(stack, d)
-        assert list(min_c) == list(want_c) and list(min_pt) == list(want_pt)
+    assert calls == [(4, d, d)]
+    _, want_c, want_pt = classify.choi_floors(stack, d)
+    assert list(min_c) == list(want_c) and list(min_pt) == list(want_pt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("entry", [complex(0.5, np.nan), np.nan, np.inf, -np.inf])
+def test_a_non_finite_choi_entry_raises_alone_and_in_a_stack(d, entry):
+    """A CPTP map whose C[0, 0] has a NaN imaginary part once got finite
+    floors and is_cp (LAPACK reads only the real part of the diagonal), and
+    C[0, 0] = inf NaN floors, reported as EB_refuted: now the classifier and
+    the direct eigensolves raise, with one message, and warn of nothing."""
+    rng = np.random.default_rng(70 + d)
+    choi = superop._choi_shuffle(np.array([random_cptp(rng, d).matrix for _ in range(3)]), d)
+    choi[1, 0, 0] = entry
+    stack = superop._choi_shuffle(choi, d)
+    messages = set()
+    calls = [lambda s=s: classify.choi_floors(s, d) for s in (stack[1:2], stack)]
+    calls += [lambda s=s: classify.classify_stack(s, d) for s in (stack[1:2], stack)]
+    calls += [lambda m=m, f=f: f(m) for m in (choi[1], choi)
+              for f in (matcore.min_herm_eig, matcore.herm_eig)]
+    for call in calls:
+        with pytest.raises(NoConvergenceError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {"matrix has a non-finite entry"}
+    # the error is that of the first bad map
+    choi[0, 0, 1] += 1e-3
+    with pytest.raises(NotHermitianError):
+        classify.choi_floors(superop._choi_shuffle(choi, d), d)
+    with pytest.raises(NoConvergenceError):
+        classify.choi_floors(superop._choi_shuffle(choi[::-1], d), d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -589,7 +620,7 @@ NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan),
                               complex(np.inf, 1.0)])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data(),
        kinds=st.lists(st.sampled_from(["generic", "covariant", "sparse", "identity",
