@@ -20,6 +20,7 @@ evolution into the interior of the EB cone in finite time.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -142,25 +143,17 @@ class Search:
         return 1e-10 * self.t_max
 
 
-def _reference_generators(family):
-    """Nonvanishing generator matrices at t = 0, then t = 1, with their scale."""
+def _spectral_gap(family) -> float | None:
+    # a constant generator without a closed form reads its family's spectral
+    # record, which its evolution and its limit share; falls through to t = 1
+    # when the generator at t = 0 vanishes or has no decaying mode
+    record = family.constant and family.closed_form is None
     for t_ref in (0.0, 1.0):
         m = family.generator_matrix(t_ref)
         scale = float(np.abs(m).max())
-        if scale >= 1e-12:
-            yield m, scale
-
-
-def _spectral_gap(handle_or_family) -> float | None:
-    # a constant generator that a handle evolves through its exponential is
-    # diagonalized there, once; falls through to t = 1 when the generator at
-    # t = 0 has no decaying mode
-    handle = handle_or_family if isinstance(handle_or_family, evolve.EvolutionHandle) else None
-    family = handle_or_family if handle is None else handle.family
-    for m, scale in _reference_generators(family):
-        w = None
-        if handle is not None and handle.solver == "commuting_exp":
-            w = handle._generator_exponential().eigenvalues
+        if scale < 1e-12:
+            continue
+        w = family.spectrum.eigenvalues if record else None
         re = np.abs((np.linalg.eigvals(m) if w is None else w).real)
         nonzero = re[re > 1e-9 * scale]
         if nonzero.size:
@@ -173,13 +166,16 @@ def default_search(handle_or_family, t_max=None, grid_n=2000, bisect_tol=None) -
 
     t_max = 20 / min |Re mu| over the nonzero-real-part spectrum of the
     generator, falling back to 20 when the generator gives no scale.  Accepts
-    a family or an :class:`~ebdyn.evolve.EvolutionHandle`.  A handle that
-    evolves a constant generator through its exponential gives the
-    eigenvalues of that diagonalization, which the evolution then reuses;
-    otherwise the spectrum comes from ``np.linalg.eigvals``.
+    a family or an :class:`~ebdyn.evolve.EvolutionHandle` (its family).  A
+    constant generator without a closed form gives the eigenvalues of its
+    family's spectral record (``GeneratorFamily.spectrum``), diagonalized once
+    per family and read again by its evolution and its limit; any other
+    family, which never reads eigenvectors, takes ``np.linalg.eigvals``.
     """
     if t_max is None:
-        gap = _spectral_gap(handle_or_family)
+        family = (handle_or_family.family if isinstance(handle_or_family, evolve.EvolutionHandle)
+                  else handle_or_family)
+        gap = _spectral_gap(family)
         t_max = 20.0 / gap if gap else 20.0
     return Search(t_max=float(t_max), grid_n=grid_n, bisect_tol=bisect_tol)
 
@@ -244,7 +240,26 @@ def _limit(family, handle, horizon):
             if coeffs is None:
                 coeffs = _coefficient_limits(cf, family, horizon)
             return superop.spectral_sum(coeffs, cf.components, family.d)
+    if family.constant and family.spectrum.inverse is not None:
+        return _kernel_projector(family)
     return _numeric_limit(family, handle, horizon)
+
+
+def _kernel_projector(family):
+    """The exact limit of e^{tL} from the family's spectral record
+    L = V diag(mu) V^-1, whatever the horizon: with the kernel K of its
+    kernel rule (``GeneratorExponential.kernel``), X -> tr(X) omega when K is
+    spanned by the state omega, which preserves Hermiticity by construction,
+    else the projector Q_0 = V[:, K] V^-1[K, :].  A mode outside K that does
+    not decay (a nonzero mu with Re mu >= -1e-9 max(1, max |L|)) leaves no
+    limit."""
+    spectrum = family.spectrum
+    idx, omega, settles = spectrum.kernel()
+    if not settles:
+        raise NoLimitError(f"{family.kind}: a nonzero generator eigenvalue does not decay")
+    if omega is not None:
+        return classify.projector_onto_state(omega)
+    return superop.Superoperator(spectrum.vectors[:, idx] @ spectrum.inverse[idx, :], family.d)
 
 
 def _two_horizon_limits(a, b, zero_tol, slack, settle_tol, what):
@@ -444,8 +459,9 @@ def _tail(handle, cone, s, horizon):
     gives ``asymptotic_interior``: V_{inf,s} = Lambda_inf o Lambda_s^-1.
     There is no inversion at s = 0, nor for a limit-cycle phase, whose trace
     form X -> tr(X) w_t absorbs the trace preserving Lambda_s^-1.  Any other
-    Lambda_s is inverted unless it counts as singular, as on the inversion
-    route; then there is no tail.
+    Lambda_s is applied by the inversion route (``handle._invert_onto``:
+    its condition check, then one solve); where it counts as singular there
+    is no tail.
     """
     family = handle.family
     cf = family.closed_form
@@ -457,12 +473,10 @@ def _tail(handle, cone, s, horizon):
         return None, None
     tail = _one_phase(limit).matrix
     if s != 0.0 and not isinstance(limit, PeriodicMap):
-        lam_s = handle.solve(s).matrix
         try:
-            evolve._check_invertible(np.linalg.cond(lam_s), s)
+            tail = handle._invert_onto(tail[None], s)[0]
         except (SingularMapError, np.linalg.LinAlgError):
             return None, None
-        tail = tail @ np.linalg.inv(lam_s)
     return float(cone_witnesses(tail[None], family.d, cone)[0]), "asymptotic_interior"
 
 
@@ -560,7 +574,7 @@ def _fill(scan, handle, cone, s, search, tol, head, shortcuts):
     family = handle.family
     if scan.times is None or head is None and len(scan.times) < search.grid_n:
         core = _core(family, cone, shortcuts)
-        # one core handle per family handle, so the core is diagonalized once
+        # one core handle per family handle; it reads the core's spectral record
         grid = handle if core is None else handle._scan_result(
             ("core",), lambda: evolve.EvolutionHandle(core))
         try:
@@ -693,19 +707,6 @@ class AsymptoticVerdict:
     numeric_evidence: dict = field(default_factory=dict)
 
 
-def _kernel_analysis(family):
-    """``(w, v, idx, scale)`` of a constant generator: its eigenvalues and
-    eigenvectors, the indices of its kernel and its scale; None for a
-    time-dependent family or a vanishing generator."""
-    if not family.constant:
-        return None
-    for m, scale in _reference_generators(family):
-        w, v = np.linalg.eig(m)
-        idx = np.where(np.abs(w) <= 1e-9 * max(1.0, scale))[0]
-        return w, v, idx, scale
-    return None
-
-
 def predict_eventually_eb(family, handle=None, horizon=None) -> AsymptoticVerdict:
     """Structural verdict on the long-time EB behaviour of a family.
 
@@ -720,37 +721,24 @@ def predict_eventually_eb(family, handle=None, horizon=None) -> AsymptoticVerdic
     d = 2); a limit with a strictly negative witness refutes.
     """
     if horizon is None:
-        horizon = default_search(family if handle is None else handle).t_max
+        horizon = default_search(family).t_max
     evidence = {}
-    kernel = _kernel_analysis(family)
-    kernel_dim = None
-    if kernel is not None:
-        w, v, idx, scale = kernel
-        kernel_dim = int(len(idx))
-        if kernel_dim == 1:
-            omega = matcore.unit_trace_hermitian(v[:, idx[0]], family.d, 1e-8)
-            if omega is not None and np.all(np.delete(w.real, idx) < -1e-9 * max(1.0, scale)):
-                min_w = float(np.linalg.eigvalsh(omega)[0])
-                evidence["omega_min_eig"] = min_w
-                if min_w > tolerances.PSD_TOL:
-                    return AsymptoticVerdict(
-                        "eventually_EB", "spectral_semigroup", omega=omega,
-                        kernel_dim=1, divergence=True,
-                        numeric_evidence=evidence,
-                    )
-                if min_w >= -tolerances.PSD_TOL:
-                    return AsymptoticVerdict(
-                        "asymptotically_EB", "spectral_semigroup", omega=omega,
-                        kernel_dim=1, divergence=True,
-                        numeric_evidence=evidence,
-                    )
-    return _evidence_verdict(family, handle, horizon, kernel_dim, evidence)
+    kernel = family.spectrum.kernel() if family.constant else None
+    idx, omega, settles = kernel or (None, None, False)
+    verdict = functools.partial(AsymptoticVerdict, numeric_evidence=evidence,
+                                kernel_dim=None if idx is None else int(len(idx)))
+    if omega is not None and settles:
+        min_w = float(np.linalg.eigvalsh(omega)[0])
+        evidence["omega_min_eig"] = min_w
+        if min_w >= -tolerances.PSD_TOL:
+            label = "eventually_EB" if min_w > tolerances.PSD_TOL else "asymptotically_EB"
+            return verdict(label, "spectral_semigroup", omega=omega, divergence=True)
+    return _evidence_verdict(family, handle, horizon, verdict, evidence)
 
 
-def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
+def _evidence_verdict(family, handle, horizon, verdict, evidence):
     if handle is None:
         handle = evolve.EvolutionHandle(family)
-    tol = tolerances.PSD_TOL
     try:
         limit = asymptotic_map(family, handle=handle, horizon=horizon)
     except NoLimitError as exc:
@@ -759,14 +747,8 @@ def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
         if cf is not None and cf.diverges:
             # trace preservation pins the Choi trace, so CP maps live in a
             # bounded set; an unbounded trajectory leaves it for good
-            return AsymptoticVerdict(
-                "not_asymptotically_EB", "diverging_trajectory",
-                kernel_dim=kernel_dim, numeric_evidence=evidence,
-            )
-        return AsymptoticVerdict(
-            "undetermined", "none", kernel_dim=kernel_dim,
-            numeric_evidence=evidence,
-        )
+            return verdict("not_asymptotically_EB", "diverging_trajectory")
+        return verdict("undetermined", "none")
     periodic = isinstance(limit, PeriodicMap)
     basis = "limit_cycle" if periodic else "asymptotic"
     phase = _one_phase(limit)
@@ -774,31 +756,15 @@ def _evidence_verdict(family, handle, horizon, kernel_dim, evidence):
     w_inf = min(float(floors[1][0]), float(floors[2][0]))
     evidence[f"{basis}_witness"] = w_inf
     if classify.interior_certificates(*floors, phase.d)[0].certified:
-        return AsymptoticVerdict(
-            "eventually_EB", f"{basis}_interior",
-            kernel_dim=kernel_dim, numeric_evidence=evidence,
-        )
-    if w_inf < -tolerances.REFUTE_FACTOR * tol:
-        return AsymptoticVerdict(
-            "not_asymptotically_EB", f"{basis}_witness",
-            kernel_dim=kernel_dim, numeric_evidence=evidence,
-        )
+        return verdict("eventually_EB", f"{basis}_interior")
+    if w_inf < -tolerances.REFUTE_FACTOR * tolerances.PSD_TOL:
+        return verdict("not_asymptotically_EB", f"{basis}_witness")
     if periodic:
-        return AsymptoticVerdict(
-            "undetermined", "none", kernel_dim=kernel_dim,
-            numeric_evidence=evidence,
-        )
+        return verdict("undetermined", "none")
     # boundary limit: look at which side the trajectory approaches from
-    w_t = min(witness_pair(handle.solve(horizon)))
-    evidence["witness_at_horizon"] = w_t
-    if family.d == 2:
-        label = "asymptotically_EB"
-    else:
-        label = "asymptotically_PPT"
-    return AsymptoticVerdict(
-        label, "asymptotic_witness", kernel_dim=kernel_dim,
-        numeric_evidence=evidence,
-    )
+    evidence["witness_at_horizon"] = min(witness_pair(handle.solve(horizon)))
+    return verdict("asymptotically_EB" if family.d == 2 else "asymptotically_PPT",
+                   "asymptotic_witness")
 
 
 # ---------------------------------------------------------------------------

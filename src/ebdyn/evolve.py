@@ -9,9 +9,9 @@ function of t alone, whichever other times were asked.
 ``solve_many`` exists because sweeps dominate the workload: a spectral closed
 form sum_k c_k(t) Q_k sums one array of coefficient rows (its propagators from
 s have the rows c(t) / c(s)), a constant generator is diagonalized once per
-handle and a whole grid is one batched exponential, and the direct path
-integrates the equation once per handle, reading every time from the steps
-of that one trajectory.  Grids are stacks ``(N, d^2, d^2)``; any other
+family (``GeneratorFamily.spectrum``) and a whole grid is one batched
+exponential, and the direct path integrates the equation once per handle,
+reading every time from the steps of that one trajectory.  Grids are stacks ``(N, d^2, d^2)``; any other
 propagator grid at one start time s applies Lambda_s^-1 to the whole stack
 with one solve.
 """
@@ -25,7 +25,7 @@ import scipy.integrate
 from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER as _INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from . import matcore, superop, tolerances
+from . import superop, tolerances
 from .errors import EbdynError, IntegrationFailureError, SingularMapError
 
 __all__ = ["EvolutionHandle", "solve", "solve_many", "propagator", "propagator_many"]
@@ -64,7 +64,6 @@ class EvolutionHandle:
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
         self._cache = {}
-        self._exp_l = None  # see _generator_exponential
         self._trajectory = None  # see _ode_many
         self._scans = {}  # see _scan_result
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
@@ -199,16 +198,10 @@ class EvolutionHandle:
             cache.update(zip(new, self.family.closed_form.coefficients(new)))
         return np.array([cache[t] for t in ts], dtype=complex)
 
-    def _generator_exponential(self):
-        """tau -> expm(tau L) of a constant generator, with the eigenvalues of L;
-        diagonalized on first use, once per handle."""
-        if self._exp_l is None:
-            self._exp_l = matcore.exp_generator(self.family.generator_matrix(0.0))
-        return self._exp_l
-
     def _exponential_many(self, ts):
-        """The stack of expm(t L) of the constant generator for the floats ``ts >= 0``."""
-        out = self._generator_exponential()(np.array(ts, dtype=float))
+        """The stack of expm(t L) of the constant generator for the floats
+        ``ts >= 0``, from the family's spectral record."""
+        out = self.family.spectrum(np.array(ts, dtype=float))
         out[np.array(ts) == 0.0] = np.eye(self.family.d ** 2)  # t = 0 is the exact identity
         return out
 

@@ -17,6 +17,7 @@ broadcast over an array of times; ``map_at`` sums the row of one time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -101,6 +102,16 @@ class GeneratorFamily:
     def evaluate(self, t) -> superop.Superoperator:
         """The generator L_t as a superoperator."""
         return superop.Superoperator(self.generator_matrix(float(t)), self.d)
+
+    @functools.cached_property
+    def spectrum(self) -> matcore.GeneratorExponential | None:
+        """The diagonalization of a constant generator L, ``matcore.exp_generator``
+        of L: built on first read and kept for the life of the family, None
+        for a time-dependent family.  It is the one record every reader of
+        L's spectrum shares: the exponentials of the evolution handles and
+        of a Floquet product with this core, the search horizon, the limit
+        and the spectral predictor (its kernel rule, ``kernel()``)."""
+        return matcore.exp_generator(self.generator_matrix(0.0)) if self.constant else None
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +686,17 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
         Exact derivative of ``p_of_t``; a central difference is used when
         absent (only the time-local generator needs it, not the closed form).
 
-    When the core has a unique full-rank stationary state w, the evolved map
-    approaches the periodic limit cycle Z_t = P_{w(t)} with w(t) = p_t w
-    p_t^dag, available as ``closed_form.limit_cycle``.
+    When the core has a stationary state w that e^{tX} converges to (its
+    ``stationary_state``, else the kernel of its spectral record,
+    ``core.spectrum.kernel()``), the evolved map approaches the periodic
+    limit cycle Z_t = P_{w(t)} with w(t) = p_t w p_t^dag, available as
+    ``closed_form.limit_cycle``.
 
-    The core is kept as ``params["core"]``: the propagators
-    V_{t,s} = P_t o e^{(t-s)X} o P_s^-1 differ from the core semigroup only by
-    unitary conjugations on the input and the output, so they share its
-    CP, coCP, PPT and EB witnesses.
+    The closed form reads e^{tX} from the same record, and the core is kept
+    as ``params["core"]``: the propagators V_{t,s} = P_t o e^{(t-s)X} o
+    P_s^-1 differ from the core semigroup only by unitary conjugations on
+    the input and the output, so they share its CP, coCP, PPT and EB
+    witnesses.
     """
     if not core.constant:
         raise EbdynError("core family must be constant")
@@ -701,23 +715,23 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
     if float(np.abs(matcore.as_matrix(p_of_t(period)) - p0).max()) > 1e-8:
         raise EbdynError("p_of_t is not periodic with the declared period")
 
-    exp_x = matcore.exp_generator(x)
-
     def map_at(t):
         pm = matcore.as_matrix(p_of_t(t), square=True)
-        return superop.Superoperator(matcore.kron(pm.conj(), pm) @ exp_x(t), d)
+        return superop.Superoperator(matcore.kron(pm.conj(), pm) @ core.spectrum(t), d)
 
     def propagator_at(t, s):
         pt = matcore.as_matrix(p_of_t(t), square=True)
         ps = matcore.as_matrix(p_of_t(s), square=True)
         inv = matcore.kron(ps.T, ps.conj().T)
         return superop.Superoperator(
-            matcore.kron(pt.conj(), pt) @ exp_x(t - s) @ inv, d
+            matcore.kron(pt.conj(), pt) @ core.spectrum(t - s) @ inv, d
         )
 
     omega = core.stationary_state
     if omega is None:
-        omega = _kernel_state(x, d)
+        _, omega, settles = core.spectrum.kernel() or (None, None, False)
+        if not settles:
+            omega = None
     limit_cycle = None
     if omega is not None:
         def limit_cycle(t):
@@ -756,16 +770,6 @@ def floquet_product(p_of_t, period, core, dp_of_t=None) -> GeneratorFamily:
         cp_divisible=core.cp_divisible,
         params={"period": period, "core": core},
     )
-
-
-def _kernel_state(gen_matrix, d):
-    """State spanning the generator kernel, or None when not unique."""
-    w, v = np.linalg.eig(gen_matrix)
-    scale = max(1.0, float(np.abs(gen_matrix).max()))
-    idx = np.where(np.abs(w) <= 1e-9 * scale)[0]
-    if len(idx) != 1:
-        return None
-    return matcore.unit_trace_hermitian(v[:, idx[0]], d, 1e-10)
 
 
 # ---------------------------------------------------------------------------

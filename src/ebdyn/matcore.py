@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +31,7 @@ __all__ = [
     "herm_eig",
     "min_herm_eig",
     "exp_generator",
+    "GeneratorExponential",
     "expm",
     "kron",
     "partial_transpose_second",
@@ -213,7 +215,53 @@ def _real_form(a):
     return t, t_dag, r.real
 
 
-def exp_generator(m):
+@dataclass(frozen=True, eq=False, slots=True)
+class GeneratorExponential:
+    """``tau -> expm(tau m)`` of a fixed matrix ``m`` (:func:`exp_generator`),
+    with the diagonalization it runs on: the eigenvalues of ``np.linalg.eig``
+    as a complex array and the eigenvectors V of ``m`` (None when ``eig``
+    failed), and V^-1 when the eigenbasis passes the ``EXPM_EIG_COND_LIMIT``
+    gate (else None: each call then runs scaling-and-squaring)."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray | None
+    vectors: np.ndarray | None
+    inverse: np.ndarray | None
+
+    def __call__(self, tau):
+        if self.inverse is not None:
+            v, w = self.vectors, self.eigenvalues
+            return (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ self.inverse
+        if np.ndim(tau):
+            taus = np.asarray(tau, dtype=float)
+            out = [self(t) for t in taus.ravel()]
+            return np.array(out, dtype=complex).reshape(taus.shape + self.matrix.shape)
+        try:
+            return scipy.linalg.expm(tau * self.matrix)
+        except Exception as exc:  # scipy raises assorted types here
+            raise NoConvergenceError(f"expm failed: {exc}") from exc
+
+    def kernel(self):
+        """``(idx, omega, settles)`` of a ``(d^2, d^2)`` generator by the one
+        kernel rule of the package, or None when ``eig`` failed: ``idx``
+        indexes the eigenvalues with |mu| <= z = 1e-9 max(1, max |m|);
+        ``omega`` is the vector of a one-dimensional kernel as a unit-trace
+        Hermitian matrix (:func:`unit_trace_hermitian`, tolerance 1e-8), else
+        None; ``settles`` whether every other Re mu is below -z, so that
+        e^{tm} converges to the projector onto the kernel."""
+        w = self.eigenvalues
+        if w is None:
+            return None
+        zero = 1e-9 * max(1.0, float(np.abs(self.matrix).max()))
+        kernel = np.abs(w) <= zero
+        idx = np.flatnonzero(kernel)
+        omega = None
+        if len(idx) == 1:
+            omega = unit_trace_hermitian(self.vectors[:, idx[0]], math.isqrt(len(w)), 1e-8)
+        return idx, omega, bool(np.all(w.real[~kernel] < -zero))
+
+
+def exp_generator(m) -> GeneratorExponential:
     """The one-parameter group ``tau -> expm(tau * m)`` of a fixed matrix.
 
     ``m`` is diagonalized once, ``m = V diag(w) V^-1``, and every call costs
@@ -240,48 +288,21 @@ def exp_generator(m):
     A scalar ``tau`` gives one matrix; an array of times gives the stack of
     their exponentials, from one batched product (the fallback loops over
     the times).  Each matrix of the stack equals the scalar call bitwise.
-
-    The returned callable carries the eigenvalues ``w`` of ``m`` as a
-    complex array, ``eigenvalues`` (those of ``np.linalg.eig`` of R or of
-    ``m``, also on the fallback); it is None when ``eig`` failed.
+    The eigenvalues are those of ``np.linalg.eig`` of R or of ``m``.
     """
     a = as_matrix(m, square=True)
     t, t_dag, r = _real_form(a) or (None, None, a)
-    w = None
+    w = v = v_inv = None
     try:
         w, v = np.linalg.eig(r)
-        cond = np.linalg.cond(v)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if w is not None:
-        w = w.astype(complex, copy=False)
-    if np.isfinite(cond) and cond < tolerances.EXPM_EIG_COND_LIMIT:
-        try:
+        if np.linalg.cond(v) < tolerances.EXPM_EIG_COND_LIMIT:  # false for nan
             v_inv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if t is not None:
-                v, v_inv = t @ v, v_inv @ t_dag
-
-            def eigenbasis(tau):
-                return (v * np.exp(np.multiply.outer(tau, w))[..., None, :]) @ v_inv
-
-            eigenbasis.eigenvalues = w
-            return eigenbasis
-
-    def scaling_and_squaring(tau):
-        if np.ndim(tau):
-            taus = np.asarray(tau, dtype=float)
-            out = [scaling_and_squaring(t) for t in taus.ravel()]
-            return np.array(out, dtype=complex).reshape(taus.shape + a.shape)
-        try:
-            return scipy.linalg.expm(tau * a)
-        except Exception as exc:  # scipy raises assorted types here
-            raise NoConvergenceError(f"expm failed: {exc}") from exc
-
-    scaling_and_squaring.eigenvalues = w
-    return scaling_and_squaring
+    except np.linalg.LinAlgError:
+        pass
+    if t is not None and v is not None:
+        v, v_inv = t @ v, None if v_inv is None else v_inv @ t_dag
+    return GeneratorExponential(a, None if w is None else w.astype(complex, copy=False),
+                                v, v_inv)
 
 
 def expm(m):

@@ -205,11 +205,13 @@ class SpectralComponents(tuple):
 def _layer_sum(c, components, d):
     """The entries sum_k c_k Q_k on the support of ``components`` (all d^4
     entries when it is None), rows ``(N, K)`` giving ``(N, entries)``: the
-    nonzero terms added in the order of k, layer by layer."""
+    nonzero terms added in the order of k, layer by layer.  A non-finite c_k
+    times a zero entry is NaN, quietly: ``classify.choi_floors`` raises for it."""
     support = components.support
     s = np.zeros(c.shape[:-1] + (d ** 4 if support is None else len(support),), dtype=complex)
-    for k, q in components.layers:
-        s += c[..., k] * q
+    with np.errstate(invalid="ignore"):
+        for k, q in components.layers:
+            s += c[..., k] * q
     return s
 
 

@@ -103,6 +103,20 @@ def generator_kernel(family, tol=1e-9):
     return 1, x / tr
 
 
+def count_eig(monkeypatch):
+    """``{"eig": n, "eigvals": m}``: the ``np.linalg`` calls from here on."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def choi_min_eig(phi):
     return matcore.min_herm_eig(superop.to_choi(phi).matrix)
 

@@ -13,7 +13,8 @@ from ebdyn.errors import (
     NotReachedError,
 )
 
-from helpers import generator_kernel, random_gkls_family
+from helpers import count_eig, generator_kernel, ginibre, random_gkls_family
+from test_evolve import oscillating_gkls
 
 
 class TestWitnesses:
@@ -88,38 +89,37 @@ class TestSearch:
         fam = families.pure_decoherence(a=np.zeros((2, 2)))
         assert asymptotics.default_search(fam).t_max == pytest.approx(20.0)
 
-    def test_default_search_reads_the_handle_exponential(self):
-        """A constant generator evolved through its exponential gives the gap
-        from that diagonalization; the handle then reuses it."""
+    def test_default_search_reads_the_handle_exponential(self, monkeypatch):
+        """A constant generator without a closed form gives the gap from its
+        family's spectral record, which is the handle's exponential: one eig
+        per family, whether a handle or the family asks first."""
+        calls = count_eig(monkeypatch)
         rng = np.random.default_rng(41)
         for d in (2, 3, 4):
             fam = random_gkls_family(rng, d)
             handle = evolve.EvolutionHandle(fam)
             search = asymptotics.default_search(handle, grid_n=50)
-            exp_l = handle._exp_l
-            assert exp_l is not None
+            record = fam.spectrum
+            assert isinstance(record, matcore.GeneratorExponential)
             re = np.abs(np.linalg.eigvals(fam.generator_matrix(0.0)).real)
             gap = re[re > 1e-9 * np.abs(fam.generator_matrix(0.0)).max()].min()
             assert search.t_max == pytest.approx(20.0 / gap, rel=1e-12)
-            assert asymptotics.default_search(fam, grid_n=50).t_max == pytest.approx(
-                search.t_max, rel=1e-12)
+            assert asymptotics.default_search(fam, grid_n=50).t_max == search.t_max
             handle.solve(1.0)
-            assert handle._exp_l is exp_l
+            assert fam.spectrum is record
+        assert calls == {"eig": 3, "eigvals": 3}  # the three eigvals are the test's
 
     def test_default_search_of_a_family_builds_no_exponential(self, monkeypatch):
-        """Without a handle there is nothing to share: eigvals, as before."""
-        calls = {"eig": 0, "eigvals": 0}
-        for name in calls:
-            real = getattr(np.linalg, name)
-
-            def counted(m, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(m)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        fam = random_gkls_family(np.random.default_rng(42), 3)
-        asymptotics.default_search(fam)
-        assert calls == {"eig": 0, "eigvals": 1}
+        """A family with a closed form, or a time-dependent one, never reads
+        eigenvectors: eigvals, as before, and no record."""
+        calls = count_eig(monkeypatch)
+        rng = np.random.default_rng(42)
+        closed = families.phase_covariant(0.7, 0.4, 0.2, 0.1)
+        timed = families.gkls(np.zeros((2, 2)), [(ginibre(rng, 2), lambda t: 1.0 + 0.5 * math.sin(t))])
+        for fam in (closed, timed):
+            asymptotics.default_search(fam)
+        assert calls == {"eig": 0, "eigvals": 2}
+        assert "spectrum" not in vars(closed) and timed.spectrum is None
 
     def test_default_search_keeps_eigvals_for_other_solvers(self, monkeypatch):
         calls = []
@@ -127,9 +127,9 @@ class TestSearch:
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
         fam = families.depolarizing(2.0, np.eye(2) / 2)
         assert asymptotics.default_search(evolve.EvolutionHandle(fam)).t_max == pytest.approx(10.0)
-        ode = evolve.EvolutionHandle(random_gkls_family(np.random.default_rng(3), 2), solver="ode")
+        ode = evolve.EvolutionHandle(oscillating_gkls())
         asymptotics.default_search(ode)
-        assert len(calls) == 2 and ode._exp_l is None
+        assert len(calls) == 2 and ode.solver == "ode" and ode.family.spectrum is None
 
 
 class TestAsymptoticMap:

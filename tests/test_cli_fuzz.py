@@ -6,7 +6,8 @@ are not UTF-8.  Every run must return exit code 0, 1 or 2 from ``cli.main``
 without raising; a nonzero code comes with a message on stderr.  Inputs that
 are invalid by construction (non-finite numbers, a generator that overflows,
 bytes that are not UTF-8) must give exit code 1.  A numpy RuntimeWarning (an
-overflow left to produce inf or nan) fails the test: bad input must end in an
+overflow left to produce inf or nan) fails the test, as every warning fails
+the suite (``filterwarnings`` in pyproject.toml): bad input must end in an
 error, not in a warning.
 """
 
@@ -14,8 +15,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ebdyn import cli
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 NUMBERS = st.one_of(
     st.floats(-3.0, 3.0, allow_nan=False).map(repr),

@@ -323,7 +323,10 @@ class TestPropagatorTail:
         limit = asymptotics._one_phase(
             asymptotics.asymptotic_map(fam, handle=handle, horizon=search.t_max))
         for s in (0.0, 0.8, 3.0):
-            tail = limit.matrix @ np.linalg.inv(handle.solve(s).matrix)
+            # Lambda_inf o Lambda_s^-1 by one solve, as on the inversion route;
+            # at s = 0 there is no inversion
+            lam_s = handle.solve(s).matrix
+            tail = limit.matrix if s == 0.0 else np.linalg.solve(lam_s.T, limit.matrix.T).T
             want = float(asymptotics.cone_witnesses(tail[None], 3, "PPT")[0])
             assert asymptotics._tail(handle, "PPT", s, search.t_max) == (
                 want, "asymptotic_interior")

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebdyn import asymptotics, classify, divisibility, evolve, families, superop, tolerances
+from ebdyn import (
+    asymptotics, classify, divisibility, evolve, families, matcore, superop, tolerances,
+)
 from ebdyn.errors import NotReachedError, SingularMapError
 
 from helpers import RoundRecorder, random_gkls_family, shipped_family
@@ -329,12 +331,10 @@ def test_an_exception_is_not_kept(monkeypatch):
 
 def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
     """5 start times x 3 cones: one core scan for CP, one for PPT and EB, on
-    one core handle, so one diagonalization; an arrival that grows the kept
-    CP chunk reads that handle again."""
-    fam = rotating_floquet()
-    handle = evolve.EvolutionHandle(fam)
-    search = asymptotics.default_search(handle, grid_n=100)
-    s_grid = divisibility.default_s_grid(search)
+    one core handle; the family's limit cycle, its closed form and that
+    handle read one diagonalization, the core's spectral record, made when
+    the family is built; an arrival that grows the kept CP chunk reads that
+    handle again."""
     eig_calls = []
     eig = np.linalg.eig
 
@@ -343,6 +343,11 @@ def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    fam = rotating_floquet()
+    assert eig_calls == [(4, 4)]
+    handle = evolve.EvolutionHandle(fam)
+    search = asymptotics.default_search(handle, grid_n=100)
+    s_grid = divisibility.default_s_grid(search)
     reports = [
         divisibility.scan_divisibility(handle, cone, s_grid=[float(s_grid[i])], search=search)
         for i in (0, 4, 8, 12, 15)
@@ -357,18 +362,19 @@ def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
     assert len(eig_calls) == 1
 
 
-class SpectrumCounter:
-    """Counts ``superop.map_spectrum`` calls: a numeric limit makes two."""
+class Counter:
+    """Counts the calls of ``owner.name``, such as ``superop.map_spectrum``,
+    of which a numeric limit makes two."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, owner, name):
         self.calls = 0
-        spectrum = superop.map_spectrum
+        real = getattr(owner, name)
 
-        def counted(phi):
+        def counted(*args):
             self.calls += 1
-            return spectrum(phi)
+            return real(*args)
 
-        monkeypatch.setattr(superop, "map_spectrum", counted)
+        monkeypatch.setattr(owner, name, counted)
 
 
 def test_numeric_limit_is_computed_once_per_handle_and_horizon(monkeypatch):
@@ -377,7 +383,7 @@ def test_numeric_limit_is_computed_once_per_handle_and_horizon(monkeypatch):
     handle = evolve.EvolutionHandle(fam)
     assert handle.solver == "ode" and fam.closed_form is None
     search = asymptotics.Search(t_max=20.0, grid_n=40)  # a limit by 2 t_max
-    counter = SpectrumCounter(monkeypatch)
+    counter = Counter(monkeypatch, superop, "map_spectrum")
     reports = [divisibility.scan_divisibility(handle, cone, s_grid=[s], search=search)
                for s in (0.0, 1.0, 2.0, 3.0, 5.0) for cone in ("CP", "PPT", "EB")]
     assert counter.calls == 2
@@ -393,18 +399,20 @@ def test_numeric_limit_is_computed_once_per_handle_and_horizon(monkeypatch):
 
 def test_not_reached_semigroup_scans_share_the_limit(monkeypatch):
     """A dephased qubit's coherence e^{-t} keeps the PPT witness below -tol up to
-    t = 12, while its numeric limit (the full dephasing) is settled by t = 24:
-    PPT and EB end in not_reached and read one kept limit."""
+    t = 12, while its limit is the full dephasing, the projector onto the
+    two-dimensional kernel of its generator: PPT and EB end in not_reached
+    and read one kept limit, from the one spectral record of the family."""
     fam = dephased_qubit()
     handle = evolve.EvolutionHandle(fam)
     search = asymptotics.Search(t_max=12.0, grid_n=60)
-    counter = SpectrumCounter(monkeypatch)
+    records = Counter(monkeypatch, matcore, "exp_generator")
+    limits = Counter(monkeypatch, asymptotics, "_limit")
     reports = [divisibility.scan_divisibility(handle, cone, s_grid=[0.0, 1.0], search=search)
                for cone in ("PPT", "EB", "PPT")]
     for rep in reports:
         assert rep.details["arrival"] == "not_reached" and rep.verdict == "undetermined"
         assert abs(rep.details["asymptotic_witness"]) < 1e-9
-    assert counter.calls == 2
+    assert (records.calls, limits.calls) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

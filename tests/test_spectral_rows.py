@@ -253,7 +253,6 @@ def test_rows_layout_is_kept_on_the_components():
     assert layout.split == 6 and list(layout.pair) == [0.0] * 6 + [0.0] * 3 + [1.0] * 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["eternal_nm", "pure_decoherence"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_row_takes_the_route_of_its_map_alone(name, bad):

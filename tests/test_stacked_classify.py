@@ -505,7 +505,6 @@ def test_off_pattern_zeros_keep_the_route_and_non_finite_entries_leave_it(
     assert list(min_c) == list(want_c) and list(min_pt) == list(want_pt)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("entry", [complex(0.5, np.nan), np.nan, np.inf, -np.inf])
 def test_a_non_finite_choi_entry_raises_alone_and_in_a_stack(d, entry):
@@ -620,7 +619,6 @@ NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan),
                               complex(np.inf, 1.0)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data(),
        kinds=st.lists(st.sampled_from(["generic", "covariant", "sparse", "identity",
@@ -652,7 +650,6 @@ def test_one_split_gives_each_map_its_stack_of_one_floors(seed, d, data, kinds, 
                 lambda which: pattern_pairs(choi[list(which)], d), d)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(explicit_families())),
        times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=7),
