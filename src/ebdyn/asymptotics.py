@@ -214,18 +214,30 @@ def asymptotic_map(family, handle=None, horizon=None):
     Returns a :class:`~ebdyn.superop.Superoperator`, or a
     :class:`PeriodicMap` for families that settle into a limit cycle.
 
-    Given the ``handle`` of ``family``, the map is computed once per handle
-    and horizon and kept on the handle; a :class:`NoLimitError` is not kept.
+    Given the ``handle`` of ``family``, the map, or the
+    :class:`NoLimitError` that refuses it, is computed once per handle and
+    horizon and kept on the handle.
 
     Raises
     ------
     NoLimitError
-        When some spectral trajectory diverges or keeps oscillating.
+        When some spectral trajectory diverges or keeps oscillating, or the
+        solved map has not settled (:func:`_numeric_limit`).
     """
-    if handle is not None:
-        return handle._scan_result(("limit", horizon),
-                                   lambda: _limit(family, handle, horizon))
-    return _limit(family, handle, horizon)
+    if handle is None:
+        return _limit(family, handle, horizon)
+    kept = handle._scan_result(("limit", horizon),
+                               lambda: _limit_or_refusal(family, handle, horizon))
+    if isinstance(kept, NoLimitError):
+        raise NoLimitError(*kept.args)
+    return kept
+
+
+def _limit_or_refusal(family, handle, horizon):
+    try:
+        return _limit(family, handle, horizon)
+    except NoLimitError as exc:
+        return exc
 
 
 def _limit(family, handle, horizon):
@@ -289,21 +301,48 @@ def _coefficient_limits(cf, family, horizon):
     return _two_horizon_limits(a, b, 1e-9, 1e-12, 1e-7, f"{family.kind}: trajectory")
 
 
+# the times, as multiples of the horizon t1, at which Lambda_t must still be
+# Lambda_t1 for the map to count as settled: in increasing order, so that a
+# family that does not settle is refused a sixteenth of t1 past the horizon;
+# t1 + (1, 3, 7, 11) t1/16, whose offsets share no factor but t1/16, so that a
+# map that comes back with a period longer than t1/16 does not pass; and last
+# 2 t1, where the limit is read
+_SETTLING_READS = (1.0625, 1.1875, 1.4375, 1.6875, 2.0)
+_SETTLING_TOL = 1e-6  # relative Frobenius distance
+
+
 def _numeric_limit(family, handle, horizon):
+    """The limit of Lambda_t read from its solver, once the map has settled.
+
+    Lambda_t is read at the horizon t1, then at each time of
+    ``_SETTLING_READS`` t1 in turn, and must stay within a relative
+    Frobenius distance of ``_SETTLING_TOL`` of Lambda_t1; the first time
+    that does not raises :class:`NoLimitError`, before the solver reads any
+    later time.  The settled map Lambda_{2 t1} is the limit: as
+    X -> tr(X) omega, omega the Hermitian part of Lambda_{2 t1}(I / d), when
+    it is that map of a unit-trace omega to within 1e-8 (relative), which
+    preserves Hermiticity by construction; else as it was read.
+    """
     if handle is None:
         handle = evolve.EvolutionHandle(family)
     t1 = horizon if horizon is not None else default_search(handle).t_max
-    spec1 = superop.map_spectrum(handle.solve(t1))
-    spec2 = superop.map_spectrum(handle.solve(2.0 * t1))
-    limits = _two_horizon_limits(
-        spec1.eigenvalues, spec2.eigenvalues, 1e-8, 1e-10, 1e-6,
-        f"{family.kind}: eigenvalue trajectory",
-    )
-    s = np.zeros((family.d ** 2, family.d ** 2), dtype=complex)
-    for lam, x, y in zip(limits, spec2.right, spec2.left):
-        if lam != 0.0:
-            s += lam * np.outer(matcore.vec(x), matcore.vec(y).conj())
-    return superop.Superoperator(s, family.d)
+    first = handle.solve(t1).matrix
+    scale = np.linalg.norm(first)
+    for t in (f * t1 for f in _SETTLING_READS):
+        lam = handle.solve(t).matrix
+        moved = np.linalg.norm(lam - first) / scale
+        if not moved <= _SETTLING_TOL:  # also catches nan
+            raise NoLimitError(
+                f"{family.kind}: Lambda_t has not settled ({moved:.3e} relative "
+                f"from t={t1:g} to t={t:g})")
+    d = family.d
+    image = matcore.unvec(lam @ matcore.vec(np.eye(d)), d) / d
+    omega = (image + image.conj().T) / 2.0
+    if abs(np.trace(omega) - 1.0) <= 1e-10:
+        limit = classify.projector_onto_state(omega)
+        if np.linalg.norm(limit.matrix - lam) <= 1e-8 * np.linalg.norm(lam):
+            return limit
+    return superop.Superoperator(lam, d)
 
 
 # ---------------------------------------------------------------------------

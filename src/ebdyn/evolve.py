@@ -41,8 +41,9 @@ class EvolutionHandle:
     trajectory every Lambda_t is read from (:class:`_Trajectory`); one
     record of Delta(s) per witness kind, start time, search and tolerance,
     which arrival times and divisibility scans read and grow; its
-    asymptotic map per horizon; and the handle of its local-unitary core
-    (see :meth:`_scan_result`).
+    asymptotic map, or its refusal, per horizon; the handle of its
+    local-unitary core; and the condition number of each Lambda_s it
+    inverted (see :meth:`_scan_result`).
     """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
@@ -125,10 +126,13 @@ class EvolutionHandle:
         The records of Delta(s) (``asymptotics._Scan``) are keyed by
         (witness kind, start time, search, tol): cones that share a witness
         share one record, which every entry point reads and fills in (see
-        ``asymptotics._delta``); the asymptotic map is keyed by ("limit",
-        horizon), the core's handle (``asymptotics._fill``) by ("core",).
-        Only a returned result is kept; an exception propagates, and the
-        next call with that key computes again.
+        ``asymptotics._delta``); the asymptotic map, or the
+        :class:`~ebdyn.errors.NoLimitError` that refuses it, by ("limit",
+        horizon) (``asymptotics.asymptotic_map``); the core's handle
+        (``asymptotics._fill``) by ("core",); the condition number of
+        Lambda_s (:meth:`_invert_onto`) by ("cond", s).  Only a returned
+        result is kept; an exception propagates, and the next call with that
+        key computes again.
         """
         kept = self._scans.get(key)  # no answer is None
         if kept is None:
@@ -224,7 +228,7 @@ class EvolutionHandle:
     def _invert_onto(self, lam_ts, s):
         """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t."""
         lam_s = self.solve(s).matrix
-        _check_invertible(np.linalg.cond(lam_s), s)
+        _check_invertible(self._scan_result(("cond", s), lambda: np.linalg.cond(lam_s)), s)
         # V Lambda_s = Lambda_t  =>  V^T = solve(Lambda_s^T, Lambda_t^T); the
         # columns of every Lambda_t^T side by side share one factorization
         n_t, n, _ = lam_ts.shape
@@ -298,18 +302,38 @@ class _Trajectory:
         return step
 
     def at(self, times):
-        """vec Lambda_t, one row per float of the ascending list ``times > 0``."""
+        """vec Lambda_t, one row per float of the ascending list ``times > 0``.
+
+        A time on a step end reads the stored state.  Every other time is
+        read in one stacked evaluation of its steps' interpolants: the
+        arithmetic of ``Dop853DenseOutput``, element by element, on the
+        coefficients of each row's step, so each row is bitwise what the
+        step's interpolant gives.
+        """
         self._cover(times[-1])
         ts = np.array(times)
         steps = np.searchsorted(self._ends, ts)
         out = np.empty((len(ts), self._solver.n), dtype=complex)
-        for rows in np.split(np.arange(len(ts)), np.flatnonzero(np.diff(steps)) + 1):
-            k = steps[rows[0]]
-            if ts[rows[-1]] == self._ends[k]:  # only the last time of a step can end it
-                out[rows[-1]] = self._states[k]
-                rows = rows[:-1]
-            if len(rows):
-                out[rows] = self._interpolant(k)(ts[rows]).T
+        on_end = ts == np.array(self._ends)[steps]
+        for row in np.flatnonzero(on_end):
+            out[row] = self._states[steps[row]]
+        inside = np.flatnonzero(~on_end)
+        if len(inside):
+            ks, which = np.unique(steps[inside], return_inverse=True)
+            dense = [self._interpolant(k) for k in ks]
+            t_old = np.array([p.t_old for p in dense])[which]
+            h = np.array([p.h for p in dense])[which]
+            x = ((ts[inside] - t_old) / h)[:, None]
+            coeffs = np.array([p.F for p in dense])  # (steps, power, n)
+            y = np.zeros((len(inside), self._solver.n), dtype=complex)
+            for i in range(_INTERPOLATOR_POWER):  # F in reverse, as the interpolant does
+                y += coeffs[which, _INTERPOLATOR_POWER - 1 - i]
+                if i % 2 == 0:
+                    y *= x
+                else:
+                    y *= 1 - x
+            y += np.array([p.y_old for p in dense])[which]
+            out[inside] = y
         return out
 
 

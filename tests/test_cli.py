@@ -243,6 +243,22 @@ class TestDivisibility:
         assert payload["reports"]["PPT"]["delta"][0] == "inf"
 
 
+@pytest.mark.parametrize("command", ["divisibility", "arrival"])
+def test_a_family_without_a_limit_exits_zero(tmp_path, command):
+    """The phase_covariant Jordan block (gamma_plus = -gamma_minus): its
+    Lambda_t grows linearly, so it has no limit and the scans no tail; they
+    end in not_reached, with no eigenbasis error."""
+    out = tmp_path / "out.json"
+    config = os.path.join(REPO, "tests", "data", "phase_covariant_jordan.ini")
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    if command == "divisibility":
+        certificates = {c for rep in payload["reports"].values() for c in rep["certificates"]}
+    else:
+        certificates = {row["status"] for row in payload["rows"]}
+    assert certificates == {"not_reached"}
+
+
 class TestPpt2:
     def test_csv_rows(self, tmp_path):
         config = write_config(tmp_path, PAULI_EQUAL)

@@ -1,5 +1,6 @@
 """Solver routes and propagator identities."""
 
+import bisect
 import dataclasses
 import functools
 import gc
@@ -14,7 +15,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from ebdyn import asymptotics, cli, divisibility, evolve, families, matcore, superop
-from ebdyn.errors import EbdynError, IntegrationFailureError, SingularMapError
+from ebdyn.errors import EbdynError, IntegrationFailureError, NoLimitError, SingularMapError
 
 from helpers import (ginibre, inversion_atol, oscillating_pauli, random_gkls_family,
                      random_hermitian, shipped_family)
@@ -361,20 +362,22 @@ def oscillating_gkls_ends_to_6():
 
 @functools.cache
 def oscillating_gkls_dense_outputs_to_6():
-    """The step ends up to t = 6 and the ``dense_output()`` of each step, from
-    a DOP853 on the handle's equation that builds every interpolant."""
+    """The step ends up to t = 6, the state at each and the ``dense_output()``
+    of each step, from a DOP853 on the handle's equation that builds every
+    interpolant."""
     fam = oscillating_gkls()
     d2 = fam.d ** 2
     handle = evolve.EvolutionHandle(fam)
     solver = scipy.integrate.DOP853(
         lambda t, y: (fam.generator_matrix(t) @ y.reshape(d2, d2)).ravel(), 0.0,
         np.eye(d2, dtype=complex).ravel(), t_bound=np.inf, rtol=handle.rtol, atol=handle.atol)
-    ends, dense = [], []
+    ends, states, dense = [], [], []
     while solver.t < 6.0:
         solver.step()
         ends.append(solver.t)
+        states.append(solver.y)
         dense.append(solver.dense_output())
-    return ends, dense
+    return ends, states, dense
 
 
 class TestTrajectory:
@@ -416,7 +419,7 @@ class TestTrajectory:
     def test_a_lazy_interpolant_is_bitwise_the_dense_output(self, data):
         """Built on first read, in any order of steps, each interpolant is that
         of a DOP853 that called ``dense_output()`` after every step."""
-        ends, reference = oscillating_gkls_dense_outputs_to_6()
+        ends, _, reference = oscillating_gkls_dense_outputs_to_6()
         handle = evolve.EvolutionHandle(oscillating_gkls())
         handle.solve(ends[-1])
         traj = handle._trajectory
@@ -430,6 +433,34 @@ class TestTrajectory:
             np.testing.assert_array_equal(got(ts), reference[k](ts))
             assert (got.t_old, got.t, got.h) == (reference[k].t_old, reference[k].t, reference[k].h)
             assert traj._interpolant(k) is got  # built once, then kept
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_stacked_reads_are_bitwise_the_dense_output_of_each_step(self, data):
+        """A read of many times across many steps, with step ends and repeats
+        among them, in any order and grouping, gives on a step end the state
+        of a DOP853 and elsewhere the ``dense_output()`` of its step."""
+        ends, states, reference = oscillating_gkls_dense_outputs_to_6()
+        inside = st.tuples(st.integers(0, len(ends) - 1), st.floats(0.0, 1.0)).map(
+            lambda kx: reference[kx[0]].t_old + kx[1] * reference[kx[0]].h)
+        times = sorted(data.draw(st.lists(
+            st.one_of(inside, st.sampled_from(ends)), min_size=1, max_size=60)))
+        times += data.draw(st.lists(st.sampled_from(times), max_size=6))  # repeats
+        order = data.draw(st.permutations(times))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(order)), max_size=3)))
+        handle = evolve.EvolutionHandle(oscillating_gkls())
+        d2 = handle.family.d ** 2
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            part = order[lo:hi]
+            for t, got in zip(part, handle._solve_grid(part)):
+                k = bisect.bisect_left(ends, t)
+                if t == 0.0:
+                    want = np.eye(d2)
+                elif t == ends[k]:
+                    want = states[k].reshape(d2, d2)
+                else:
+                    want = reference[k](np.array([t]))[:, 0].reshape(d2, d2)
+                np.testing.assert_array_equal(got, want)
 
     def test_reads_on_step_ends_evaluate_no_interpolant(self):
         fam = oscillating_gkls()
@@ -517,8 +548,10 @@ class TestTrajectory:
                 report = divisibility.scan_divisibility(handle, cone, s_grid=[s], search=search)
                 assert report.verdict == "certified"
         assert len(built) == 1
-        # the numeric limit reads 2 t_max = 20, the furthest time asked
-        assert built[0].t >= 20.0 > handle._trajectory._ends[-2]
+        # the limit is refused at its first settling read, 1.0625 t_max; no
+        # scan reads past 5 + t_max, and nothing near 2 t_max = 20
+        assert isinstance(handle._scans[("limit", 10.0)], NoLimitError)
+        assert 10.625 <= built[0].t and handle._trajectory._ends[-2] < 15.0
 
     def test_a_nan_generator_ends_in_integration_failure(self):
         fam = families.gkls(np.diag([0.0, 1.0]), [

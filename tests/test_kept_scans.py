@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ebdyn import (
     asymptotics, classify, divisibility, evolve, families, matcore, superop, tolerances,
 )
-from ebdyn.errors import NotReachedError, SingularMapError
+from ebdyn.errors import NoLimitError, NotReachedError, SingularMapError
 
 from helpers import RoundRecorder, random_gkls_family, shipped_family
 from test_divisibility import random_floquet
@@ -363,8 +363,7 @@ def test_floquet_core_is_diagonalized_once_per_witness_kind(monkeypatch):
 
 
 class Counter:
-    """Counts the calls of ``owner.name``, such as ``superop.map_spectrum``,
-    of which a numeric limit makes two."""
+    """Counts the calls of ``owner.name``, such as ``asymptotics._limit``."""
 
     def __init__(self, monkeypatch, owner, name):
         self.calls = 0
@@ -378,23 +377,27 @@ class Counter:
 
 
 def test_numeric_limit_is_computed_once_per_handle_and_horizon(monkeypatch):
-    """5 start times x 3 cones on one time-dependent GKLS: one limit, two spectra."""
+    """5 start times x 3 cones on one time-dependent GKLS whose rate oscillates
+    forever: one refused limit, kept on the handle and raised again."""
     fam = oscillating_gkls()
     handle = evolve.EvolutionHandle(fam)
     assert handle.solver == "ode" and fam.closed_form is None
-    search = asymptotics.Search(t_max=20.0, grid_n=40)  # a limit by 2 t_max
-    counter = Counter(monkeypatch, superop, "map_spectrum")
+    search = asymptotics.Search(t_max=20.0, grid_n=40)
+    counter = Counter(monkeypatch, asymptotics, "_numeric_limit")
     reports = [divisibility.scan_divisibility(handle, cone, s_grid=[s], search=search)
                for s in (0.0, 1.0, 2.0, 3.0, 5.0) for cone in ("CP", "PPT", "EB")]
-    assert counter.calls == 2
+    assert counter.calls == 1
     assert all(rep.verdict == "certified" for rep in reports)
-    kept = asymptotics.asymptotic_map(fam, handle=handle, horizon=20.0)
-    assert counter.calls == 2
-    np.testing.assert_array_equal(
-        kept.matrix, asymptotics.asymptotic_map(fam, horizon=20.0).matrix)
-    assert counter.calls == 4
-    asymptotics.asymptotic_map(fam, handle=handle, horizon=25.0)
-    assert counter.calls == 6
+    assert all(rep.certificates[0] != "asymptotic_interior" for rep in reports)
+    with pytest.raises(NoLimitError, match="has not settled") as kept:
+        asymptotics.asymptotic_map(fam, handle=handle, horizon=20.0)
+    assert counter.calls == 1
+    with pytest.raises(NoLimitError) as fresh:
+        asymptotics.asymptotic_map(fam, horizon=20.0)
+    assert counter.calls == 2 and str(fresh.value) == str(kept.value)
+    with pytest.raises(NoLimitError):
+        asymptotics.asymptotic_map(fam, handle=handle, horizon=25.0)
+    assert counter.calls == 3
 
 
 def test_not_reached_semigroup_scans_share_the_limit(monkeypatch):

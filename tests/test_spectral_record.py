@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 
 from ebdyn import asymptotics, classify, cli, evolve, families, superop
-from ebdyn.errors import DefectiveMapError, NoLimitError
+from ebdyn.errors import NoLimitError
 
 from helpers import (
     count_eig, generator_kernel, random_gkls_family, random_hermitian, random_unitary,
@@ -89,7 +89,9 @@ def test_a_dephasing_kernel_gets_its_idempotent_projector(d):
 def test_a_refused_eigenbasis_keeps_the_numeric_limit(monkeypatch):
     """A Jordan block (phase_covariant with g+ = -g-) fails the eigenbasis
     gate, so its limit is looked for numerically; a random GKLS generator
-    never goes there."""
+    never goes there.  ||Lambda_t|| grows linearly (20.1 at t = 10, 40.0 at
+    t = 20), so there is no limit, and the map check says so before any
+    eigenbasis of Lambda_t is asked for."""
     calls = []
     numeric = asymptotics._numeric_limit
     monkeypatch.setattr(asymptotics, "_numeric_limit",
@@ -97,7 +99,10 @@ def test_a_refused_eigenbasis_keeps_the_numeric_limit(monkeypatch):
     asymptotics.asymptotic_map(random_gkls_family(np.random.default_rng(0), 3))
     jordan = families.phase_covariant(0.5, 1.0, -1.0, 0.0)
     assert jordan.closed_form is None and jordan.spectrum.inverse is None
-    with pytest.raises(DefectiveMapError):  # Lambda_t is defective too
+    norms = [np.linalg.norm(evolve.solve(jordan, t).matrix) for t in (10.0, 20.0, 40.0)]
+    np.testing.assert_allclose(norms, [20.1, 40.0, 80.0], rtol=0, atol=0.05)
+    monkeypatch.setattr(superop, "map_spectrum", lambda phi: pytest.fail("eigenbasis asked for"))
+    with pytest.raises(NoLimitError, match="has not settled"):
         asymptotics.asymptotic_map(jordan, horizon=10.0)
     assert calls == ["phase_covariant"]
 
