@@ -221,8 +221,10 @@ def asymptotic_map(family, handle=None, horizon=None):
     Raises
     ------
     NoLimitError
-        When some spectral trajectory diverges or keeps oscillating, or the
-        solved map has not settled (:func:`_numeric_limit`).
+        When the spectral trajectories diverge, a mode of a constant
+        generator does not decay, or the solved map has not settled
+        (:func:`_numeric_limit`, the one rule for every family with no exact
+        limit).
     """
     if handle is None:
         return _limit(family, handle, horizon)
@@ -247,11 +249,8 @@ def _limit(family, handle, horizon):
             return PeriodicMap(period=cf.period, at=cf.limit_cycle)
         if cf.diverges:
             raise NoLimitError(f"{family.kind}: spectral trajectories diverge")
-        if cf.components is not None:
-            coeffs = cf.asymptotic_coefficients
-            if coeffs is None:
-                coeffs = _coefficient_limits(cf, family, horizon)
-            return superop.spectral_sum(coeffs, cf.components, family.d)
+        if cf.asymptotic_coefficients is not None:
+            return superop.spectral_sum(cf.asymptotic_coefficients, cf.components, family.d)
     if family.constant and family.spectrum.inverse is not None:
         return _kernel_projector(family)
     return _numeric_limit(family, handle, horizon)
@@ -272,33 +271,6 @@ def _kernel_projector(family):
     if omega is not None:
         return classify.projector_onto_state(omega)
     return superop.Superoperator(spectrum.vectors[:, idx] @ spectrum.inverse[idx, :], family.d)
-
-
-def _two_horizon_limits(a, b, zero_tol, slack, settle_tol, what):
-    """Limits of scalar trajectories from their values a at t1 and b at 2 t1.
-
-    A trajectory that is below ``zero_tol`` at 2 t1 and has not grown by more
-    than ``slack`` decays to 0; one that moved by at most ``settle_tol`` has
-    settled at b; any other has no limit (:class:`NoLimitError`, whose
-    message names the trajectory as ``what``).
-    """
-    limits = np.empty_like(b)
-    for k in range(b.size):
-        if abs(b[k]) < zero_tol and abs(b[k]) <= abs(a[k]) + slack:
-            limits[k] = 0.0
-        elif abs(b[k] - a[k]) <= settle_tol:
-            limits[k] = b[k]
-        else:
-            raise NoLimitError(
-                f"{what} {k} has no limit ({a[k]:.3e} -> {b[k]:.3e})"
-            )
-    return limits
-
-
-def _coefficient_limits(cf, family, horizon):
-    t1 = horizon if horizon is not None else default_search(family).t_max
-    a, b = cf.coefficients([t1, 2.0 * t1])
-    return _two_horizon_limits(a, b, 1e-9, 1e-12, 1e-7, f"{family.kind}: trajectory")
 
 
 # the times, as multiples of the horizon t1, at which Lambda_t must still be

@@ -161,13 +161,14 @@ class ChainCheck:
     messages: tuple
 
 
-def check_implication_chain(reports, slack=None) -> ChainCheck:
+def check_implication_chain(reports) -> ChainCheck:
     """Verify EB => PPT => CP => P across a set of divisibility reports.
 
     ``reports``: mapping from cone name to :class:`DivisibilityReport`.
     A stronger cone being certified while a weaker one is refuted is a
     violation, as is a weaker cone arriving later than a stronger one at the
-    same start time (beyond numerical slack).
+    same start time by more than a slack of 1e-3 when P is one of the two,
+    else 1e-6.
     """
     order = ["EB", "PPT", "CP", "P"]
     present = [c for c in order if c in reports]
@@ -182,14 +183,12 @@ def check_implication_chain(reports, slack=None) -> ChainCheck:
                     f"{present[j]}-divisibility refuted"
                 )
             if strong.s_grid == weak.s_grid:
-                pair_slack = slack
-                if pair_slack is None:
-                    pair_slack = 1e-3 if "P" in (present[i], present[j]) else 1e-6
+                slack = 1e-3 if "P" in (present[i], present[j]) else 1e-6
                 for s, ds, dw in zip(strong.s_grid, strong.delta, weak.delta):
                     if (
                         ds is not None and dw is not None
                         and math.isfinite(ds) and math.isfinite(dw)
-                        and dw > ds + pair_slack
+                        and dw > ds + slack
                     ):
                         messages.append(
                             f"at s={s:g}: {present[j]} arrival {dw:.6g} later than "

@@ -4,7 +4,8 @@ Solver choice follows the family's structure: a closed form is used when the
 family carries one; a constant generator goes through its exponential;
 everything else integrates the matrix equation d Lambda / dt = L_t Lambda
 with a high-order adaptive scheme.  Every route computes Lambda_t as a
-function of t alone, whichever other times were asked.
+function of t alone, whichever other times were asked, and a single time is
+a grid of one point, so there is one route to Lambda_t per handle.
 
 ``solve_many`` exists because sweeps dominate the workload: a spectral closed
 form sum_k c_k(t) Q_k sums one array of coefficient rows (its propagators from
@@ -37,13 +38,13 @@ class EvolutionHandle:
     """Evolved maps of one family under one solver choice.
 
     For the life of the handle it keeps, per time, the coefficient row of a
-    spectral closed form, else the solved map; for ``ode``, the one
-    trajectory every Lambda_t is read from (:class:`_Trajectory`); one
+    spectral closed form (no solved map is kept per time); for ``ode``, the
+    one trajectory every Lambda_t is read from (:class:`_Trajectory`); one
     record of Delta(s) per witness kind, start time, search and tolerance,
     which arrival times and divisibility scans read and grow; its
     asymptotic map, or its refusal, per horizon; the handle of its
-    local-unitary core; and the condition number of each Lambda_s it
-    inverted (see :meth:`_scan_result`).
+    local-unitary core; and each Lambda_s it inverted, with its condition
+    number (see :meth:`_scan_result`).
     """
 
     def __init__(self, family, solver=None, rtol=None, atol=None):
@@ -64,7 +65,7 @@ class EvolutionHandle:
         self.solver = solver
         self.rtol = tolerances.ODE_RTOL if rtol is None else float(rtol)
         self.atol = tolerances.ODE_ATOL if atol is None else float(atol)
-        self._cache = {}
+        self._coefficient_rows = {}  # see _rows
         self._trajectory = None  # see _ode_many
         self._scans = {}  # see _scan_result
         self._spectral = solver == "closed_form" and family.closed_form.components is not None
@@ -78,19 +79,7 @@ class EvolutionHandle:
             raise EbdynError("t must be nonnegative")
         if t == 0.0:
             return superop.identity(self.family.d)
-        if self._spectral:
-            return superop.Superoperator(self._solve_grid([t])[0], self.family.d)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        if self.solver == "closed_form":
-            result = self.family.closed_form.map_at(t)
-        elif self.solver == "commuting_exp":
-            result = superop.Superoperator(self._exponential_many([t])[0], self.family.d)
-        else:
-            result = superop.Superoperator(self._ode_many([t])[0], self.family.d)
-        self._cache[t] = result
-        return result
+        return superop.Superoperator(self._solve_grid([t])[0], self.family.d)
 
     def solve_many(self, times: Sequence[float]) -> list:
         """Evolved maps on a grid, exploiting the solver's batch structure."""
@@ -129,8 +118,8 @@ class EvolutionHandle:
         ``asymptotics._delta``); the asymptotic map, or the
         :class:`~ebdyn.errors.NoLimitError` that refuses it, by ("limit",
         horizon) (``asymptotics.asymptotic_map``); the core's handle
-        (``asymptotics._fill``) by ("core",); the condition number of
-        Lambda_s (:meth:`_invert_onto`) by ("cond", s).  Only a returned
+        (``asymptotics._fill``) by ("core",); Lambda_s and its condition
+        number (:meth:`_invert_onto`) by ("inverse", s).  Only a returned
         result is kept; an exception propagates, and the next call with that
         key computes again.
         """
@@ -142,14 +131,18 @@ class EvolutionHandle:
     def _solve_grid(self, ts):
         """The stack ``(N, d^2, d^2)`` of Lambda_t for the floats ``ts >= 0``.
 
-        A spectral closed form sums its coefficient rows; other closed forms
-        and a single time go through :meth:`solve` and its cache; other grids
-        are one batched exponential or read from the handle's trajectory.
+        A spectral closed form sums its coefficient rows; another closed
+        form evaluates ``map_at`` per time, with the exact identity at t = 0;
+        a constant generator is one batched exponential, and the ``ode``
+        route reads the handle's trajectory.
         """
         if self._spectral:
             return self._propagator_rows(ts, 0.0).maps()
-        if self.solver == "closed_form" or len(ts) == 1:
-            return _stack([self.solve(t).matrix for t in ts], self.family.d ** 2)
+        if self.solver == "closed_form":
+            d2 = self.family.d ** 2
+            eye = np.eye(d2, dtype=complex)
+            map_at = self.family.closed_form.map_at
+            return _stack([eye if t == 0.0 else map_at(t).matrix for t in ts], d2)
         if self.solver == "commuting_exp":
             return self._exponential_many(ts)
         return self._ode_many(ts)
@@ -185,14 +178,15 @@ class EvolutionHandle:
         if s == 0.0 or self.family.constant:
             ts = [t - s for t in ts]
             return superop.SpectralStack(self._rows(ts), cf.components, np.array(ts) == 0.0, d)
-        row_s = self._cache[s] if s in self._cache else self._rows([s])[0]
+        row_s = self._rows([s])[0]
         mags = np.abs(row_s).tolist()
         _check_invertible(max(mags) / min(mags) if min(mags) > 0.0 else np.inf, s)
         return superop.SpectralStack(self._rows(ts) / row_s, cf.components, np.array(ts) == s, d)
 
     def _rows(self, ts):
-        """Coefficient rows ``(N, K)`` at the floats ``ts``, each time evaluated once."""
-        cache = self._cache
+        """Coefficient rows ``(N, K)`` at the floats ``ts``, each time evaluated
+        once per handle."""
+        cache = self._coefficient_rows
         new = [t for t in ts if t not in cache]
         if len(new) == len(ts):  # every time is new, or there is none
             rows = self.family.closed_form.coefficients(new)
@@ -226,9 +220,14 @@ class EvolutionHandle:
         return _stack([eye if t == 0.0 else table[t].reshape(d2, d2) for t in ts], d2)
 
     def _invert_onto(self, lam_ts, s):
-        """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t."""
-        lam_s = self.solve(s).matrix
-        _check_invertible(self._scan_result(("cond", s), lambda: np.linalg.cond(lam_s)), s)
+        """The stack of V_{t,s} = Lambda_t o Lambda_s^-1 for a stack of Lambda_t,
+        with Lambda_s and its condition number read once per s."""
+        def solved():
+            lam_s = self.solve(s).matrix
+            return lam_s, np.linalg.cond(lam_s)
+
+        lam_s, cond = self._scan_result(("inverse", s), solved)
+        _check_invertible(cond, s)
         # V Lambda_s = Lambda_t  =>  V^T = solve(Lambda_s^T, Lambda_t^T); the
         # columns of every Lambda_t^T side by side share one factorization
         n_t, n, _ = lam_ts.shape

@@ -60,14 +60,16 @@ class ClosedFormSolution:
     ``components`` (the Q_k) is set, ``coefficients`` gives the trajectories
     c_k(t), a row ``(K,)`` for a scalar t and rows ``(N, K)`` for an array of
     times (an overflow raises ``FloatingPointError``), and
-    ``asymptotic_coefficients`` their limits (None when a limit must be found
-    numerically).  ``diverges`` marks families whose trajectories are
-    unbounded, so no asymptotic map exists.  ``limit_cycle(t)`` is the phase
-    t of a periodic attractor; its phases must be unitary conjugates of one
-    another, so that one phase carries the cone witnesses of every phase,
-    and each must have the trace form X -> tr(X) w_t, so that it absorbs the
-    trace preserving Lambda_s^-1 and is the tail of the propagators from
-    every start time s, with no inverse.  ``breakpoints`` are the times b
+    ``asymptotic_coefficients`` their exact limits (None when there are none:
+    the limit is then read from the map, as for a family with no closed
+    form, by ``asymptotics._numeric_limit``).  ``diverges`` marks families
+    whose trajectories are unbounded, so no asymptotic map exists.
+    ``limit_cycle(t)`` is the phase t of a periodic attractor; its phases
+    must be unitary conjugates of one another, so that one phase carries the
+    cone witnesses of every phase, and each must have the trace form
+    X -> tr(X) w_t, so that it absorbs the trace preserving Lambda_s^-1 and
+    is the tail of the propagators from every start time s, with no
+    inverse.  ``breakpoints`` are the times b
     at which Lambda_t jumps, taking the value past the jump from t = b on;
     a bisection whose bracket holds one predicts its crossing there.
     """

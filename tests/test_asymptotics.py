@@ -233,9 +233,15 @@ class TestArrivalTime:
 
         fam = families.pauli_channel((r, r, r), antiderivatives=(big_r, big_r, big_r))
         assert not fam.cp_divisible
-        res = asymptotics.arrival_time(fam, "PPT", search=asymptotics.Search(t_max=20.0))
+        handle = evolve.EvolutionHandle(fam)
+        res = asymptotics.arrival_time(handle, "PPT", search=asymptotics.Search(t_max=20.0))
         assert res.tau is not None and res.tau > 0
         assert res.retention_certificate == "asymptotic_interior"
+        # no exact coefficient limits: the limit read is the settled map
+        assert fam.closed_form.asymptotic_coefficients is None
+        limit = asymptotics.asymptotic_map(fam, handle=handle, horizon=20.0)
+        np.testing.assert_allclose(
+            limit.matrix, classify.projector_onto_state(np.eye(2) / 2).matrix, rtol=0, atol=1e-12)
 
     def test_grid_exposed_for_plotting(self):
         fam = families.depolarizing(1.0, np.eye(2) / 2)

@@ -87,31 +87,50 @@ class TestSolverRoutes:
         with pytest.raises(EbdynError):
             h.solve_many([0.5, -0.5])
 
-    def test_solve_many_preserves_input_order(self):
-        h = evolve.EvolutionHandle(families.depolarizing(1.0, np.eye(2) / 2))
-        ts = [2.0, 0.0, 1.0, 2.0]
+    @pytest.mark.parametrize("make, solver", [
+        (lambda: families.eternal_nm(1.0), "closed_form"),
+        (lambda: shipped_family("floquet_rotating"), "closed_form"),
+        (lambda: families.depolarizing(1.0, np.eye(2) / 2), "commuting_exp"),
+        (lambda: oscillating_gkls(), "ode"),
+    ], ids=["spectral", "floquet", "commuting_exp", "ode"])
+    def test_solve_many_preserves_input_order(self, make, solver):
+        """A grid in any order, with repeats and t = 0, is bitwise the maps
+        of the single times: one route to Lambda_t."""
+        fam = make()
+        h = evolve.EvolutionHandle(fam, solver=solver)
+        ts = [2.0, 0.0, 1.0, 2.0, 0.35, 0.0, 1.0]
         sols = h.solve_many(ts)
         for t, lam in zip(ts, sols):
-            np.testing.assert_allclose(
-                lam.matrix, h.solve(t).matrix, atol=1e-12
-            )
-
-    def test_cache_returns_same_object(self):
-        fam = families.eternal_nm(1.0)
-        h = evolve.EvolutionHandle(fam, solver="ode")
-        assert h.solve(1.0) is h.solve(1.0)
-        cold = evolve.EvolutionHandle(fam, solver="ode")
-        assert cold.solve(1.0) is not h.solve(1.0)
+            np.testing.assert_array_equal(lam.matrix, h.solve(t).matrix)
+            fresh = evolve.EvolutionHandle(fam, solver=solver)
+            np.testing.assert_array_equal(lam.matrix, fresh.solve(t).matrix)
 
     def test_closed_form_cache_holds_coefficient_rows(self):
         h = evolve.EvolutionHandle(families.eternal_nm(1.0))
         h.solve(1.0)
         h._solve_grid([0.5, 1.0, 2.0])
         h._propagator_grid([2.0, 3.0], 0.5)
-        assert sorted(h._cache) == [0.5, 1.0, 2.0, 3.0]
-        for t, row in h._cache.items():
+        assert sorted(h._coefficient_rows) == [0.5, 1.0, 2.0, 3.0]
+        for t, row in h._coefficient_rows.items():
             assert row.shape == (4,)
             np.testing.assert_array_equal(row, h.family.closed_form.coefficients(t))
+
+    def test_propagator_grids_from_one_start_read_lambda_s_once(self, monkeypatch):
+        """On the inversion route Lambda_s and its condition number are kept
+        per start time, so a second grid from s solves no Lambda_s."""
+        h = evolve.EvolutionHandle(oscillating_gkls())
+        assert h.solver == "ode"
+        solved = []
+        solve = h.solve
+        monkeypatch.setattr(h, "solve", lambda t: solved.append(t) or solve(t))
+        s = 0.7
+        first = h.propagator_many([1.0, 2.5], s)
+        second = h.propagator_many([2.5, 4.0], s)
+        assert solved == [s]
+        np.testing.assert_array_equal(first[1].matrix, second[0].matrix)
+        lam_s = solve(s).matrix
+        np.testing.assert_allclose((second[1] @ superop.Superoperator(lam_s, 2)).matrix,
+                                   solve(4.0).matrix, atol=inversion_atol(lam_s))
 
 
 class TestPropagators:

@@ -1,4 +1,5 @@
-"""The numeric limit of a time-dependent family without a closed form.
+"""The numeric limit of every family with no exact limit: time-dependent
+families, with a spectral closed form or without a closed form.
 
 A limit is a limit of the map: Lambda_t must stay at Lambda_t1 (t1 the
 horizon) at off-grid times up to 2 t1, read in increasing order, or there is
@@ -126,3 +127,18 @@ def test_predict_eventually_eb_reads_the_numeric_limit_without_a_hermiticity_err
            else td_gkls(np.random.default_rng(5), 2))
     verdict = asymptotics.predict_eventually_eb(fam)
     assert (verdict.classification, verdict.predictor_basis) == expected
+
+
+def test_a_spectral_closed_form_that_does_not_settle_has_no_limit():
+    """Rate cos t: the coefficients exp(-2 sin t) are 1 at t1 = 4 pi and at
+    2 t1, so a limit read from those two times alone was the identity, and
+    the identity's witness answered ``not_asymptotically_EB``; Lambda_t is
+    0.54 (relative) away at 1.0625 t1."""
+    fam = families.pauli_channel((math.cos, 0.0, 0.0), antiderivatives=(math.sin, None, None))
+    t1 = 4.0 * math.pi
+    handle = evolve.EvolutionHandle(fam)
+    assert handle.solver == "closed_form" and fam.closed_form.asymptotic_coefficients is None
+    with pytest.raises(NoLimitError, match="has not settled"):
+        asymptotics.asymptotic_map(fam, handle=handle, horizon=t1)
+    verdict = asymptotics.predict_eventually_eb(fam, handle=handle, horizon=t1)
+    assert (verdict.classification, verdict.predictor_basis) == ("undetermined", "none")
